@@ -11,8 +11,11 @@ expansion truncated at normal degree m-1, produces one condition row per
 tracked monomial without ever computing the full substitution.
 
 Hilbert function values on sampled configurations are reported together
-with the seeds used; the package-wide policy is to sample three derived
-seeds and require agreement before calling a value generic.
+with the seeds used.  One policy, in :func:`agreed_hilbert`, serves every
+caller: the caller derives three seeds and samples one configuration from
+each; the value is generic (``agreed``) only when all three Hilbert values
+are equal, and on disagreement the reported value is that of the most
+generic sample, the maximal Hilbert value (the minimal ideal dimension).
 """
 
 from __future__ import annotations
@@ -256,17 +259,17 @@ class ConditionMatrix:
         return comb(self.n + self.degree, self.degree)
 
 
-def ideal_dimension(config: Configuration, d: int, backend: str = "exact", prime: int | None = None) -> int:
+def ideal_dimension(config: Configuration, d: int) -> int:
     """dim of the degree-d piece of the ideal of the (fat) configuration."""
     cm = ConditionMatrix.build(config, d)
     if not cm.rows:
         return cm.ncols
-    return cm.ncols - linalg.rank(cm.rows, cm.ncols, backend=backend, prime=prime)
+    return cm.ncols - linalg.rank(cm.rows, cm.ncols)
 
 
-def hilbert_function(config: Configuration, d: int, backend: str = "exact", prime: int | None = None) -> int:
+def hilbert_function(config: Configuration, d: int) -> int:
     """Hilbert function of the configuration in degree d (codim of the ideal)."""
-    return comb(config.n + d, d) - ideal_dimension(config, d, backend=backend, prime=prime)
+    return comb(config.n + d, d) - ideal_dimension(config, d)
 
 
 @dataclass(frozen=True)
@@ -279,6 +282,34 @@ class GenericValue:
     caveats: tuple[str, ...] = ("generic-sample",)
 
 
+def agreed_hilbert(
+    samples: Sequence[Configuration], seeds: tuple[int, ...], d: int
+) -> tuple[GenericValue, GenericValue]:
+    """Hilbert function and ideal dimension of seeded samples, by the one policy.
+
+    ``samples[i]`` is the configuration drawn from ``seeds[i]``.  ``agreed`` is
+    True when every sample has the same Hilbert value; otherwise the reported
+    value is that of the most generic sample, the maximal Hilbert value and
+    so the minimal ideal dimension.
+    """
+    values = [hilbert_function(cfg, d) for cfg in samples]
+    agreed = len(set(values)) == 1
+    hf = max(values)
+    total = comb(samples[0].n + d, d)
+    return GenericValue(hf, seeds, agreed), GenericValue(total - hf, seeds, agreed)
+
+
+# Accepted backend names.  Both select the one exact rank path; "modular"
+# stays valid so that existing callers and command lines keep working.
+BACKENDS = ("exact", "modular")
+
+
+def check_backend(backend: str) -> None:
+    """Reject a backend name outside :data:`BACKENDS` with ``ValueError``."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown rank backend {backend!r}")
+
+
 def generic_hilbert(
     n: int,
     spec: Sequence[tuple[int, int]],
@@ -288,26 +319,13 @@ def generic_hilbert(
 ) -> tuple[GenericValue, GenericValue]:
     """Triple-seeded Hilbert function and ideal dimension for (dim, mult) specs.
 
-    Returns ``(hilbert, ideal_dim)``; ``agreed`` is False when the three
-    samples disagree (the reported value is then the maximum Hilbert value,
-    i.e. the most-independent sample seen).
+    Returns ``(hilbert, ideal_dim)`` under the policy of :func:`agreed_hilbert`.
+    ``backend`` must name one of :data:`BACKENDS`; every value is exact.
     """
-    base = Rng(seed)
-    prime = None
-    if backend == "modular":
-        prime = linalg.random_prime_31(base.derive("prime"))
+    check_backend(backend)
     seeds = tuple(stable_seed(seed, t) for t in range(3))
-    values = []
-    for s in seeds:
-        cfg = sample_fat_configuration(n, spec, Rng(s))
-        values.append(hilbert_function(cfg, d, backend=backend, prime=prime))
-    agreed = len(set(values)) == 1
-    hf = max(values)
-    total = comb(n + d, d)
-    return (
-        GenericValue(hf, seeds, agreed),
-        GenericValue(total - hf, seeds, agreed),
-    )
+    samples = [sample_fat_configuration(n, spec, Rng(s)) for s in seeds]
+    return agreed_hilbert(samples, seeds, d)
 
 
 def stable_seed(seed: int, tag) -> int:

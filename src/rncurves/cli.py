@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .arrangements import WeightVector, generic_hilbert
+from .arrangements import BACKENDS, WeightVector, generic_hilbert
 from .defectivity import DefectQuery, defect_check, defect_sweep
 from .errors import NoConstructivePath, RncError, VerificationFailed
 from .feasibility import RunConfig, atlas, atlas_summary, build_witness, classify, verify_witness
@@ -42,7 +42,7 @@ def _default_seed() -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rncurves")
     p.add_argument("--seed", type=int, default=None, help=f"sampling seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--backend", choices=["exact", "modular"], default="exact")
+    p.add_argument("--backend", choices=BACKENDS, default="exact", help="rank backend; every value is exact")
     p.add_argument("--d-max", type=int, default=3, help="max degree for the Bezout-style rule")
     p.add_argument("--depth", type=int, default=2, help="max projection chain length")
     p.add_argument("--budget", type=int, default=16, help="resampling budget for constructions")
@@ -163,7 +163,7 @@ def cmd_hilbert(args, opts: RunConfig) -> int:
         seed = int(data.get("seed", opts.seed))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise SystemExit(f"bad hilbert input: {e}")
-    hf, ideal = generic_hilbert(n, spec, d, seed, backend=opts.backend)
+    hf, ideal = generic_hilbert(n, spec, d, seed, backend=args.backend)
     _emit(
         {
             "n": n,
@@ -194,10 +194,10 @@ def cmd_defect(args, opts: RunConfig) -> int:
 
     try:
         if args.s is None:
-            reports = defect_sweep(args.m, seed=opts.seed, backend=opts.backend)
+            reports = defect_sweep(args.m, seed=opts.seed, backend=args.backend)
             _emit({"m": args.m, "reports": [enc(r) for r in reports]})
         else:
-            report = defect_check(DefectQuery(args.m, args.s), seed=opts.seed, backend=opts.backend)
+            report = defect_check(DefectQuery(args.m, args.s), seed=opts.seed, backend=args.backend)
             _emit(enc(report))
     except RncError as e:
         raise SystemExit(str(e))
@@ -210,7 +210,6 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     opts = RunConfig(
         seed=seed,
-        backend=args.backend,
         d_max=args.d_max,
         projection_depth=args.depth,
         resample_budget=args.budget,

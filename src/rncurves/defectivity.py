@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import Configuration, hilbert_function, stable_seed
+from .arrangements import Configuration, agreed_hilbert, check_backend, stable_seed
 from .errors import BoundViolated, GenericityExhausted
 from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, ProjPoint, Rng, sample_point
-from . import linalg
 
 DEGREE = 4
 
@@ -120,21 +119,18 @@ def _instance(m: int, s: int, seed: int) -> Configuration:
 
 
 def defect_check(query: DefectQuery, seed: int = 0, backend: str = "exact") -> DefectReport:
-    """Triple-seeded exact dimension of the quartic ideal piece."""
-    n = query.n
-    prime = None
-    if backend == "modular":
-        prime = linalg.random_prime_31(Rng(seed).derive("prime"))
-    seeds = tuple(stable_seed(seed, ("defect", query.m, query.s, t)) for t in range(3))
-    values = []
-    from math import comb
+    """Triple-seeded exact dimension of the quartic ideal piece.
 
-    total = comb(n + DEGREE, DEGREE)
-    for s_ in seeds:
-        cfg = _instance(query.m, query.s, s_)
-        values.append(total - hilbert_function(cfg, DEGREE, backend=backend, prime=prime))
-    agreed = len(set(values)) == 1
-    return DefectReport(query, max(values), seeds, agreed)
+    Under the policy of :func:`~rncurves.arrangements.agreed_hilbert`, a
+    disagreement reports the minimal ideal dimension, that of the most
+    generic sample.  ``backend`` must name one of the accepted backends;
+    every value is exact.
+    """
+    check_backend(backend)
+    seeds = tuple(stable_seed(seed, ("defect", query.m, query.s, t)) for t in range(3))
+    samples = [_instance(query.m, query.s, s) for s in seeds]
+    _, ideal = agreed_hilbert(samples, seeds, DEGREE)
+    return DefectReport(query, ideal.value, seeds, ideal.agreed)
 
 
 def defect_sweep(m: int, seed: int = 0, backend: str = "exact") -> list[DefectReport]:

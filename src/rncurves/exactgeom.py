@@ -264,10 +264,6 @@ class Projectivity:
             raise ValueError("matrix is singular")
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls, n: int) -> "Projectivity":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n + 1)) for i in range(n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.matrix) - 1

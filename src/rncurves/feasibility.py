@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from .arrangements import (
     Configuration,
     WeightVector,
-    hilbert_function,
+    agreed_hilbert,
     sample_configuration,
 )
 from .errors import (
@@ -50,8 +50,8 @@ from .errors import (
 )
 from .exactgeom import LinearSubspace, Rng, sample_point, sample_point_on, stable_mix
 from .rnc import RationalCurve, intersection_degree, is_rnc, rnc_through_points
-from .segre import witness_curve
-from . import linalg, serialize
+from .segre import SegreContext, witness_curve
+from . import serialize
 
 FEASIBLE = "Feasible"
 NON_FEASIBLE = "NonFeasible"
@@ -63,7 +63,6 @@ class RunConfig:
     """Options shared by the decision rules and constructions."""
 
     seed: int = 0
-    backend: str = "exact"  # "exact" | "modular" (modular confirms exactly on hits)
     d_max: int = 3
     projection_depth: int = 2
     resample_budget: int = 16
@@ -173,20 +172,13 @@ def segre_pattern(weights: WeightVector) -> Optional[tuple[int, list[int]]]:
     return s, blocks
 
 
-def segre_point_bound(blocks: Sequence[int]) -> int:
-    n1, n2 = blocks[0], blocks[1]
-    if n1 == 1 or n1 == n2:
-        return n2 + 2
-    return n1 + 3
-
-
 def check_segre_iff(weights: WeightVector) -> Optional[tuple[str, Certificate]]:
     """Complete answer when the components fill a hyperplane plus points."""
     split = segre_pattern(weights)
     if split is None:
         return None
     s, blocks = split
-    bound = segre_point_bound(blocks)
+    bound = SegreContext(tuple(blocks)).point_bound()
     cert = Certificate(
         "segre-iff",
         {"extra_points": s, "blocks": blocks, "point_bound": bound, "n": weights.n},
@@ -249,9 +241,9 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     """Remove one component; if its conditions on degree-d forms through the
     rest are independent while the contact count exceeds d*n, no curve exists.
 
-    Hilbert values come from three independently seeded samples which must
-    agree; with the modular backend a hit is re-confirmed exactly before the
-    certificate is emitted.
+    Hilbert values come from three seeded samples under the policy of
+    :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k) whose samples
+    disagree is skipped.
     """
     n = weights.n
     total = weights.total_intersection()
@@ -268,49 +260,22 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
         samples = [sample_configuration(weights, Rng(s)) for s in seeds]
     except GenericityExhausted:
         return None
-    prime = None
-    if opts.backend == "modular":
-        prime = linalg.random_prime_31(Rng(opts.seed).derive("bezout-prime"))
-    cache: dict = {}
-
-    def hf(cfg_key, cfg, d, exact=False):
-        key = (cfg_key, d, exact)
-        if key not in cache:
-            if exact or opts.backend == "exact":
-                cache[key] = hilbert_function(cfg, d)
-            else:
-                cache[key] = hilbert_function(cfg, d, backend="modular", prime=prime)
-        return cache[key]
-
     for d in usable:
+        full, _ = agreed_hilbert(samples, seeds, d)
         for k in dims_present:
             drop = comb(d + k, k)
             idx = _first_component_of_dim(samples[0], k)
-            pairs = []
-            for t, cfg in enumerate(samples):
-                h_full = hf(("full", t), cfg, d)
-                h_red = hf(("red", t, k), cfg.without(idx), d)
-                pairs.append((h_full, h_red))
-            if len(set(pairs)) != 1:
+            reduced, _ = agreed_hilbert([cfg.without(idx) for cfg in samples], seeds, d)
+            if not (full.agreed and reduced.agreed) or full.value != reduced.value + drop:
                 continue
-            h_full, h_red = pairs[0]
-            if h_full != h_red + drop:
-                continue
-            if opts.backend == "modular":
-                exact_pairs = {
-                    (hf(("full", t), cfg, d, exact=True), hf(("red", t, k), cfg.without(idx), d, exact=True))
-                    for t, cfg in enumerate(samples)
-                }
-                if exact_pairs != {(h_full, h_red)}:
-                    continue
             return Certificate(
                 "bezout",
                 {
                     "degree": d,
                     "component_dim": k,
                     "component_index": idx,
-                    "hilbert_full": h_full,
-                    "hilbert_reduced": h_red,
+                    "hilbert_full": full.value,
+                    "hilbert_reduced": reduced.value,
                     "independent_conditions": drop,
                     "contact_count": total,
                     "n": n,
@@ -352,17 +317,11 @@ def _base_nonfeasible(weights: WeightVector, opts: RunConfig, memo: dict) -> Opt
     key = (weights.n, weights.counts)
     if key in memo:
         return memo[key]
-    cert = check_parameter_count(weights)
-    if cert is None:
-        hit = check_codim2_table(weights)
-        if hit and hit[0] == NON_FEASIBLE:
-            cert = hit[1]
-    if cert is None:
-        hit = check_segre_iff(weights)
-        if hit and hit[0] == NON_FEASIBLE:
-            cert = hit[1]
-    if cert is None:
-        cert = check_bezout(weights, opts)
+    # the negative rules of the table that come before projection itself
+    negative = [rule for rule, polarity in _rule_table() if polarity == NON_FEASIBLE]
+    base = [(rule, NON_FEASIBLE) for rule in negative[: negative.index(check_projection)]]
+    hit = _first_verdict(weights, opts, None, base)
+    cert = hit.certificate if hit else None
     memo[key] = cert
     return cert
 
@@ -417,54 +376,68 @@ def check_projection(
 # classification
 
 
+def _rule_table() -> tuple:
+    """(rule, polarity) pairs in decision order: positive rules, then negative.
+
+    Three rules decide both ways and appear once per polarity.  The table is
+    built per call so that each name resolves at call time, and a rebound
+    module attribute (a test's monkeypatch) takes effect.
+    """
+    return (
+        (check_counting_feasible, FEASIBLE),
+        (check_codim2_table, FEASIBLE),
+        (check_segre_iff, FEASIBLE),
+        (check_homogeneous, FEASIBLE),
+        (check_parameter_count, NON_FEASIBLE),
+        (check_codim2_table, NON_FEASIBLE),
+        (check_segre_iff, NON_FEASIBLE),
+        (check_bezout, NON_FEASIBLE),
+        (check_projection, NON_FEASIBLE),
+        (check_homogeneous, NON_FEASIBLE),
+    )
+
+
+def _table_verdicts(weights: WeightVector, opts: RunConfig, memo: Optional[dict], table):
+    """Yield ``(rule, polarity, verdict)`` along the table, lazily.
+
+    Each rule runs at most once; its verdict (None when it is silent) is
+    reused by a later entry of the same rule.  A rule that returns a bare
+    certificate decides only its own polarity.
+    """
+    done: dict = {}
+    for rule, polarity in table:
+        if rule not in done:
+            if rule is check_projection:
+                hit = rule(weights, opts, memo)
+            elif rule is check_bezout:
+                hit = rule(weights, opts)
+            else:
+                hit = rule(weights)
+            if isinstance(hit, Certificate):
+                hit = (polarity, hit)
+            done[rule] = Verdict(*hit) if hit else None
+        yield rule, polarity, done[rule]
+
+
+def _first_verdict(weights: WeightVector, opts: RunConfig, memo: Optional[dict], table) -> Optional[Verdict]:
+    """The first verdict along the table that matches its entry's polarity."""
+    for _, polarity, verdict in _table_verdicts(weights, opts, memo, table):
+        if verdict is not None and verdict.status == polarity:
+            return verdict
+    return None
+
+
 def classify(weights: WeightVector, opts: RunConfig = DEFAULTS, memo: Optional[dict] = None) -> Verdict:
-    """First-hit verdict: positive rules, then negative rules, else Unknown."""
-    cert = check_counting_feasible(weights)
-    if cert:
-        return Verdict(FEASIBLE, cert)
-    for rule in (check_codim2_table, check_segre_iff, check_homogeneous):
-        hit = rule(weights)
-        if hit and hit[0] == FEASIBLE:
-            return Verdict(FEASIBLE, hit[1])
-    cert = check_parameter_count(weights)
-    if cert:
-        return Verdict(NON_FEASIBLE, cert)
-    for rule in (check_codim2_table, check_segre_iff):
-        hit = rule(weights)
-        if hit and hit[0] == NON_FEASIBLE:
-            return Verdict(NON_FEASIBLE, hit[1])
-    cert = check_bezout(weights, opts)
-    if cert:
-        return Verdict(NON_FEASIBLE, cert)
-    cert = check_projection(weights, opts, memo)
-    if cert:
-        return Verdict(NON_FEASIBLE, cert)
-    hit = check_homogeneous(weights)
-    if hit and hit[0] == NON_FEASIBLE:
-        return Verdict(NON_FEASIBLE, hit[1])
-    return Verdict(UNKNOWN, None)
+    """First-hit verdict along the rule table: positive rules, then negative
+    rules, else Unknown."""
+    return _first_verdict(weights, opts, memo, _rule_table()) or Verdict(UNKNOWN, None)
 
 
 def all_rule_verdicts(weights: WeightVector, opts: RunConfig = DEFAULTS) -> list[Verdict]:
-    """Every rule's independent opinion (for soundness cross-checks)."""
-    out = []
-    cert = check_counting_feasible(weights)
-    if cert:
-        out.append(Verdict(FEASIBLE, cert))
-    for rule in (check_codim2_table, check_segre_iff, check_homogeneous):
-        hit = rule(weights)
-        if hit:
-            out.append(Verdict(hit[0], hit[1]))
-    cert = check_parameter_count(weights)
-    if cert:
-        out.append(Verdict(NON_FEASIBLE, cert))
-    cert = check_bezout(weights, opts)
-    if cert:
-        out.append(Verdict(NON_FEASIBLE, cert))
-    cert = check_projection(weights, opts)
-    if cert:
-        out.append(Verdict(NON_FEASIBLE, cert))
-    return out
+    """Every rule's independent opinion (for soundness cross-checks), one per
+    rule in table order."""
+    by_rule = {rule: verdict for rule, _, verdict in _table_verdicts(weights, opts, None, _rule_table())}
+    return [verdict for verdict in by_rule.values() if verdict is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +495,7 @@ def _pattern_choices(weights: WeightVector) -> list[tuple[int, ...]]:
         for i, c in enumerate(sel):
             blocks.extend([i + 1] * c)
         blocks.sort()
-        if s_req > segre_point_bound(blocks):
+        if s_req > SegreContext(tuple(blocks)).point_bound():
             continue
         choices.append(sel)
     return choices

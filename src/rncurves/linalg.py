@@ -1,17 +1,14 @@
-"""Exact and modular matrix kernels over the rationals.
+"""Exact matrix kernels over the rationals.
 
-All ranks returned by :func:`rank` are exact.  The workhorse is fraction-free
-Bareiss elimination over the integers, preceded by two cheap reductions that
-are themselves certified exact:
+:func:`rank` is the single rank entry point, and every rank it returns is
+exact.  The workhorse is fraction-free Bareiss elimination over the integers,
+preceded by two cheap reductions that are themselves certified exact:
 
 * unit-row stripping -- a row with a single nonzero entry pins down one pivot
   column, which can be deleted outright; repeated to a fixpoint this often
   collapses large sparse condition matrices to a small dense core;
 * a single-prime prescreen -- ``rank_p <= rank <= min(rows, cols)``, so when
   the modular rank hits the dimension cap the exact rank is already known.
-
-``rank_mod`` exposes the modular elimination on its own for cross-checking
-against independently chosen 31-bit primes.
 """
 
 from __future__ import annotations
@@ -141,34 +138,17 @@ def _rank_mod_int(int_rows, p):
     return r
 
 
-def rank(rows, ncols, backend="exact", prime=None):
-    """Rank of a matrix given as an iterable of length-``ncols`` rows.
-
-    ``backend="exact"`` is always exact.  ``backend="modular"`` reduces once
-    modulo ``prime`` (required) and may underestimate on unlucky primes;
-    callers needing certainty must confirm exactly.
-    """
+def rank(rows, ncols):
+    """Exact rank of a matrix given as an iterable of length-``ncols`` rows."""
     int_rows = integerize_rows(rows)
     gained, core, core_cols = _strip_unit_rows(int_rows, ncols)
     if not core:
         return gained
-    if backend == "modular":
-        if prime is None:
-            raise ValueError("modular backend requires a prime")
-        return gained + _rank_mod_int(core, prime)
-    if backend != "exact":
-        raise ValueError(f"unknown rank backend {backend!r}")
     cap = min(len(core), core_cols)
     r_p = _rank_mod_int(core, _PRESCREEN_PRIME)
     if r_p == cap:
         return gained + r_p
     return gained + _rank_bareiss(core, core_cols)
-
-
-def rank_mod(rows, ncols, prime):
-    """Rank modulo ``prime`` with no exactness shortcut (for cross-checks)."""
-    int_rows = integerize_rows(rows)
-    return _rank_mod_int([r for r in int_rows if any(r)], prime)
 
 
 def rref(rows, ncols):
@@ -261,11 +241,3 @@ def is_probable_prime(m):
         else:
             return False
     return True
-
-
-def random_prime_31(rng):
-    """A deterministic 31-bit prime drawn from the supplied sampler."""
-    while True:
-        c = rng.integer(2**30, 2**31 - 1) | 1
-        if is_probable_prime(c):
-            return c

@@ -3,15 +3,12 @@
 A form of degree d in v variables is a dict mapping exponent tuples to
 rational coefficients.  The monomial order (grevlex-free, simply the
 lexicographically descending exponent tuples) is fixed once here so that
-condition-matrix columns, serialized coefficient vectors, and test oracles
-all agree on it.
+condition-matrix columns and test oracles agree on it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .binforms import BinaryForm, product
 
@@ -28,10 +25,6 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(nvars - 1, degree - first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def monomial_count(nvars: int, degree: int) -> int:
-    return comb(nvars + degree - 1, degree)
 
 
 def substitute_curve(form: dict, curve_forms) -> BinaryForm:
@@ -74,8 +67,3 @@ def random_form(nvars: int, degree: int, rng) -> dict:
         form = {m: c for m, c in form.items() if c}
         if form:
             return form
-
-
-def coefficient_vector(form: dict, nvars: int, degree: int) -> tuple[Fraction, ...]:
-    """The form's coefficients in the shared monomial order."""
-    return tuple(Fraction(form.get(m, 0)) for m in monomials(nvars, degree))

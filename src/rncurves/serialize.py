@@ -11,9 +11,9 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .arrangements import Configuration, WeightVector
+from .arrangements import Configuration
 from .binforms import BinaryForm
-from .exactgeom import LinearSubspace, Projectivity, ProjPoint
+from .exactgeom import LinearSubspace
 from .rnc import ParamCurve, RationalCurve, is_rnc
 
 
@@ -24,28 +24,6 @@ def enc_fraction(x) -> list[int]:
 
 def dec_fraction(v) -> Fraction:
     return Fraction(int(v[0]), int(v[1]))
-
-
-def enc_point(p: ProjPoint) -> dict:
-    return {"ambient_dim": p.n, "coords": [enc_fraction(c) for c in p.coords]}
-
-
-def dec_point(d) -> ProjPoint:
-    return ProjPoint(int(d["ambient_dim"]), tuple(dec_fraction(c) for c in d["coords"]))
-
-
-def enc_subspace(s: LinearSubspace) -> dict:
-    return {
-        "ambient_dim": s.n,
-        "dim": s.dim,
-        "basis": [[enc_fraction(x) for x in row] for row in s.basis],
-    }
-
-
-def dec_subspace(d) -> LinearSubspace:
-    n = int(d["ambient_dim"])
-    rows = [[dec_fraction(x) for x in row] for row in d["basis"]]
-    return LinearSubspace.from_rows(n, rows)
 
 
 def enc_curve(c: ParamCurve) -> dict:
@@ -83,14 +61,6 @@ def dec_config(d) -> Configuration:
         rows = [[dec_fraction(x) for x in row] for row in c["basis"]]
         comps.append((LinearSubspace.from_rows(n, rows), int(c.get("mult", 1))))
     return Configuration(n, tuple(comps))
-
-
-def enc_projectivity(g: Projectivity) -> dict:
-    return {"matrix": [[enc_fraction(x) for x in row] for row in g.matrix]}
-
-
-def enc_weights(w: WeightVector) -> dict:
-    return {"ambient_dim": w.n, "counts": list(w.counts)}
 
 
 def canonical_json(obj) -> str:

@@ -20,6 +20,8 @@ from rncurves.arrangements import (
     sample_fat_configuration,
     vanishing_conditions,
 )
+from rncurves import arrangements, defectivity, feasibility
+from rncurves.defectivity import DefectQuery, defect_check
 from rncurves.errors import FatComponentPresent
 from rncurves.exactgeom import (
     LinearSubspace,
@@ -28,6 +30,7 @@ from rncurves.exactgeom import (
     sample_projectivity,
     standard_point,
 )
+from rncurves.feasibility import check_bezout
 from rncurves.linalg import rank
 
 F = Fraction
@@ -199,10 +202,52 @@ def test_hilbert_function_is_projectively_invariant():
 
 
 def test_modular_backend_matches_exact_hilbert():
-    cfg = sample_configuration(WeightVector(5, (0, 3, 2, 0)), Rng(51))
+    # "modular" is a name accepted at the public edge; it selects the exact path
+    spec = ((2, 1), (1, 2))
     for d in (1, 2):
-        exact = hilbert_function(cfg, d)
-        assert hilbert_function(cfg, d, backend="modular", prime=2**31 - 1) == exact
+        exact = generic_hilbert(5, spec, d, seed=51)
+        assert generic_hilbert(5, spec, d, seed=51, backend="modular") == exact
+    with pytest.raises(ValueError):
+        generic_hilbert(5, spec, 2, seed=51, backend="sparse")
+
+
+def _second_sample_loses_a_component(monkeypatch, module, name):
+    """Wrap module.name so that its second call drops component 0."""
+    real = getattr(module, name)
+    calls = []
+
+    def stub(*args, **kwargs):
+        cfg = real(*args, **kwargs)
+        calls.append(cfg)
+        return cfg.without(0) if len(calls) == 2 else cfg
+
+    monkeypatch.setattr(module, name, stub)
+    return calls
+
+
+def test_seed_disagreement_reports_the_most_generic_sample(monkeypatch):
+    # generic_hilbert: the maximal Hilbert value, flagged as not agreed
+    agreed_hf, _ = generic_hilbert(3, ((0, 2), (1, 1)), 3, seed=0)
+    calls = _second_sample_loses_a_component(monkeypatch, arrangements, "sample_fat_configuration")
+    hf, ideal = generic_hilbert(3, ((0, 2), (1, 1)), 3, seed=0)
+    assert len(calls) == 3
+    assert hilbert_function(calls[1].without(0), 3) < agreed_hf.value
+    assert (hf.value, hf.agreed) == (agreed_hf.value, False)
+    assert (ideal.value, ideal.agreed) == (comb(6, 3) - agreed_hf.value, False)
+
+    # defect_check: the minimal ideal dimension, flagged as not agreed
+    query = DefectQuery(1, 2)
+    agreed_report = defect_check(query)
+    _second_sample_loses_a_component(monkeypatch, defectivity, "_instance")
+    report = defect_check(query)
+    assert (report.actual, report.agreed) == (agreed_report.actual, False)
+    assert report.actual == 4
+
+    # check_bezout: a (d, k) whose samples disagree yields no certificate
+    five_lines = WeightVector(4, (0, 5, 0))
+    assert check_bezout(five_lines) is not None
+    _second_sample_loses_a_component(monkeypatch, feasibility, "sample_configuration")
+    assert check_bezout(five_lines) is None
 
 
 def test_generic_hilbert_triple_seed_protocol():

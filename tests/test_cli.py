@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line entry point."""
 
+import hashlib
 import io
 import json
 
@@ -133,6 +134,40 @@ def test_defect_sweep_json(capsys):
     data = json.loads(out)
     assert [r["actual"] for r in data["reports"]] == [8, 4, 1, 0]
     assert [r["defective"] for r in data["reports"]] == [False, False, True, False]
+
+
+HILBERT_JOB = {"n": 3, "d": 2, "components": [{"dim": 1}, {"dim": 1}]}
+
+# SHA-256 of the stdout of each command line, fixed with the default seed; a
+# change of any rule, seed derivation or rank path that moves a byte shows here.
+PINNED_OUTPUTS = {
+    ("atlas", "-n", "3", "--format", "csv"): "c2b056c1bdf1b1239c74322c1064193a64531744b756ab95a401de29946b97a8",
+    ("classify", "-n", "4", "0,5,0"): "db87b6a771f7e3561e502b82826f49ec74b20557aeff86e0021557a8aec90511",
+    ("classify", "-n", "4", "3,2,1"): "21394cb65788c1f86444297dc53f9be549b8f1c1fad1364015d7c0f981025a08",
+    ("classify", "-n", "4", "4,0,2"): "02c4a1d1ecc4adedbdac8485e9c654b68c94ceb1105d5e6bcb4a95ec04696915",
+    ("hilbert",): "0ca94c19a58fb2cca0603e1224d35ddba369657dcaf359a3da8ebb5a7313c8a2",
+    ("defect", "--m", "2", "--s", "4"): "d7db4f1dcd13b17d9641b231c113cf2389ffb3df44e03c0512b1f8375efb6b20",
+    ("defect", "--m", "1"): "b2578ede0b40dd2a7e452fee06fef27bc2e18946a58057afc8917f7093da87b7",
+}
+
+
+def test_outputs_are_byte_identical_to_pinned_digests(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+
+    def digest(argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(HILBERT_JOB)))
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    for argv, want in PINNED_OUTPUTS.items():
+        assert digest(list(argv)) == want, argv
+    # "modular" names the same exact rank path
+    for argv in (("hilbert",), ("defect", "--m", "2", "--s", "4")):
+        assert digest(["--backend", "modular", *argv]) == PINNED_OUTPUTS[argv], argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--backend", "sparse", "hilbert"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_bad_weights_exit_usage(capsys):

@@ -88,5 +88,7 @@ def test_reports_are_deterministic():
 def test_modular_backend_agrees_with_exact():
     exact = defect_check(DefectQuery(1, 3), seed=0, backend="exact")
     modular = defect_check(DefectQuery(1, 3), seed=0, backend="modular")
-    assert modular.actual == exact.actual == 1
-    assert modular.agreed
+    assert modular == exact
+    assert modular.actual == 1 and modular.agreed
+    with pytest.raises(ValueError):
+        defect_check(DefectQuery(1, 3), backend="sparse")

@@ -10,7 +10,6 @@ from rncurves.feasibility import (
     FEASIBLE,
     NON_FEASIBLE,
     UNKNOWN,
-    RunConfig,
     all_rule_verdicts,
     atlas,
     atlas_summary,
@@ -25,7 +24,6 @@ from rncurves.feasibility import (
     classify,
     enumerate_weights,
     segre_pattern,
-    segre_point_bound,
     verify_witness,
 )
 from rncurves.rnc import is_rnc
@@ -90,13 +88,6 @@ def test_segre_pattern_splits():
     assert segre_pattern(w(4, 1, 2, 0)) == (1, [2, 2])
     # q may not exceed the available points: q = 4 - 2 = 2 > 0
     assert segre_pattern(w(4, 0, 1, 0)) is None
-
-
-def test_segre_point_bound_frozen():
-    assert segre_point_bound([1, 2]) == 4
-    assert segre_point_bound([2, 2]) == 4
-    assert segre_point_bound([2, 3]) == 5
-    assert segre_point_bound([1, 1, 1]) == 3
 
 
 def test_segre_iff_rule_both_directions():
@@ -170,14 +161,6 @@ def test_bezout_rule_five_lines_in_p4():
 def test_bezout_rule_silent_on_feasible_vector():
     assert check_bezout(w(3, 6, 0), DEFAULTS) is None
     assert check_bezout(w(4, 0, 4, 0), DEFAULTS) is None
-
-
-def test_bezout_modular_backend_agrees():
-    opts = RunConfig(backend="modular")
-    cert = check_bezout(w(4, 0, 5, 0), opts)
-    assert cert is not None
-    assert cert.params["hilbert_full"] == 15
-    assert cert.params["hilbert_reduced"] == 12
 
 
 def test_projection_rule_frozen_chain():

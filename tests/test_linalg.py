@@ -1,4 +1,4 @@
-"""Exact and modular rank kernels, checked against an independent oracle."""
+"""Exact rank kernels, checked against an independent oracle."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncurves.exactgeom import Rng
 from rncurves.linalg import (
     integerize_rows,
     invert,
     is_probable_prime,
     nullspace,
-    random_prime_31,
     rank,
-    rank_mod,
     rref,
     solve_right,
 )
@@ -51,17 +48,6 @@ def test_rank_matches_sympy_on_random_matrices():
         cols = rnd.randrange(1, 8)
         m = random_matrix(rnd, rows, cols, force_deficient=(trial % 3 == 0))
         assert rank(m, cols) == sympy.Matrix(m).rank()
-
-
-def test_modular_backend_agrees_with_exact():
-    rnd = random.Random(7)
-    for trial in range(40):
-        rows = rnd.randrange(1, 9)
-        cols = rnd.randrange(1, 9)
-        m = random_matrix(rnd, rows, cols, force_deficient=(trial % 4 == 0))
-        exact = rank(m, cols)
-        assert rank(m, cols, backend="modular", prime=2**31 - 1) == exact
-        assert rank_mod(m, cols, 2**31 - 1) == exact
 
 
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32))
@@ -135,17 +121,6 @@ def test_probable_prime_matches_sympy():
     for p in (2**31 - 1, 2147483629, 2147483587):
         assert is_probable_prime(p)
     assert not is_probable_prime(2**31 - 3)
-
-
-def test_random_prime_31_is_prime_and_31_bits():
-    rnd = Rng(99)
-    seen = set()
-    for _ in range(10):
-        p = random_prime_31(rnd)
-        assert is_probable_prime(p)
-        assert 2**30 < p < 2**31
-        seen.add(p)
-    assert len(seen) > 1
 
 
 def test_rank_with_huge_entries_stays_exact():
