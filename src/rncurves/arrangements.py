@@ -8,7 +8,11 @@ vanishing to order m along it says precisely that every coefficient of a
 monomial of *normal degree* below m (total degree in the y_(k+1)..y_n
 variables) is zero.  Expanding ``F(y H)`` monomial by monomial, with the
 expansion truncated at normal degree m-1, produces one condition row per
-tracked monomial without ever computing the full substitution.
+tracked monomial without ever computing the full substitution.  ``H`` is an
+integer matrix (the component's integer generators and unit normals), so
+every condition row is a tuple of Python ints; any other choice of
+tangential rows changes the coordinates only within each normal degree and
+gives the same row space, so ranks and Hilbert values do not depend on it.
 
 Hilbert function values on sampled configurations are reported together
 with the seeds used.  One policy, in :func:`agreed_hilbert`, serves every
@@ -21,7 +25,6 @@ generic sample, the maximal Hilbert value (the minimal ideal dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -31,7 +34,6 @@ from .exactgeom import (
     RESAMPLE_BUDGET,
     LinearSubspace,
     Rng,
-    meet,
     sample_generic_subspace,
 )
 from .multiforms import monomials
@@ -152,10 +154,11 @@ def sample_fat_configuration(n: int, spec: Sequence[tuple[int, int]], rng: Rng) 
 
 
 def _pairwise_generic(spaces: Sequence[LinearSubspace], n: int) -> bool:
-    for i in range(len(spaces)):
-        for j in range(i + 1, len(spaces)):
-            expected = max(-1, spaces[i].dim + spaces[j].dim - n)
-            if meet(spaces[i], spaces[j]).dim != expected:
+    """Every two spaces meet in dimension ``max(-1, k_a + k_b - n)``, that
+    is, their generators together span ``min(n+1, k_a + k_b + 2)`` dims."""
+    for i, a in enumerate(spaces):
+        for b in spaces[i + 1 :]:
+            if linalg.rank(a.generators + b.generators, n + 1) != min(n + 1, a.dim + b.dim + 2):
                 return False
     return True
 
@@ -165,13 +168,15 @@ def expected_conditions(n: int, k: int, mult: int, d: int) -> int:
     return sum(comb(n - k - 1 + j, j) * comb(k + d - j, k) for j in range(min(mult, d + 1)))
 
 
-def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[tuple[Fraction, ...]]:
-    """Condition rows forcing a degree-d form to vanish to order ``mult``.
+def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[tuple[int, ...]]:
+    """Integer condition rows forcing a degree-d form to vanish to order ``mult``.
 
     Rows are indexed by the monomials of normal degree < mult in the adapted
     coordinates; columns follow the shared monomial order on the ambient
     coordinates.  For a reduced component (mult = 1) this is restriction to
     the subspace; higher multiplicities add rows for the normal derivatives.
+    The row space depends only on the component, not on which integer
+    generators span it.
     """
     n = component.n
     k = component.dim
@@ -182,24 +187,23 @@ def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[t
     if k == n:
         raise ValueError("component fills the ambient space")
     cols = monomials(n + 1, d)
-    # Adapted coordinates: tangential y_0..y_k are the component's basis
-    # rows, normal y_(k+1).. are unit vectors on the non-pivot columns.
-    h_rows = list(component.basis)
+    # Adapted coordinates: tangential y_0..y_k are the component's integer
+    # generators, normal y_(k+1).. are unit vectors on the basis's non-pivot
+    # columns.
+    h_rows = list(component.generators)
     pivots = set(component.pivot_columns())
     for j in range(n + 1):
         if j not in pivots:
-            row = [Fraction(0)] * (n + 1)
-            row[j] = Fraction(1)
-            h_rows.append(tuple(row))
+            h_rows.append(tuple(int(i == j) for i in range(n + 1)))
     tracked = _tracked_monomials(n, k, mult, d)
     index = {m: i for i, m in enumerate(tracked)}
-    rows = [[Fraction(0)] * len(cols) for _ in tracked]
+    rows = [[0] * len(cols) for _ in tracked]
     linforms = []
     for j in range(n + 1):
         linforms.append([(i, h_rows[i][j]) for i in range(n + 1) if h_rows[i][j]])
     zero_mono = (0,) * (n + 1)
     for ci, mu in enumerate(cols):
-        poly = {zero_mono: Fraction(1)}
+        poly = {zero_mono: 1}
         for j, e in enumerate(mu):
             for _ in range(e):
                 poly = _mul_truncated(poly, linforms[j], k, mult)
@@ -241,12 +245,12 @@ class ConditionMatrix:
 
     n: int
     degree: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, int, int], ...]  # (component index, row start, row end)
 
     @classmethod
     def build(cls, config: Configuration, d: int) -> "ConditionMatrix":
-        rows: list[tuple[Fraction, ...]] = []
+        rows: list[tuple[int, ...]] = []
         blocks = []
         for idx, (space, mult) in enumerate(config.components):
             start = len(rows)
@@ -254,22 +258,33 @@ class ConditionMatrix:
             blocks.append((idx, start, len(rows)))
         return cls(config.n, d, tuple(rows), tuple(blocks))
 
+    def without(self, index: int) -> "ConditionMatrix":
+        """The matrix of ``config.without(index)``, from the blocks at hand."""
+        rows: list[tuple[int, ...]] = []
+        blocks = []
+        for idx, start, end in self.blocks:
+            if idx != index:
+                blocks.append((idx - (idx > index), len(rows), len(rows) + end - start))
+                rows.extend(self.rows[start:end])
+        return ConditionMatrix(self.n, self.degree, tuple(rows), tuple(blocks))
+
     @property
     def ncols(self) -> int:
         return comb(self.n + self.degree, self.degree)
 
+    def hilbert(self) -> int:
+        """Hilbert function value: the rank of the stacked conditions."""
+        return linalg.rank(self.rows, self.ncols)
+
 
 def ideal_dimension(config: Configuration, d: int) -> int:
     """dim of the degree-d piece of the ideal of the (fat) configuration."""
-    cm = ConditionMatrix.build(config, d)
-    if not cm.rows:
-        return cm.ncols
-    return cm.ncols - linalg.rank(cm.rows, cm.ncols)
+    return comb(config.n + d, d) - hilbert_function(config, d)
 
 
 def hilbert_function(config: Configuration, d: int) -> int:
     """Hilbert function of the configuration in degree d (codim of the ideal)."""
-    return comb(config.n + d, d) - ideal_dimension(config, d)
+    return ConditionMatrix.build(config, d).hilbert()
 
 
 @dataclass(frozen=True)
@@ -283,19 +298,20 @@ class GenericValue:
 
 
 def agreed_hilbert(
-    samples: Sequence[Configuration], seeds: tuple[int, ...], d: int
+    matrices: Sequence[ConditionMatrix], seeds: tuple[int, ...]
 ) -> tuple[GenericValue, GenericValue]:
     """Hilbert function and ideal dimension of seeded samples, by the one policy.
 
-    ``samples[i]`` is the configuration drawn from ``seeds[i]``.  ``agreed`` is
-    True when every sample has the same Hilbert value; otherwise the reported
-    value is that of the most generic sample, the maximal Hilbert value and
-    so the minimal ideal dimension.
+    ``matrices[i]`` is the condition matrix of the configuration drawn from
+    ``seeds[i]``, all in one degree.  ``agreed`` is True when every sample has
+    the same Hilbert value; otherwise the reported value is that of the most
+    generic sample, the maximal Hilbert value and so the minimal ideal
+    dimension.
     """
-    values = [hilbert_function(cfg, d) for cfg in samples]
+    values = [cm.hilbert() for cm in matrices]
     agreed = len(set(values)) == 1
     hf = max(values)
-    total = comb(samples[0].n + d, d)
+    total = matrices[0].ncols
     return GenericValue(hf, seeds, agreed), GenericValue(total - hf, seeds, agreed)
 
 
@@ -325,7 +341,7 @@ def generic_hilbert(
     check_backend(backend)
     seeds = tuple(stable_seed(seed, t) for t in range(3))
     samples = [sample_fat_configuration(n, spec, Rng(s)) for s in seeds]
-    return agreed_hilbert(samples, seeds, d)
+    return agreed_hilbert([ConditionMatrix.build(cfg, d) for cfg in samples], seeds)
 
 
 def stable_seed(seed: int, tag) -> int:

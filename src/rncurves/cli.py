@@ -17,7 +17,7 @@ import sys
 
 from .arrangements import BACKENDS, WeightVector, generic_hilbert
 from .defectivity import DefectQuery, defect_check, defect_sweep
-from .errors import NoConstructivePath, RncError, VerificationFailed
+from .errors import NoConstructivePath, RncError
 from .feasibility import RunConfig, atlas, atlas_summary, build_witness, classify, verify_witness
 from . import serialize
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangements import Configuration, agreed_hilbert, check_backend, stable_seed
+from .arrangements import ConditionMatrix, Configuration, agreed_hilbert, check_backend, stable_seed
 from .errors import BoundViolated, GenericityExhausted
 from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, ProjPoint, Rng, sample_point
 
@@ -129,7 +129,7 @@ def defect_check(query: DefectQuery, seed: int = 0, backend: str = "exact") -> D
     check_backend(backend)
     seeds = tuple(stable_seed(seed, ("defect", query.m, query.s, t)) for t in range(3))
     samples = [_instance(query.m, query.s, s) for s in seeds]
-    _, ideal = agreed_hilbert(samples, seeds, DEGREE)
+    _, ideal = agreed_hilbert([ConditionMatrix.build(cfg, DEGREE) for cfg in samples], seeds)
     return DefectReport(query, ideal.value, seeds, ideal.agreed)
 
 

@@ -1,16 +1,21 @@
 """Exact projective geometry over the rationals.
 
 Points, linear subspaces, projectivities, and a deterministic sampler for
-"generic" rational data.  Everything is computed with ``fractions.Fraction``;
-no floating point enters any predicate.
+"generic" rational data.  Every value is exact: coordinates, bases and
+matrices are ``fractions.Fraction``, and the integer generators of a subspace
+are Python ints.  No floating point enters any predicate.
 
 Conventions
 -----------
 * ``P^n`` has homogeneous coordinates ``x_0 .. x_n``; points act as column
   vectors, so a projectivity with matrix ``M`` sends ``x`` to ``M x``.
 * A ``LinearSubspace`` stores a reduced-row-echelon basis of its row space,
-  which makes equality and membership tests canonical.  The empty subspace
-  has dimension -1.
+  which makes equality and membership tests canonical, and ``dim+1`` integer
+  rows spanning the same space (``generators``), which the Hilbert condition
+  matrices and the pairwise genericity test are built from.  A sampled
+  subspace keeps the bounded integer rows it was drawn from; any other gets
+  the primitive integer multiples of its basis rows.  The empty subspace has
+  dimension -1.
 * Projection away from a center uses the coordinate-complement convention:
   the pivot columns of the center's echelon basis are eliminated and the
   remaining coordinates, in increasing order, become the coordinates of the
@@ -23,6 +28,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -142,12 +148,32 @@ def unit_point(n: int) -> ProjPoint:
     return ProjPoint(n, (Fraction(1),) * (n + 1))
 
 
+def _primitive_row(row: Sequence[Fraction]) -> tuple[int, ...]:
+    """The row scaled by a positive rational to coprime integers."""
+    den = 1
+    for x in row:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
 @dataclass(frozen=True)
 class LinearSubspace:
-    """Linear subspace of P^n, stored as an echelonized basis of rows."""
+    """Linear subspace of P^n, stored as an echelonized basis of rows.
+
+    ``generators`` are ``dim+1`` integer rows spanning the same space; they
+    take no part in equality, hashing or serialization.  When not given they
+    are the primitive integer multiples of the basis rows.
+    """
 
     n: int
     basis: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.generators is None:
+            object.__setattr__(self, "generators", tuple(_primitive_row(r) for r in self.basis))
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Sequence]) -> "LinearSubspace":
@@ -442,9 +468,11 @@ def sample_generic_subspace(n: int, k: int, rng: Rng) -> LinearSubspace:
     if k == -1:
         return LinearSubspace.empty(n)
     for _ in range(RESAMPLE_BUDGET):
-        s = LinearSubspace.from_rows(n, [rng.vector(n + 1) for _ in range(k + 1)])
-        if s.dim == k:
-            return s
+        rows = [rng.vector(n + 1) for _ in range(k + 1)]
+        basis, _ = linalg.rref(rows, n + 1)
+        if len(basis) == k + 1:
+            generators = tuple(tuple(x.numerator for x in r) for r in rows)
+            return LinearSubspace(n, tuple(basis), generators)
     raise GenericityExhausted(f"could not sample a {k}-space in P^{n}")
 
 

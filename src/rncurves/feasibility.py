@@ -37,6 +37,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .arrangements import (
+    ConditionMatrix,
     Configuration,
     WeightVector,
     agreed_hilbert,
@@ -261,11 +262,12 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     except GenericityExhausted:
         return None
     for d in usable:
-        full, _ = agreed_hilbert(samples, seeds, d)
+        matrices = [ConditionMatrix.build(cfg, d) for cfg in samples]
+        full, _ = agreed_hilbert(matrices, seeds)
         for k in dims_present:
             drop = comb(d + k, k)
             idx = _first_component_of_dim(samples[0], k)
-            reduced, _ = agreed_hilbert([cfg.without(idx) for cfg in samples], seeds, d)
+            reduced, _ = agreed_hilbert([cm.without(idx) for cm in matrices], seeds)
             if not (full.agreed and reduced.agreed) or full.value != reduced.value + drop:
                 continue
             return Certificate(

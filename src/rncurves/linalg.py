@@ -24,10 +24,19 @@ import numpy as np
 _PRESCREEN_PRIME = 2**31 - 1
 
 
+_INT = frozenset((int,))
+
+
 def integerize_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int tuples."""
+    """Scale each row by the lcm of its denominators; returns int tuples.
+
+    A row whose entries are all ints is passed through as a tuple.
+    """
     out = []
     for row in rows:
+        if _INT.issuperset(map(type, row)):
+            out.append(tuple(row))
+            continue
         den = 1
         for x in row:
             if isinstance(x, Fraction) and x.denominator != 1:

@@ -29,7 +29,7 @@ from .errors import (
     OnContractedLocus,
     VerificationFailed,
 )
-from .exactgeom import LinearSubspace, Projectivity, ProjPoint, Rng, adapted_alignment
+from .exactgeom import LinearSubspace, ProjPoint, Rng, adapted_alignment
 from .rnc import (
     ParamCurve,
     RationalCurve,

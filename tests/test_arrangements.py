@@ -87,6 +87,43 @@ def test_sample_configuration_matches_weights_and_is_generic():
         assert meet(a, b).dim == max(-1, a.dim + b.dim - 4)
 
 
+@given(st.integers(0, 2**32), st.integers(2, 5), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_pairwise_rank_check_agrees_with_meet(seed, n, ka, kb):
+    from rncurves.exactgeom import sample_generic_subspace
+
+    rng = Rng(seed)
+    a = sample_generic_subspace(n, min(ka, n - 1), rng)
+    b = sample_generic_subspace(n, min(kb, n - 1), rng)
+    # a pair through a common point of the two: special whenever it can be
+    c = LinearSubspace.from_rows(n, a.basis[:1] + b.basis[1:])
+    for x, y in ((a, b), (a, c), (b, c)):
+        want = meet(x, y).dim == max(-1, x.dim + y.dim - n)
+        assert arrangements._pairwise_generic([x, y], n) is want
+
+
+def test_pairwise_rank_check_rejects_special_pairs():
+    # two lines of P^3 through a common point
+    l1 = LinearSubspace.from_rows(3, [(1, 2, 3, 4), (0, 1, 5, -2)])
+    l2 = LinearSubspace.from_rows(3, [(1, 2, 3, 4), (7, 0, 1, 1)])
+    assert meet(l1, l2).dim == 0
+    assert not arrangements._pairwise_generic([l1, l2], 3)
+    # two planes of P^4 meeting in a line, not just a point
+    line = [(1, 0, 2, 0, 3), (0, 1, 0, -1, 4)]
+    p1 = LinearSubspace.from_rows(4, line + [(5, 5, 1, 0, 0)])
+    p2 = LinearSubspace.from_rows(4, line + [(0, 3, 0, 2, 9)])
+    assert meet(p1, p2).dim == 1
+    assert not arrangements._pairwise_generic([p1, p2], 4)
+    # and the generic cases: skew lines of P^3, planes of P^4 meeting in a point
+    l3 = LinearSubspace.from_rows(3, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    l4 = LinearSubspace.from_rows(3, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    p3 = LinearSubspace.from_rows(4, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)])
+    p4 = LinearSubspace.from_rows(4, [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    assert arrangements._pairwise_generic([l3, l4], 3)
+    assert arrangements._pairwise_generic([p3, p4], 4)
+    assert not arrangements._pairwise_generic([l3, l4, l1, l2], 3)
+
+
 def test_sample_configuration_is_deterministic():
     w = WeightVector(3, (1, 2))
     c1 = sample_configuration(w, Rng(5))
@@ -135,6 +172,23 @@ def test_vanishing_conditions_count_and_rank(n, k, mult, d, seed):
     assert rank(rows, comb(n + d, d)) == expected
 
 
+@pytest.mark.parametrize(
+    "n, k, mult, d",
+    [(2, 0, 2, 3), (3, 0, 3, 4), (3, 1, 1, 3), (3, 1, 2, 4), (4, 1, 2, 3), (4, 2, 1, 3), (5, 2, 2, 2)],
+)
+def test_vanishing_conditions_keep_their_row_space_across_generators(n, k, mult, d):
+    from rncurves.exactgeom import sample_generic_subspace
+
+    ncols = comb(n + d, d)
+    for seed in range(3):
+        comp = sample_generic_subspace(n, k, Rng(seed))
+        raw = vanishing_conditions(comp, mult, d)
+        canonical = vanishing_conditions(LinearSubspace(n, comp.basis), mult, d)
+        assert all(type(x) is int for row in raw + canonical for x in row)
+        expected = expected_conditions(n, k, mult, d)
+        assert rank(raw, ncols) == rank(canonical, ncols) == rank(raw + canonical, ncols) == expected
+
+
 def test_vanishing_conditions_annihilate_vanishing_forms():
     # quadrics through the line {x_2 = x_3 = 0} in P^3: x_2, x_3 divide
     line = coordinate_space(3, (0, 1))
@@ -162,6 +216,14 @@ def test_condition_matrix_blocks_cover_all_components():
     assert len(cm.blocks) == 3
     covered = sum(end - start for _, start, end in cm.blocks)
     assert covered == len(cm.rows)
+
+
+def test_condition_matrix_without_drops_one_block():
+    cfg = sample_fat_configuration(4, ((0, 2), (1, 1), (0, 1), (2, 1)), Rng(17))
+    cm = ConditionMatrix.build(cfg, 3)
+    for idx in range(4):
+        assert cm.without(idx) == ConditionMatrix.build(cfg.without(idx), 3)
+    assert cm.without(0).without(0) == ConditionMatrix.build(cfg.without(0).without(0), 3)
 
 
 def test_skew_lines_hilbert_matches_monomial_oracle():

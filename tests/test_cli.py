@@ -142,6 +142,7 @@ HILBERT_JOB = {"n": 3, "d": 2, "components": [{"dim": 1}, {"dim": 1}]}
 # change of any rule, seed derivation or rank path that moves a byte shows here.
 PINNED_OUTPUTS = {
     ("atlas", "-n", "3", "--format", "csv"): "c2b056c1bdf1b1239c74322c1064193a64531744b756ab95a401de29946b97a8",
+    ("atlas", "-n", "4", "--format", "csv"): "9c53ae54c315b7245d702ea6887e9ca0635a1f19d03562a498baa4c822363316",
     ("classify", "-n", "4", "0,5,0"): "db87b6a771f7e3561e502b82826f49ec74b20557aeff86e0021557a8aec90511",
     ("classify", "-n", "4", "3,2,1"): "21394cb65788c1f86444297dc53f9be549b8f1c1fad1364015d7c0f981025a08",
     ("classify", "-n", "4", "4,0,2"): "02c4a1d1ecc4adedbdac8485e9c654b68c94ceb1105d5e6bcb4a95ec04696915",

@@ -123,6 +123,38 @@ def test_modular_law_for_subspace_dimensions(seed, ka, kb):
     assert a.dim + b.dim == joined.dim + common.dim
 
 
+def _assert_integer_generators(s):
+    assert len(s.generators) == s.dim + 1
+    assert all(len(r) == s.n + 1 and all(type(x) is int for x in r) for r in s.generators)
+    assert LinearSubspace.from_rows(s.n, s.generators) == s
+
+
+@given(st.integers(0, 2**32), st.integers(3, 5), st.integers(0, 2))
+@settings(max_examples=20, deadline=None)
+def test_generators_are_integer_rows_spanning_the_space(seed, n, k):
+    rng = Rng(seed)
+    a = sample_generic_subspace(n, k, rng)
+    b = sample_generic_subspace(n, n - 1 - k, rng)
+    # sampled: the raw bounded rows it was drawn from
+    _assert_integer_generators(a)
+    assert all(abs(x) <= rng.height for r in a.generators for x in r)
+    # transformed, projected and met: primitive multiples of the basis rows
+    _assert_integer_generators(sample_projectivity(n, rng).apply_subspace(a))
+    center = sample_generic_subspace(n, 0, rng)
+    _assert_integer_generators(project_from(center, a))
+    _assert_integer_generators(meet(a, sample_generic_subspace(n, n - 1, rng)))
+    _assert_integer_generators(meet(a, b))
+    # generators take no part in equality or hashing
+    plain = LinearSubspace(a.n, a.basis)
+    assert plain == a and hash(plain) == hash(a)
+
+
+def test_generators_of_a_basis_are_primitive_frozen():
+    s = LinearSubspace(3, ((F(1), F(0), F(2, 3), F(-1, 2)), (F(0), F(1), F(4), F(0))))
+    assert s.generators == ((6, 0, 4, -3), (0, 1, 4, 0))
+    assert LinearSubspace.empty(3).generators == ()
+
+
 def test_subspace_reduce_residual():
     line = LinearSubspace.from_points([standard_point(2, 0), standard_point(2, 1)])
     assert line.reduce((F(3), F(5), F(0))) is None
