@@ -4,28 +4,22 @@ Coefficients are stored from ``s^d`` down to ``t^d``, so ``coeffs[i]`` is the
 coefficient of ``s^(d-i) t^i``.  Dehomogenizing at ``s = 1`` therefore turns
 ``coeffs`` directly into an ascending-power univariate list, which the gcd
 routine exploits: common ``s``-power is tracked separately and the rest is a
-univariate gcd over Q[u], computed modular-first (Brown, J. ACM 18, 1971).
+univariate gcd over Q[u].
 
-Each modular image is taken modulo a prime that divides no leading
-coefficient, so its degree bounds the true gcd degree from above; degree 0
-is therefore final.  A positive-degree image is lifted by CRT and rational
-reconstruction and accepted only once it divides every input exactly over
-Z, which makes the returned gcd exact.  If the fixed prime list runs out,
-Euclid over Q decides.
+That gcd is taken in Z[u] by a primitive pseudo-remainder sequence (Collins,
+J. ACM 14, 1967): exact by construction, with no modular image to confirm
+and no fallback.  The monic gcd over Q is unique, so the normalized result
+does not depend on how it was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd as igcd, isqrt, lcm
+from math import gcd as igcd, lcm
 from typing import Sequence
 
 from .errors import DuplicateParameters
-from .linalg import is_probable_prime
-
-_GCD_PRIME_COUNT = 64
 
 
 @dataclass(frozen=True)
@@ -139,140 +133,55 @@ def product(forms: Sequence[BinaryForm]) -> BinaryForm:
     return acc
 
 
-@cache
-def _gcd_primes() -> tuple[int, ...]:
-    """The fixed modular-gcd primes: the largest ones below 2**61, descending."""
-    primes = []
-    c = 2**61 - 1
-    while len(primes) < _GCD_PRIME_COUNT:
-        if is_probable_prime(c):
-            primes.append(c)
-        c -= 2
-    return tuple(primes)
-
-
-def _euclid_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two ascending-coefficient polynomials over Q."""
-
-    def strip(a):
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    a, b = strip(list(p)), strip(list(q))
-    while b:
-        # a mod b
-        inv = 1 / b[-1]
-        r = list(a)
-        while len(r) >= len(b) and strip(r):
-            f = r[-1] * inv
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] -= f * c
-            strip(r)
-        a, b = b, r
-    if not a:
-        return []
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
 def _integerize(p: Sequence[Fraction]) -> list[int]:
     den = lcm(*(c.denominator for c in p))
     return [c.numerator * (den // c.denominator) for c in p]
 
 
-def _gcd_mod(polys: list[list[int]], p: int) -> list[int]:
-    """Monic gcd modulo ``p`` of integer polynomials whose leading terms survive."""
-    g: list[int] = []
-    for poly in polys:
-        a, b = [c % p for c in poly], g
-        while b:
-            # a mod b, then swap
-            inv = pow(b[-1], -1, p)
-            while len(a) >= len(b):
-                f = a[-1] * inv % p
-                shift = len(a) - len(b)
-                for i, c in enumerate(b):
-                    a[shift + i] = (a[shift + i] - f * c) % p
-                while a and not a[-1]:
-                    a.pop()
-            a, b = b, a
-        inv = pow(a[-1], -1, p)
-        g = [c * inv % p for c in a]
-        if len(g) == 1:
-            break
-    return g
+def _primitive(p: list[int]) -> list[int]:
+    """``p`` divided by the gcd of its coefficients; ``[]`` stays ``[]``."""
+    content = igcd(*p)
+    return [c // content for c in p] if content else p
 
 
-def _rational_reconstruction(r: int, m: int) -> Fraction | None:
-    """The a/b with |a|, b <= sqrt(m/2) and a = b r mod m, if there is one."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, r % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or igcd(t1, m) != 1:
-        return None
-    return Fraction(r1, t1)
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of ``a`` by ``b`` in Z[u], trailing zeros stripped.
 
-
-def _divides(d: list[int], f: list[int]) -> bool:
-    """Whether the primitive integer polynomial ``d`` divides ``f`` in Z[u]."""
-    rem = list(f)
-    lead = d[-1]
-    for shift in range(len(f) - len(d), -1, -1):
-        q, r = divmod(rem[shift + len(d) - 1], lead)
-        if r:
-            return False
-        if q:
-            for i, c in enumerate(d):
-                rem[shift + i] -= q * c
-    return not any(rem)
-
-
-def _univariate_gcd(polys: list[Sequence[Fraction]]) -> list:
-    """Gcd over Q, up to a scalar, of ascending-coefficient polynomials.
-
-    Every input has a nonzero last (leading) coefficient.  Modular images
-    come from the primes of `_gcd_primes` that divide no integerized leading
-    coefficient; an image of degree above the least seen is unlucky and
-    dropped.  A lifted candidate that divides every input has at most the
-    gcd's degree and, being of the least modular degree, at least it, so it
-    is the gcd.
+    Each step scales the running remainder by the leading coefficient of
+    ``b`` so that cancelling its top term stays in Z.
     """
-    ints = [_integerize(p) for p in polys]
-    if min(len(p) for p in ints) == 1:
-        return [1]
-    image, modulus = None, 1
-    for p in _gcd_primes():
-        if any(f[-1] % p == 0 for f in ints):
-            continue
-        g = _gcd_mod(ints, p)
+    lead, head = b[-1], b[:-1]
+    r = list(a)
+    while len(r) >= len(b):
+        f, shift = r[-1], len(r) - len(b)
+        r = [lead * c for c in r[:-1]]
+        for i, c in enumerate(head):
+            r[shift + i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _univariate_gcd(polys: list[Sequence[Fraction]]) -> list[int]:
+    """Gcd in Z[u], up to sign, of ascending-coefficient polynomials over Q.
+
+    Every input has a nonzero last (leading) coefficient.  The inputs are
+    folded pairwise, shortest first, each pair by a primitive
+    pseudo-remainder sequence (Collins, J. ACM 14, 1967): every remainder is
+    divided by its content, which bounds coefficient growth, and the
+    sequence is exact in Z[u] and always ends.  The fold stops once the
+    running gcd is a constant.
+    """
+    ints = sorted((_primitive(_integerize(p)) for p in polys), key=len)
+    g = ints[0]
+    for p in ints[1:]:
         if len(g) == 1:
-            return [1]
-        if image is None or len(g) < len(image):
-            image, modulus = g, p
-        elif len(g) > len(image):
-            continue
-        else:
-            inv = pow(modulus, -1, p)
-            image = [a + modulus * ((b - a) * inv % p) for a, b in zip(image, g)]
-            modulus *= p
-        cand = [_rational_reconstruction(c, modulus) for c in image[:-1]]
-        if None in cand:
-            continue
-        cand = _integerize([*cand, Fraction(1)])
-        content = igcd(*cand)
-        cand = [c // content for c in cand]
-        if all(_divides(cand, f) for f in ints):
-            return cand
-    acc = polys[0]
-    for q in polys[1:]:
-        acc = _euclid_gcd(acc, q)
-        if len(acc) == 1:
             break
-    return acc
+        a, b = p, g
+        while b:
+            a, b = b, _primitive(_prem(a, b))
+        g = a
+    return g
 
 
 def _gcd_nonzero(forms: Sequence[BinaryForm]) -> BinaryForm:
@@ -287,8 +196,8 @@ def gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Greatest common divisor, normalized so its first nonzero coeff is 1.
 
     The common power of ``s`` is read off from trailing-coefficient support;
-    the remainder is a univariate gcd in u = t/s, found modulo primes and
-    confirmed by exact division of both inputs (see the module docstring).
+    the remainder is a univariate gcd in u = t/s, taken exactly in Z[u]
+    (see the module docstring).
     """
     if f.is_zero():
         return g.monic()
@@ -300,8 +209,8 @@ def gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Gcd of a family, zero forms ignored, normalized as in `gcd`.
 
-    The whole family goes through one modular pass, and a lifted candidate
-    is confirmed by exact division of every nonzero member.
+    The nonzero members are folded shortest first, and the fold stops as
+    soon as the running gcd is a constant.
     """
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:

@@ -348,8 +348,6 @@ def projectivity_from_frames(src: Sequence[ProjPoint], dst: Sequence[ProjPoint])
     b = frame_matrix(list(dst))
     n1 = len(a)
     a_inv = linalg.invert(a, n1)
-    if a_inv is None:
-        raise FrameDegenerate("source frame spans a hyperplane only")
     m = tuple(
         tuple(sum(b[i][k] * a_inv[k][j] for k in range(n1) if a_inv[k][j]) for j in range(n1))
         for i in range(n1)

@@ -226,27 +226,3 @@ def invert(matrix, n):
         return None
     return tuple(tuple(r[n:]) for r in red)
 
-
-def is_probable_prime(m):
-    """Deterministic Miller-Rabin for m < 3.3e24 (fixed witness set)."""
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % q == 0:
-            return m == q
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True

@@ -35,7 +35,6 @@ from .rnc import (
     RationalCurve,
     apply_projectivity,
     intersection_degree,
-    is_rnc,
     rnc_through_points,
     rnc_with_assigned_preimages,
 )
@@ -230,9 +229,6 @@ def compose_phi(mc: MultiCurve) -> RationalCurve:
         base = product(others) if others else BinaryForm.constant(1)
         for k in range(1, ctx.factor_dims[i] + 1):
             forms.append(crv.forms[k].mul(base))
-    candidate = ParamCurve(ctx.n, tuple(forms))
-    if not is_rnc(candidate):
-        raise DegenerateImage("composed curve is not a rational normal curve")
     return RationalCurve(ctx.n, tuple(forms))
 
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .arrangements import Configuration
 from .binforms import BinaryForm
+from .errors import DegenerateImage
 from .exactgeom import LinearSubspace
-from .rnc import ParamCurve, RationalCurve, is_rnc
+from .rnc import ParamCurve, RationalCurve
 
 
 def enc_fraction(x) -> list[int]:
@@ -38,10 +39,10 @@ def dec_curve(d) -> ParamCurve:
     n = int(d["ambient_dim"])
     deg = int(d["degree"])
     forms = tuple(BinaryForm(deg, tuple(dec_fraction(x) for x in row)) for row in d["coefficients"])
-    candidate = ParamCurve(n, forms)
-    if is_rnc(candidate):
+    try:
         return RationalCurve(n, forms)
-    return candidate
+    except DegenerateImage:
+        return ParamCurve(n, forms)
 
 
 def enc_config(cfg: Configuration) -> dict:

@@ -8,7 +8,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncurves import binforms
 from rncurves.binforms import (
     BinaryForm,
     ParamPoint,
@@ -92,11 +91,7 @@ def test_gcd_degree_matches_sympy(f0, g0, h):
     f = f0.mul(h)
     g = g0.mul(h)
     ours = gcd(f, g)
-    s, t = sympy.symbols("s t")
-    theirs = sympy.gcd(
-        sympy.Poly(to_sympy(f, s, t), s, t), sympy.Poly(to_sympy(g, s, t), s, t)
-    )
-    assert ours.degree == sympy.total_degree(theirs.as_expr())
+    assert ours == sympy_gcd([f, g])
     # the gcd divides both inputs exactly
     divide_exact(f, ours)
     divide_exact(g, ours)
@@ -165,8 +160,8 @@ def test_gcd_of_large_coefficient_family_matches_sympy():
         divide_exact(f, expected)
 
 
-def test_gcd_survives_a_leading_coefficient_divisible_by_the_first_prime():
-    p = binforms._gcd_primes()[0]
+def test_gcd_with_leading_coefficients_divisible_by_a_large_prime():
+    p = 2**61 - 1
     common = BinaryForm(1, (F(3), F(p)))  # 3 s + p t
     f = common.mul(BinaryForm(2, (F(1), F(5), F(p * 7))))
     g = common.mul(BinaryForm(1, (F(-2), F(p))))
@@ -176,13 +171,13 @@ def test_gcd_survives_a_leading_coefficient_divisible_by_the_first_prime():
     assert gcd_many([f, g, h]) == sympy_gcd([f, g, h]) == common.monic()
 
 
-def test_gcd_drops_an_image_of_too_high_degree():
-    # modulo the first prime both forms are (s + t)^2; over Q only s + t is shared
-    p = binforms._gcd_primes()[0]
+def test_gcd_of_forms_congruent_modulo_a_large_prime():
+    # modulo p both forms are (s + t)^2; over Q only s + t is shared
+    p = 2**61 - 1
     lin = BinaryForm(1, (F(1), F(1)))
     f = lin.mul(BinaryForm(1, (F(1 + p), F(1))))
     g = lin.mul(BinaryForm(1, (F(1 - p), F(1))))
-    assert gcd(f, g) == lin
+    assert gcd(f, g) == sympy_gcd([f, g]) == lin
 
 
 def test_coprime_forms_have_gcd_degree_zero():
@@ -192,13 +187,18 @@ def test_coprime_forms_have_gcd_degree_zero():
     assert gcd_many(family) == BinaryForm.constant(1) == sympy_gcd(family)
 
 
-def test_gcd_falls_back_to_euclid_without_primes(monkeypatch):
+def test_gcd_many_of_a_family_with_a_common_linear_factor():
     rng = random.Random(5)
     common = big_form(rng, 1, 30)
     family = [common.mul(big_form(rng, 2, 30)) for _ in range(3)]
-    modular = gcd_many(family)
-    monkeypatch.setattr(binforms, "_gcd_primes", lambda: ())
-    assert gcd_many(family) == modular == common.monic()
+    assert gcd_many(family) == common.monic()
+
+
+def test_gcd_many_keeps_a_repeated_factor():
+    rng = random.Random(7)
+    common = product([big_form(rng, 1, 40)] * 3)
+    family = [common.mul(big_form(rng, d, 30)) for d in (1, 2, 3)]
+    assert gcd_many(family) == sympy_gcd(family) == common.monic()
 
 
 @given(forms(max_degree=3), forms(min_degree=1, max_degree=3))

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private name is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,60 @@ def test_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import comb, gcd\nx: 'comb' = gcd(1, 2)\n")
     used = used_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["os"]
+
+
+def private_definitions(tree):
+    """(name, node) for each module-level ``_private`` function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def referenced_names(node):
+    """Names a statement mentions: loads, attributes and imported names."""
+    names = used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def orphans(trees):
+    """``module.name`` of each private definition no other statement references.
+
+    *trees* maps module names to parsed modules; a definition's own body
+    (a recursive call, say) does not count as a reference to it.
+    """
+    statements = [node for tree in trees.values() for node in tree.body]
+    refs = {id(node): referenced_names(node) for node in statements}
+    found = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree):
+            if not any(name in refs[id(other)] for other in statements if other is not node):
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_no_orphan_private_definitions():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    found = orphans(trees)
+    assert not found, f"private names that nothing in src/ references: {', '.join(found)}"
+
+
+def test_scan_sees_an_orphan_helper():
+    trees = {
+        "a": ast.parse("_USED = 2\n_SPARE = 3\ndef _loop(k):\n    return _loop(k - 1)\n"),
+        "b": ast.parse("from .a import _USED\nclass _Box: pass\nx = _USED\n"),
+    }
+    assert orphans(trees) == ["a._SPARE", "a._loop", "b._Box"]

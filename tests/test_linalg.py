@@ -8,10 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rncurves import linalg
 from rncurves.linalg import (
     integerize_rows,
     invert,
-    is_probable_prime,
     nullspace,
     rank,
     rref,
@@ -115,12 +115,8 @@ def test_solve_right_and_invert_round_trip():
             assert sum(m[i][k] * x[k] for k in range(n)) == b[i]
 
 
-def test_probable_prime_matches_sympy():
-    for k in range(2, 600):
-        assert is_probable_prime(k) == sympy.isprime(k)
-    for p in (2**31 - 1, 2147483629, 2147483587):
-        assert is_probable_prime(p)
-    assert not is_probable_prime(2**31 - 3)
+def test_prescreen_prime_is_prime():
+    assert sympy.isprime(linalg._PRESCREEN_PRIME)
 
 
 def test_rank_with_huge_entries_stays_exact():
