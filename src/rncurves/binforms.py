@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd, lcm
 from typing import Sequence
 
 from .errors import DuplicateParameters
+from .linalg import integerize, primitive
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,6 @@ def product(forms: Sequence[BinaryForm]) -> BinaryForm:
     return acc
 
 
-def _integerize(p: Sequence[Fraction]) -> list[int]:
-    den = lcm(*(c.denominator for c in p))
-    return [c.numerator * (den // c.denominator) for c in p]
-
-
-def _primitive(p: list[int]) -> list[int]:
-    """``p`` divided by the gcd of its coefficients; ``[]`` stays ``[]``."""
-    content = igcd(*p)
-    return [c // content for c in p] if content else p
-
-
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of ``a`` by ``b`` in Z[u], trailing zeros stripped.
 
@@ -172,14 +161,14 @@ def _univariate_gcd(polys: list[Sequence[Fraction]]) -> list[int]:
     sequence is exact in Z[u] and always ends.  The fold stops once the
     running gcd is a constant.
     """
-    ints = sorted((_primitive(_integerize(p)) for p in polys), key=len)
+    ints = sorted((primitive(integerize(p)) for p in polys), key=len)
     g = ints[0]
     for p in ints[1:]:
         if len(g) == 1:
             break
         a, b = p, g
         while b:
-            a, b = b, _primitive(_prem(a, b))
+            a, b = b, primitive(_prem(a, b))
         g = a
     return g
 

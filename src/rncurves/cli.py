@@ -123,7 +123,7 @@ def cmd_verify(args, opts: RunConfig) -> int:
             curve = serialize.dec_curve(json.load(fh))
         with open(args.config) as fh:
             cfg = serialize.dec_config(json.load(fh))
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise SystemExit(f"cannot read inputs: {e}")
     ok, report = verify_witness(curve, cfg)
     _emit(report)
@@ -131,7 +131,10 @@ def cmd_verify(args, opts: RunConfig) -> int:
 
 
 def cmd_atlas(args, opts: RunConfig) -> int:
-    rows = atlas(args.n, opts)
+    try:
+        rows = atlas(args.n, opts)
+    except ValueError as e:
+        raise SystemExit(str(e))
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -161,9 +164,9 @@ def cmd_hilbert(args, opts: RunConfig) -> int:
         d = int(data["d"])
         spec = [(int(c["dim"]), int(c.get("mult", 1))) for c in data["components"]]
         seed = int(data.get("seed", opts.seed))
+        hf, ideal = generic_hilbert(n, spec, d, seed, backend=args.backend)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise SystemExit(f"bad hilbert input: {e}")
-    hf, ideal = generic_hilbert(n, spec, d, seed, backend=args.backend)
     _emit(
         {
             "n": n,
@@ -207,13 +210,6 @@ def cmd_defect(args, opts: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
-    opts = RunConfig(
-        seed=seed,
-        d_max=args.d_max,
-        projection_depth=args.depth,
-        resample_budget=args.budget,
-    )
     handlers = {
         "classify": cmd_classify,
         "witness": cmd_witness,
@@ -223,6 +219,12 @@ def main(argv=None) -> int:
         "defect": cmd_defect,
     }
     try:
+        opts = RunConfig(
+            seed=args.seed if args.seed is not None else _default_seed(),
+            d_max=args.d_max,
+            projection_depth=args.depth,
+            resample_budget=args.budget,
+        )
         return handlers[args.command](args, opts)
     except SystemExit as e:
         if isinstance(e.code, str):

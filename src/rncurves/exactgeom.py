@@ -28,7 +28,6 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -148,16 +147,6 @@ def unit_point(n: int) -> ProjPoint:
     return ProjPoint(n, (Fraction(1),) * (n + 1))
 
 
-def _primitive_row(row: Sequence[Fraction]) -> tuple[int, ...]:
-    """The row scaled by a positive rational to coprime integers."""
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
 @dataclass(frozen=True)
 class LinearSubspace:
     """Linear subspace of P^n, stored as an echelonized basis of rows.
@@ -173,7 +162,9 @@ class LinearSubspace:
 
     def __post_init__(self):
         if self.generators is None:
-            object.__setattr__(self, "generators", tuple(_primitive_row(r) for r in self.basis))
+            object.__setattr__(
+                self, "generators", tuple(tuple(linalg.primitive(linalg.integerize(r))) for r in self.basis)
+            )
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Sequence]) -> "LinearSubspace":
@@ -436,13 +427,12 @@ def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:
         rows.extend(s.basis)
     if len(rows) != n:
         raise NotComplementary(f"block dimensions sum to {len(rows)}, expected {n}")
-    _, pivots = linalg.rref(rows, n + 1)
-    if len(pivots) != n:
+    if linalg.rank(rows, n + 1) != n:
         raise NotComplementary("spaces are not mutually independent")
     v = None
     for i in range(n + 1):
         probe = rows + [tuple(Fraction(int(j == i)) for j in range(n + 1))]
-        if len(linalg.rref(probe, n + 1)[1]) == n + 1:
+        if linalg.rank(probe, n + 1) == n + 1:
             v = probe[-1]
             break
     assert v is not None
@@ -466,10 +456,9 @@ def sample_generic_subspace(n: int, k: int, rng: Rng) -> LinearSubspace:
     if k == -1:
         return LinearSubspace.empty(n)
     for _ in range(RESAMPLE_BUDGET):
-        rows = [rng.vector(n + 1) for _ in range(k + 1)]
-        basis, _ = linalg.rref(rows, n + 1)
+        generators = tuple(tuple(x.numerator for x in rng.vector(n + 1)) for _ in range(k + 1))
+        basis, _ = linalg.rref(generators, n + 1)
         if len(basis) == k + 1:
-            generators = tuple(tuple(x.numerator for x in r) for r in rows)
             return LinearSubspace(n, tuple(basis), generators)
     raise GenericityExhausted(f"could not sample a {k}-space in P^{n}")
 
@@ -494,6 +483,8 @@ def sample_projectivity(n: int, rng: Rng) -> Projectivity:
     """Random invertible matrix with bounded integer entries."""
     for _ in range(RESAMPLE_BUDGET):
         m = tuple(rng.vector(n + 1) for _ in range(n + 1))
-        if linalg.invert(m, n + 1) is not None:
+        try:
             return Projectivity(m)
+        except ValueError:  # singular: draw again
+            pass
     raise GenericityExhausted(f"could not sample a projectivity of P^{n}")

@@ -454,7 +454,8 @@ def verify_witness(curve, config: Configuration) -> tuple[bool, dict]:
         raise FatComponentPresent("witnesses are only defined for reduced configurations")
     report = {
         "ambient_dim": config.n,
-        "curve_is_normal": bool(is_rnc(curve)) and curve.ambient == config.n,
+        # a RationalCurve passed is_rnc when it was built
+        "curve_is_normal": (isinstance(curve, RationalCurve) or is_rnc(curve)) and curve.ambient == config.n,
         "components": [],
     }
     ok = report["curve_is_normal"]
@@ -610,6 +611,8 @@ class AtlasRow:
 
 def enumerate_weights(n: int) -> list[WeightVector]:
     """All weight vectors whose parameter cost stays within the family dim."""
+    if n < 2:
+        raise ValueError("ambient dimension must be at least 2")
     bound = (n + 3) * (n - 1)
     costs = [(i + 1) * (n - 1 - i) for i in range(n - 1)]
     out = []

@@ -1,8 +1,17 @@
-"""Exact matrix kernels over the rationals.
+"""Exact matrix kernels over the rationals, computed over the integers.
+
+:func:`integerize` scales a row of ints and Fractions to ints by the lcm of
+its denominators, and :func:`primitive` divides an int row by its content;
+they are the package's one rational-to-integer scaling.  One fraction-free
+loop, :func:`_echelon`, serves every kernel: it keeps each row primitive and
+clears the entry ``f`` under the pivot ``p`` with ``(p/g) r - (f/g) pivot``,
+``g = gcd(p, f)`` (the primitive-remainder idea of Collins, J. ACM 14, 1967,
+applied to rows).  ``Fraction`` arithmetic appears only where :func:`rref`
+divides each finished row by its pivot.
 
 :func:`rank` is the single rank entry point, and every rank it returns is
-exact.  The workhorse is fraction-free Bareiss elimination over the integers,
-preceded by two cheap reductions that are themselves certified exact:
+exact.  Before the elimination it tries two cheap reductions that are
+themselves exact:
 
 * unit-row stripping -- a row with a single nonzero entry pins down one pivot
   column, which can be deleted outright; repeated to a fixpoint this often
@@ -14,38 +23,43 @@ preceded by two cheap reductions that are themselves certified exact:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 # Largest 31-bit prime (2**31 - 1 is a Mersenne prime).  Used only for the
 # prescreen shortcut inside rank(); a "bad" prime can only underestimate the
-# rank, in which case we fall through to Bareiss and stay exact.
+# rank, in which case we fall through to the elimination and stay exact.
 _PRESCREEN_PRIME = 2**31 - 1
 
 
 _INT = frozenset((int,))
 
 
-def integerize_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int tuples.
+def integerize(row) -> tuple[int, ...]:
+    """The row scaled by the lcm of its denominators, as a tuple of ints.
 
-    A row whose entries are all ints is passed through as a tuple.
+    A row whose entries are all ints is passed through; otherwise each entry
+    is ``numerator * (lcm // denominator)``, with no Fraction multiplication.
     """
-    out = []
-    for row in rows:
-        if _INT.issuperset(map(type, row)):
-            out.append(tuple(row))
-            continue
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = den * x.denominator // gcd(den, x.denominator)
-        if den == 1:
-            out.append(tuple(int(x) for x in row))
-        else:
-            out.append(tuple(int(x * den) for x in row))
-    return out
+    if _INT.issuperset(map(type, row)):
+        return tuple(row)
+    den = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (den // x.denominator) for x in row)
+
+
+def integerize_rows(rows) -> list[tuple[int, ...]]:
+    """:func:`integerize` applied to each row."""
+    return [integerize(row) for row in rows]
+
+
+def primitive(row):
+    """An integer row divided by the gcd of its entries.
+
+    The row itself is returned when that gcd is 0 or 1; the sign is kept.
+    """
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _strip_unit_rows(rows, ncols):
@@ -83,40 +97,44 @@ def _strip_unit_rows(rows, ncols):
     return gained, rows, len(alive)
 
 
-def _rank_bareiss(int_rows, ncols):
-    """Exact rank by fraction-free (Bareiss) elimination with row swaps."""
-    rows = [list(r) for r in int_rows if any(r)]
-    if not rows or ncols == 0:
-        return 0
-    prev = 1
-    pr = 0
-    rank = 0
+def _eliminate(row, pivot, col):
+    """``(p/g) row - (f/g) pivot`` made primitive: ``row`` loses column ``col``."""
+    p, f = pivot[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    return primitive([a * x - b * y for x, y in zip(row, pivot)])
+
+
+def _echelon(int_rows, ncols):
+    """Row echelon form of an integer matrix over its first ``ncols`` columns.
+
+    Returns ``(rows, pivots)``: the nonzero primitive rows in pivot order and
+    their pivot columns.  The pivot of a column is the candidate entry with
+    the fewest bits.  Entries past ``ncols`` are carried along.
+    """
+    rows = [primitive(r) for r in int_rows if any(r)]
+    out, pivots = [], []
     for col in range(ncols):
-        piv = None
-        for i in range(pr, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
+        live = [r for r in rows if r[col]]
+        if not live:
             continue
-        rows[pr], rows[piv] = rows[piv], rows[pr]
-        p = rows[pr][col]
-        prow = rows[pr]
-        nxt = [rows[i] for i in range(pr)]
-        nxt.append(prow)
-        for i in range(pr + 1, len(rows)):
-            ri = rows[i]
-            f = ri[col]
-            new = [(p * ri[j] - f * prow[j]) // prev for j in range(col + 1, ncols)]
-            if any(new):
-                nxt.append([0] * (col + 1) + new)
-        rows = nxt
-        prev = p
-        rank += 1
-        pr += 1
-        if pr == len(rows) or rank == ncols:
-            break
-    return rank
+        pivot = min(live, key=lambda r: abs(r[col]).bit_length())
+        rows = [r for r in rows if not r[col]]
+        for r in live:
+            if r is not pivot:
+                r = _eliminate(r, pivot, col)
+                if any(r):
+                    rows.append(r)
+        out.append(pivot)
+        pivots.append(col)
+    return out, pivots
+
+
+# Named for the Bareiss loop it replaced: perfbench/tracing.py wraps the
+# elimination fallback of rank() by this name, as ``linalg.bareiss``.
+def _rank_bareiss(int_rows, ncols):
+    """Exact rank of an integer matrix by the one elimination loop."""
+    return len(_echelon(int_rows, ncols)[1])
 
 
 def _rank_mod_int(int_rows, p):
@@ -164,31 +182,16 @@ def rref(rows, ncols):
     """Reduced row echelon form over Fraction.
 
     Returns ``(rref_rows, pivot_cols)`` with zero rows dropped and every
-    pivot normalized to 1.
+    pivot normalized to 1.  The elimination and the back-substitution run
+    on primitive integer rows; only the last step divides by the pivots.
     """
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(pr, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        inv = 1 / mat[pr][col]
-        mat[pr] = [x * inv for x in mat[pr]]
-        for i in range(len(mat)):
-            if i != pr and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == len(mat):
-            break
-    out = [tuple(r) for r in mat[:pr]]
+    red, pivots = _echelon(integerize_rows(rows), ncols)
+    for i in range(len(red) - 1, 0, -1):
+        col = pivots[i]
+        for k in range(i):
+            if red[k][col]:
+                red[k] = _eliminate(red[k], red[i], col)
+    out = [tuple(Fraction(x, r[col]) for x in r) for r, col in zip(red, pivots)]
     return out, pivots
 
 
@@ -220,7 +223,7 @@ def solve_right(matrix, rhs, ncols):
 
 def invert(matrix, n):
     """Exact inverse of an ``n x n`` matrix, or None if singular."""
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(matrix)]
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
     red, pivots = rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None

@@ -27,6 +27,7 @@ from .errors import (
     GenericityExhausted,
 )
 from .exactgeom import (
+    RESAMPLE_BUDGET,
     LinearSubspace,
     ProjectionMap,
     Projectivity,
@@ -246,7 +247,7 @@ def rnc_with_assigned_preimages(
             continue
         have.add(cand.normalized())
         extra_params.append(cand)
-    for _ in range(16):
+    for _ in range(RESAMPLE_BUDGET):
         extra_points = [ProjPoint(t, rng.vector(t + 1)) for _ in range(t + 2 - m)]
         try:
             return _rnc_assigned_full(params + extra_params, points + extra_points)

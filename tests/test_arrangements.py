@@ -1,8 +1,10 @@
 """Weight vectors, configurations, condition matrices, Hilbert functions."""
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,13 @@ from rncurves.feasibility import check_bezout
 from rncurves.linalg import rank
 
 F = Fraction
+
+# The benchmark's closed-form Hilbert values (Alexander-Hirschowitz,
+# Hartshorne-Hirschowitz); the module reads nothing of rncurves.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracles  # noqa: E402
+
+sys.path.pop(0)
 
 
 def coordinate_space(n, indices):
@@ -335,3 +344,24 @@ def test_sample_fat_configuration_multiplicities():
     cfg = sample_fat_configuration(4, ((0, 2), (1, 3)), Rng(61))
     assert [(s.dim, m) for s, m in cfg.components] == [(0, 2), (1, 3)]
     assert not cfg.is_reduced()
+
+
+# s double points around C(n+d,d)/(n+1): the grid holds the exceptions
+# (2,4,5), (3,4,9) and (4,3,7).
+AH_CASES = [
+    (n, d, comb(n + d, d) // (n + 1) + off)
+    for n, d in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 3))
+    for off in (-1, 0, 1)
+]
+HH_CASES = [(n, d, comb(n + d, d) // (d + 1) + off) for n, d in ((3, 2), (3, 3), (4, 2)) for off in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("theorem, n, d, count", [("AH", *c) for c in AH_CASES] + [("HH", *c) for c in HH_CASES])
+def test_generic_hilbert_matches_closed_forms(theorem, n, d, count):
+    if theorem == "AH":
+        spec, want = [(0, 2)] * count, oracles.ah_double_points(n, d, count)
+    else:
+        spec, want = [(1, 1)] * count, oracles.hh_lines(n, d, count)
+    hf, ideal = generic_hilbert(n, spec, d, seed=0)
+    assert (hf.value, hf.agreed) == (want, True)
+    assert (ideal.value, ideal.agreed) == (comb(n + d, d) - want, True)

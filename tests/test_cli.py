@@ -192,5 +192,41 @@ def test_seed_env_fallback(capsys, monkeypatch):
     code, out = run(capsys, ["--seed", "5", "witness", "-n", "3", "1,1"])
     assert json.loads(out) == seeded
     monkeypatch.setenv(SEED_ENV, "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["classify", "-n", "3", "1,1"])
+    assert main(["classify", "-n", "3", "1,1"]) == EXIT_USAGE
+    assert SEED_ENV in capsys.readouterr().err
+
+
+# The conic (s^2, st, t^2); each case below breaks one field of it.
+CONIC = {
+    "ambient_dim": 2,
+    "degree": 2,
+    "coefficients": [[[int(i == j), 1] for j in range(3)] for i in range(3)],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, curve",
+    [
+        (["atlas", "-n", "1"], None, None),
+        (["atlas", "-n", "-3"], None, None),
+        (["hilbert"], {"n": 3, "d": 2, "components": [{"dim": 3}]}, None),
+        (["hilbert"], {"n": 3, "d": 2, "components": [{"dim": -1}]}, None),
+        (["hilbert"], {"n": 3, "d": 2, "components": [{"dim": 1, "mult": 0}]}, None),
+        (["hilbert"], {"n": 3, "d": -1, "components": [{"dim": 1}]}, None),
+        (["verify"], None, {**CONIC, "coefficients": 7}),
+        (["verify"], None, {**CONIC, "coefficients": [[[1, 0]] * 3] * 3}),
+    ],
+)
+def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monkeypatch):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    if curve is not None:
+        curve_path = tmp_path / "curve.json"
+        cfg_path = tmp_path / "config.json"
+        curve_path.write_text(json.dumps(curve))
+        cfg_path.write_text(json.dumps({"ambient_dim": 2, "components": []}))
+        argv = argv + ["--curve", str(curve_path), "--config", str(cfg_path)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()

@@ -288,6 +288,25 @@ def test_verify_witness_reports_failures():
     assert any(not entry["ok"] for entry in report["components"])
 
 
+def test_verify_witness_checks_normality_once(monkeypatch):
+    from rncurves import feasibility
+    from rncurves.rnc import ParamCurve
+
+    curve, cfg, _ = build_witness(w(3, 2, 1), DEFAULTS)
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return is_rnc(c)
+
+    monkeypatch.setattr(feasibility, "is_rnc", counting)
+    ok, report = verify_witness(curve, cfg)
+    assert ok and calls == []
+    plain = ParamCurve(curve.ambient, curve.forms)
+    assert verify_witness(plain, cfg) == (ok, report)
+    assert calls == [plain]
+
+
 # ---------------------------------------------------------------- atlas
 
 

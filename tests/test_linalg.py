@@ -1,11 +1,11 @@
-"""Exact rank kernels, checked against an independent oracle."""
+"""Exact matrix kernels, checked against sympy as an independent oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rncurves import linalg
@@ -126,3 +126,94 @@ def test_rank_with_huge_entries_stays_exact():
     assert rank(m, 2) == 2
     m2 = [[big, big], [big, big]]
     assert rank(m2, 2) == 1
+
+
+BIG = 10**30
+
+# Small integers, small fractions, zeros and integers of over 30 digits.
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(-20, 20, max_denominator=9),
+    st.tuples(st.sampled_from((-1, 1)), st.integers(BIG, 10**35)).map(lambda t: t[0] * t[1]),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    m = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(ENTRY), draw(ENTRY)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m, cols
+
+
+def to_sympy(m, cols):
+    return sympy.Matrix(len(m), cols, [sympy.Rational(F(x).numerator, F(x).denominator) for r in m for x in r])
+
+
+def from_sympy(row):
+    return tuple(F(int(x.p), int(x.q)) for x in row)
+
+
+def big(rnd):
+    return rnd.choice((-1, 1)) * rnd.randrange(BIG, 10**35)
+
+
+_rnd = random.Random(29)
+
+
+@given(matrices())
+@example(([], 3))  # no rows
+@example(([[], [], []], 0))  # no columns
+@example(([[0, 0, 0], [0, 0, 0]], 3))  # zero rows only
+@example(([[big(_rnd), big(_rnd)] for _ in range(7)], 2))  # tall
+@example(([[big(_rnd) for _ in range(7)] for _ in range(2)], 7))  # wide
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_sympy(case):
+    m, cols = case
+    red, pivots = rref(m, cols)
+    want, want_pivots = to_sympy(m, cols).rref()
+    assert pivots == list(want_pivots)
+    assert red == [from_sympy(want.row(i)) for i in range(len(want_pivots))]
+    assert all(type(x) is F for r in red for x in r)
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_rank_of_a_low_rank_product_matches_sympy(rows, cols, inner, seed):
+    rnd = random.Random(seed)
+    inner = min(inner, rows, cols)
+    u = [[big(rnd) for _ in range(inner)] for _ in range(rows)]
+    v = [[big(rnd) for _ in range(cols)] for _ in range(inner)]
+    m = [[sum(a * b for a, b in zip(r, c)) for c in zip(*v)] for r in u]
+    assert rank(m, cols) == to_sympy(m, cols).rank()
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 5))
+    m = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+    return n, m, [draw(ENTRY) for _ in range(n)]
+
+
+@given(square_systems())
+@settings(max_examples=60, deadline=None)
+def test_invert_and_solve_right_match_sympy(system):
+    n, m, b = system
+    a = to_sympy(m, n)
+    x = solve_right(m, b, n)
+    inv = invert(m, n)
+    if a.rank() == n:
+        assert inv == tuple(from_sympy(a.inv().row(i)) for i in range(n))
+        assert x == from_sympy(a.LUsolve(to_sympy([[y] for y in b], 1)))
+        return
+    assert inv is None
+    consistent = a.row_join(to_sympy([[y] for y in b], 1)).rank() == a.rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert list(a * to_sympy([[y] for y in x], 1)) == list(to_sympy([[y] for y in b], 1))
