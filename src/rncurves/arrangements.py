@@ -35,6 +35,7 @@ from .exactgeom import (
     LinearSubspace,
     Rng,
     sample_generic_subspace,
+    stable_mix,
 )
 from .multiforms import monomials
 
@@ -345,6 +346,4 @@ def generic_hilbert(
 
 
 def stable_seed(seed: int, tag) -> int:
-    from .exactgeom import stable_mix
-
     return stable_mix(seed, "sample", tag)

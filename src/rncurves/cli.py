@@ -219,6 +219,11 @@ def main(argv=None) -> int:
         "defect": cmd_defect,
     }
     try:
+        # 0 switches the Bezout and projection rules off; a budget needs one attempt
+        bounds = (("--d-max", args.d_max, 0), ("--depth", args.depth, 0), ("--budget", args.budget, 1))
+        for flag, value, low in bounds:
+            if value < low:
+                raise SystemExit(f"{flag} must be at least {low}")
         opts = RunConfig(
             seed=args.seed if args.seed is not None else _default_seed(),
             d_max=args.d_max,

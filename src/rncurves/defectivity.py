@@ -17,11 +17,10 @@ matrix nearly monomial and the exact rank cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangements import ConditionMatrix, Configuration, agreed_hilbert, check_backend, stable_seed
 from .errors import BoundViolated, GenericityExhausted
-from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, ProjPoint, Rng, sample_point
+from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, ProjPoint, Rng, sample_point, span, standard_point
 
 DEGREE = 4
 
@@ -82,17 +81,8 @@ class DefectReport:
 
 def canonical_spaces(m: int) -> tuple[LinearSubspace, LinearSubspace]:
     """The coordinate models of the two disjoint (m-1)-spaces."""
-    n = ambient_dim(m)
-
-    def coord(lo, hi):
-        rows = []
-        for i in range(lo, hi):
-            row = [Fraction(0)] * (n + 1)
-            row[i] = Fraction(1)
-            rows.append(tuple(row))
-        return LinearSubspace.from_rows(n, rows)
-
-    return coord(0, m), coord(m, 2 * m)
+    coords = [standard_point(ambient_dim(m), i) for i in range(2 * m)]
+    return span(coords[:m]), span(coords[m:])
 
 
 def _sample_points(m: int, count: int, rng: Rng) -> list[ProjPoint]:
@@ -135,4 +125,6 @@ def defect_check(query: DefectQuery, seed: int = 0, backend: str = "exact") -> D
 
 def defect_sweep(m: int, seed: int = 0, backend: str = "exact") -> list[DefectReport]:
     """Reports for s = 1 .. 2m+2 (one past the last defective value)."""
+    if m < 1:
+        raise BoundViolated("m must be at least 1")
     return [defect_check(DefectQuery(m, s), seed=seed, backend=backend) for s in range(1, 2 * m + 3)]

@@ -16,10 +16,13 @@ Conventions
   subspace keeps the bounded integer rows it was drawn from; any other gets
   the primitive integer multiples of its basis rows.  The empty subspace has
   dimension -1.
-* Projection away from a center uses the coordinate-complement convention:
-  the pivot columns of the center's echelon basis are eliminated and the
-  remaining coordinates, in increasing order, become the coordinates of the
-  target space.
+* A subspace has one set of linear forms, ``equations()``: for each
+  non-pivot column f of the echelon basis, the form with 1 at f and
+  ``-basis[i][f]`` at the i-th pivot column.  Membership, meets, projection
+  and the restriction of a curve all read these forms.
+* Projection away from a center is the matrix of the center's equations.
+  Its target coordinates are the pivot-complement coordinates, in increasing
+  order, each with the center component subtracted.
 """
 
 from __future__ import annotations
@@ -200,33 +203,21 @@ class LinearSubspace:
         return tuple(piv)
 
     def contains(self, p: ProjPoint) -> bool:
-        return self.reduce(p.coords) is None
-
-    def reduce(self, coords: Sequence[Fraction]):
-        """Subtract the component inside this subspace.
-
-        Returns the residual vector (zero at all pivot columns), or None if
-        the input lies in the subspace.
-        """
-        v = [Fraction(c) for c in coords]
-        for row, pc in zip(self.basis, self.pivot_columns()):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            return tuple(v)
-        return None
+        if p.n != self.n:
+            raise ValueError("ambient mismatch")
+        return not any(_apply(self.equations(), p.coords))
 
     def equations(self) -> tuple[tuple[Fraction, ...], ...]:
         """Linear forms cutting out the subspace (nullspace of the basis)."""
-        if not self.basis:
-            return tuple(
-                tuple(Fraction(int(i == j)) for j in range(self.n + 1)) for i in range(self.n + 1)
-            )
         return tuple(linalg.nullspace(self.basis, self.n + 1))
 
     def points(self) -> list[ProjPoint]:
         return [ProjPoint(self.n, row) for row in self.basis]
+
+
+def _apply(matrix, v) -> tuple:
+    """The column vector ``matrix . v``."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in matrix)
 
 
 def span(parts: Sequence) -> LinearSubspace:
@@ -288,15 +279,12 @@ class Projectivity:
     def apply(self, p: ProjPoint) -> ProjPoint:
         if p.n != self.n:
             raise ValueError("ambient mismatch")
-        return ProjPoint(self.n, tuple(sum(r[j] * p.coords[j] for j in range(self.n + 1)) for r in self.matrix))
+        return ProjPoint(self.n, _apply(self.matrix, p.coords))
 
     def apply_subspace(self, s: LinearSubspace) -> LinearSubspace:
         if s.n != self.n:
             raise ValueError("ambient mismatch")
-        rows = [
-            tuple(sum(r[j] * b[j] for j in range(self.n + 1)) for r in self.matrix) for b in s.basis
-        ]
-        return LinearSubspace.from_rows(self.n, rows)
+        return LinearSubspace.from_rows(self.n, [_apply(self.matrix, b) for b in s.basis])
 
     def inverse(self) -> "Projectivity":
         inv = object.__new__(Projectivity)
@@ -353,46 +341,37 @@ def standard_frame(n: int) -> list[ProjPoint]:
 
 @dataclass(frozen=True)
 class ProjectionMap:
-    """Linear projection of P^n away from a center, in pivot-complement form.
+    """Linear projection of P^n away from a center, onto ``P^(n - dim center - 1)``.
 
-    ``keep`` lists the surviving coordinate indices; applying the map
-    subtracts the center component of a vector and then restricts to those
-    coordinates, landing in ``P^(n - dim center - 1)``.
+    ``matrix`` is the center's ``equations()``: the row of a non-pivot
+    column f of the center's echelon basis reads off coordinate f minus the
+    center component, so the target coordinates are the pivot-complement
+    coordinates in increasing order.  A point or basis row maps to zero
+    exactly when it lies in the center.
     """
 
     center: LinearSubspace
-    keep: tuple[int, ...] = field(init=False)
+    matrix: tuple[tuple[Fraction, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        piv = set(self.center.pivot_columns())
-        object.__setattr__(
-            self, "keep", tuple(j for j in range(self.center.n + 1) if j not in piv)
-        )
+        object.__setattr__(self, "matrix", self.center.equations())
 
     @property
     def target_dim(self) -> int:
-        return len(self.keep) - 1
-
-    def coefficients(self) -> list[tuple[int, list[tuple[int, Fraction]]]]:
-        """For each kept index j: the pairs (pivot column, factor) to subtract."""
-        out = []
-        pivots = self.center.pivot_columns()
-        for j in self.keep:
-            out.append((j, [(pc, row[j]) for row, pc in zip(self.center.basis, pivots) if row[j]]))
-        return out
+        return len(self.matrix) - 1
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        residual = self.center.reduce(p.coords)
-        if residual is None:
+        if p.n != self.center.n:
+            raise ValueError("ambient mismatch")
+        image = _apply(self.matrix, p.coords)
+        if not any(image):
             raise InCenter("point lies in the projection center")
-        return ProjPoint(self.target_dim, tuple(residual[j] for j in self.keep))
+        return ProjPoint(self.target_dim, image)
 
     def apply_subspace(self, s: LinearSubspace) -> LinearSubspace:
-        rows = []
-        for b in s.basis:
-            residual = self.center.reduce(b)
-            if residual is not None:
-                rows.append(tuple(residual[j] for j in self.keep))
+        if s.n != self.center.n:
+            raise ValueError("ambient mismatch")
+        rows = [row for row in (_apply(self.matrix, b) for b in s.basis) if any(row)]
         if not rows:
             raise InCenter("subspace lies in the projection center")
         return LinearSubspace.from_rows(self.target_dim, rows)

@@ -44,6 +44,7 @@ from .arrangements import (
     sample_configuration,
 )
 from .errors import (
+    FatComponentPresent,
     GenericityExhausted,
     NoConstructivePath,
     RncError,
@@ -266,7 +267,7 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
         full, _ = agreed_hilbert(matrices, seeds)
         for k in dims_present:
             drop = comb(d + k, k)
-            idx = _first_component_of_dim(samples[0], k)
+            idx = sum(weights.counts[:k])  # components are listed by ascending dimension
             reduced, _ = agreed_hilbert([cm.without(idx) for cm in matrices], seeds)
             if not (full.agreed and reduced.agreed) or full.value != reduced.value + drop:
                 continue
@@ -287,13 +288,6 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
                 caveats=("generic-sample",),
             )
     return None
-
-
-def _first_component_of_dim(cfg: Configuration, k: int) -> int:
-    for i, (s, _) in enumerate(cfg.components):
-        if s.dim == k:
-            return i
-    raise ValueError(f"no component of dimension {k}")
 
 
 def _reductions(weights: WeightVector):
@@ -449,8 +443,6 @@ def all_rule_verdicts(weights: WeightVector, opts: RunConfig = DEFAULTS) -> list
 def verify_witness(curve, config: Configuration) -> tuple[bool, dict]:
     """Exact check that the curve meets every component maximally."""
     if not config.is_reduced():
-        from .errors import FatComponentPresent
-
         raise FatComponentPresent("witnesses are only defined for reduced configurations")
     report = {
         "ambient_dim": config.n,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .binforms import BinaryForm, ParamPoint, distinct_parameters, gcd_many, product
+from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_exact, gcd_many, product
 from .errors import (
     CenterMeetsCurve,
     CoincidentParameters,
@@ -29,7 +29,6 @@ from .errors import (
 from .exactgeom import (
     RESAMPLE_BUDGET,
     LinearSubspace,
-    ProjectionMap,
     Projectivity,
     ProjPoint,
     Rng,
@@ -37,6 +36,7 @@ from .exactgeom import (
     stable_mix,
     standard_frame,
 )
+from .multiforms import substitute_curve
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,6 @@ def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
 
 def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
     """Pull a degree-d form on P^n back to the parameter line (degree d*deg)."""
-    from .multiforms import substitute_curve
-
     return substitute_curve(form, curve.forms)
 
 
@@ -284,26 +282,20 @@ def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = Fals
     Any common factor of the image forms (the parameters mapping into the
     center) is divided out, so the result has degree
     ``deg - deg(curve meet center)``.  With ``strict=True`` a positive-degree
-    common factor raises ``CenterMeetsCurve`` instead.
+    common factor raises ``CenterMeetsCurve`` instead.  The image forms are
+    the center's ``equations()`` restricted to the curve, as in
+    :func:`intersection_degree`.
     """
     if center.n != curve.ambient:
         raise ValueError("ambient mismatch")
     if center.dim < 0:
         raise ValueError("projection center must be nonempty")
-    pm = ProjectionMap(center)
-    image = []
-    for j, subtractions in pm.coefficients():
-        acc = curve.forms[j]
-        for pc, factor in subtractions:
-            acc = acc.add(curve.forms[pc].scale(-factor))
-        image.append(acc)
+    image = [_combine(eq, curve) for eq in center.equations()]
     if all(f.is_zero() for f in image):
         raise CurveInSubspaceSpan("curve lies inside the projection center")
     common = gcd_many(image)
     if common.degree > 0:
         if strict:
             raise CenterMeetsCurve(f"curve meets the center with multiplicity {common.degree}")
-        from .binforms import divide_exact
-
         image = [divide_exact(f, common) for f in image]
-    return ParamCurve(pm.target_dim, tuple(image))
+    return ParamCurve(len(image) - 1, tuple(image))

@@ -29,12 +29,13 @@ from .errors import (
     OnContractedLocus,
     VerificationFailed,
 )
-from .exactgeom import LinearSubspace, ProjPoint, Rng, adapted_alignment
+from .exactgeom import LinearSubspace, ProjPoint, Rng, adapted_alignment, span, standard_point
 from .rnc import (
     ParamCurve,
     RationalCurve,
     apply_projectivity,
     intersection_degree,
+    passes_through,
     rnc_through_points,
     rnc_with_assigned_preimages,
 )
@@ -145,15 +146,10 @@ def phi_inverse(ctx: SegreContext, y: ProjPoint) -> MultiPoint:
 
 def canonical_contracted_spaces(ctx: SegreContext) -> list[LinearSubspace]:
     """The coordinate subspace each factor's hyperplane contracts onto."""
-    out = []
-    for d, off in zip(ctx.factor_dims, ctx.offsets()):
-        rows = []
-        for k in range(d):
-            row = [Fraction(0)] * (ctx.n + 1)
-            row[off + k] = Fraction(1)
-            rows.append(tuple(row))
-        out.append(LinearSubspace.from_rows(ctx.n, rows))
-    return out
+    return [
+        span([standard_point(ctx.n, off + k) for k in range(d)])
+        for d, off in zip(ctx.factor_dims, ctx.offsets())
+    ]
 
 
 def product_curve(
@@ -265,8 +261,6 @@ def witness_curve(
         got = intersection_degree(curve, s)
         if got != s.dim + 1:
             raise VerificationFailed(f"intersection degree {got} != {s.dim + 1} on a {s.dim}-space")
-    from .rnc import passes_through
-
     for p in points:
         if not passes_through(curve, p):
             raise VerificationFailed("constructed curve misses a required point")

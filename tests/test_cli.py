@@ -196,6 +196,13 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert SEED_ENV in capsys.readouterr().err
 
 
+def test_lowest_global_flag_values_are_accepted(capsys):
+    # 0 switches the Bezout and projection rules off; one attempt is a budget
+    code, out = run(capsys, ["--d-max", "0", "--depth", "0", "--budget", "1", "classify", "-n", "3", "4,2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"]["status"] == "NonFeasible"
+
+
 # The conic (s^2, st, t^2); each case below breaks one field of it.
 CONIC = {
     "ambient_dim": 2,
@@ -215,6 +222,10 @@ CONIC = {
         (["hilbert"], {"n": 3, "d": -1, "components": [{"dim": 1}]}, None),
         (["verify"], None, {**CONIC, "coefficients": 7}),
         (["verify"], None, {**CONIC, "coefficients": [[[1, 0]] * 3] * 3}),
+        (["defect", "--m", "-1"], None, None),
+        (["--budget", "0", "witness", "-n", "3", "1,1"], None, None),
+        (["--d-max", "-1", "classify", "-n", "3", "1,1"], None, None),
+        (["--depth", "-1", "classify", "-n", "3", "1,1"], None, None),
     ],
 )
 def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monkeypatch):

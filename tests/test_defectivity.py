@@ -21,6 +21,10 @@ def test_query_validation_and_arithmetic():
         DefectQuery(0, 1)
     with pytest.raises(BoundViolated):
         DefectQuery(2, -1)
+    # the sweep checks m itself: for m < 0 its range of s is empty
+    for m in (0, -1):
+        with pytest.raises(BoundViolated, match="m must be at least 1"):
+            defect_sweep(m)
     q = DefectQuery(2, 5)
     assert q.n == 5
     assert base_ideal_dim(2) == 27
@@ -73,6 +77,9 @@ def test_canonical_spaces_are_disjoint_coordinate_models():
         a, b = canonical_spaces(m)
         assert a.dim == b.dim == m - 1
         assert meet(a, b).dim == -1
+        units = [tuple(int(j == i) for j in range(2 * m + 2)) for i in range(2 * m)]
+        assert a.basis == tuple(units[:m]) and b.basis == tuple(units[m:])
+        assert a.generators == tuple(units[:m]) and b.generators == tuple(units[m:])
         assert ambient_dim(m) == 2 * m + 1
 
 

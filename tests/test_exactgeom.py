@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rncurves.errors import FrameDegenerate, InCenter, NotComplementary
@@ -155,11 +156,83 @@ def test_generators_of_a_basis_are_primitive_frozen():
     assert LinearSubspace.empty(3).generators == ()
 
 
-def test_subspace_reduce_residual():
+def test_subspace_residual_through_contains_and_projection():
     line = LinearSubspace.from_points([standard_point(2, 0), standard_point(2, 1)])
-    assert line.reduce((F(3), F(5), F(0))) is None
-    residual = line.reduce((F(3), F(5), F(7)))
-    assert residual is not None
+    proj = ProjectionMap(line)
+    on_line = ProjPoint(2, (F(3), F(5), F(0)))
+    assert line.contains(on_line)
+    with pytest.raises(InCenter):
+        proj.apply(on_line)
+    off_line = ProjPoint(2, (F(3), F(5), F(7)))
+    assert not line.contains(off_line)
+    assert proj.apply(off_line).coords == (F(7),)
+    # a line off the coordinate axes: the one equation is -2 x0 + x1 + x2
+    line = LinearSubspace.from_rows(2, [(1, 0, 2), (0, 1, -1)])
+    assert ProjectionMap(line).matrix == line.equations() == ((F(-2), F(1), F(1)),)
+    assert line.contains(ProjPoint(2, (F(1), F(1), F(1))))
+    assert ProjectionMap(line).apply(ProjPoint(2, (F(1), F(2), F(1)))).coords == (F(1),)
+
+
+def test_contains_and_projection_reject_another_ambient():
+    center = LinearSubspace.from_points([standard_point(3, 3)])
+    for p in (unit_point(2), ProjPoint(4, (F(0), F(0), F(0), F(1), F(5)))):
+        with pytest.raises(ValueError, match="ambient"):
+            center.contains(p)
+        with pytest.raises(ValueError, match="ambient"):
+            project_from(center, p)
+    with pytest.raises(ValueError, match="ambient"):
+        project_from(center, LinearSubspace.from_points([unit_point(4)]))
+
+
+ENTRY = st.integers(-3, 3)
+
+
+@st.composite
+def subspaces_with_points(draw):
+    """(n, rows, points): rows spanning a subspace of P^n, some of them
+    dependent or with zero columns, and points on and off it."""
+    n = draw(st.integers(2, 5))
+    vector = st.lists(ENTRY, min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(vector, max_size=n))
+    points = draw(st.lists(vector.filter(any), min_size=1, max_size=3))
+    if rows:
+        weights = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+        on = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n + 1)]
+        if any(on):
+            points.append(on)
+    return n, rows, points
+
+
+def to_sympy(rows, cols):
+    return sympy.Matrix(len(rows), cols, [sympy.Rational(F(x).numerator, F(x).denominator) for r in rows for x in r])
+
+
+@given(subspaces_with_points())
+@example((2, [], [[1, 2, 3]]))  # the empty subspace
+@example((3, [[1, 0, 2, 0], [0, 0, 1, 5], [2, 0, 0, -10]], [[0, 1, 0, 0], [1, 0, 3, 5]]))  # a hyperplane
+@example((4, [[0, 0, 1, 2, 0], [0, 0, 2, 4, 0]], [[0, 0, 1, 2, 0], [1, 1, 1, 1, 1]]))  # a point, pivot off 0
+@settings(max_examples=60, deadline=None)
+def test_equations_contains_and_projection_match_sympy(case):
+    n, rows, points = case
+    sub = LinearSubspace.from_rows(n, rows)
+    basis = to_sympy(sub.basis, n + 1)
+    eqs = sub.equations()
+    kernel = [list(v) for v in basis.nullspace()]
+    # equations() spans the nullspace of the basis, one independent form per dimension
+    assert len(eqs) == len(kernel) == n - sub.dim
+    assert to_sympy(eqs, n + 1).rank() == to_sympy(list(eqs) + kernel, n + 1).rank() == len(kernel)
+    proj = ProjectionMap(sub)
+    for coords in points:
+        p = ProjPoint(n, tuple(F(x) for x in coords))
+        inside = to_sympy(list(sub.basis) + [coords], n + 1).rank() == len(sub.basis)
+        assert sub.contains(p) == inside
+        image = tuple(F(int(x.p), int(x.q)) for x in to_sympy(eqs, n + 1) * sympy.Matrix(coords))
+        if inside:
+            assert not any(image)
+            with pytest.raises(InCenter):
+                proj.apply(p)
+        else:
+            assert proj.apply(p).coords == image
 
 
 # ---------------------------------------------------------------- projectivities

@@ -111,3 +111,34 @@ def test_scan_sees_an_orphan_helper():
         "b": ast.parse("from .a import _USED\nclass _Box: pass\nx = _USED\n"),
     }
     assert orphans(trees) == ["a._SPARE", "a._loop", "b._Box"]
+
+
+def function_local_imports(tree):
+    """Sorted (line, function) of each relative import inside a function body.
+
+    Every module of the package imports its siblings at the top; none of
+    those imports closes a cycle, so none needs deferring into a function.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom) and sub.level > 0:
+                    found.add((sub.lineno, node.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{name} (line {line})" for line, name in function_local_imports(tree)]
+    assert not found, f"{path.name} imports inside functions: {', '.join(found)}"
+
+
+def test_scan_sees_a_function_local_import():
+    tree = ast.parse(
+        "from .a import x\nimport json\n"
+        "def f():\n    import os\n    from math import gcd\n    from .b import y\n    return y\n"
+        "class C:\n    def g(self):\n        from . import c\n        return c\n"
+    )
+    assert function_local_imports(tree) == [(6, "f"), (10, "g")]

@@ -1,5 +1,6 @@
 """Rational normal curves: interpolation, intersection degree, projection."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,14 +12,17 @@ from rncurves.errors import (
     CurveInSubspaceSpan,
     DegenerateImage,
     FrameDegenerate,
+    RncError,
 )
 from rncurves.exactgeom import (
     LinearSubspace,
     ProjectionMap,
     ProjPoint,
     Rng,
+    project_from,
     sample_generic_subspace,
     sample_point,
+    sample_point_on,
     sample_projectivity,
     standard_point,
     unit_point,
@@ -251,3 +255,51 @@ def test_projected_curve_tracks_projected_points():
     for k in range(5):
         p = ParamPoint(1, k)
         assert image.evaluate(p) == pm.apply(c.evaluate(p))
+
+
+# ---------------------------------------------------------------- pinned projection outputs
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (RncError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _projection_grid():
+    """Outcomes of project_curve, project_from and contains over fixed seeds.
+
+    Each center is either generic or spanned by points of the curve, so the
+    grid covers images of full degree, divided-out common factors, strict
+    rejections, points and subspaces in the center, and hyperplane centers.
+    """
+    out = []
+    for seed in range(4):
+        rng = Rng(seed)
+        for n in range(2, 6):
+            curve = apply_projectivity(standard_rnc(n), sample_projectivity(n, rng))
+            for k in range(n):
+                through = [curve.evaluate(ParamPoint(1, i)) for i in range(k + 1)]
+                for center in (sample_generic_subspace(n, k, rng), LinearSubspace.from_points(through)):
+                    out.append(_outcome(project_curve, curve, center))
+                    out.append(_outcome(project_curve, curve, center, True))
+                    inside = sample_point_on(center, rng)
+                    outside = sample_point(n, rng)
+                    for obj in (inside, outside, center, sample_generic_subspace(n, 1, rng)):
+                        out.append(_outcome(project_from, center, obj))
+                    for p in (inside, outside, through[0], curve.evaluate(ParamPoint(0, 1))):
+                        out.append(repr(center.contains(p)))
+    return out
+
+
+# SHA-256 of the grid's outcomes as the residual-based projection gave them;
+# projection through the center's equations must reproduce them byte for byte.
+PINNED_PROJECTION_DIGEST = "d67c48a25ade93a85ce9aa0f78890ac7173bd93e14f4b1ee1184ef423cc1e07a"
+
+
+def test_projection_outputs_match_pinned_digest():
+    outcomes = _projection_grid()
+    assert len(outcomes) == 1120
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == PINNED_PROJECTION_DIGEST
