@@ -18,7 +18,7 @@ import sys
 from .arrangements import BACKENDS, WeightVector, generic_hilbert
 from .defectivity import DefectQuery, defect_check, defect_sweep
 from .errors import NoConstructivePath, RncError
-from .feasibility import RunConfig, atlas, atlas_summary, build_witness, classify, verify_witness
+from .feasibility import DEFAULTS, RunConfig, atlas, atlas_summary, build_witness, classify, verify_witness
 from . import serialize
 
 EXIT_OK = 0
@@ -43,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rncurves")
     p.add_argument("--seed", type=int, default=None, help=f"sampling seed (default: ${SEED_ENV} or 0)")
     p.add_argument("--backend", choices=BACKENDS, default="exact", help="rank backend; every value is exact")
-    p.add_argument("--d-max", type=int, default=3, help="max degree for the Bezout-style rule")
-    p.add_argument("--depth", type=int, default=2, help="max projection chain length")
-    p.add_argument("--budget", type=int, default=16, help="resampling budget for constructions")
+    p.add_argument("--d-max", type=int, default=DEFAULTS.d_max, help="max degree for the Bezout-style rule")
+    p.add_argument("--depth", type=int, default=DEFAULTS.projection_depth, help="max projection chain length")
+    p.add_argument("--budget", type=int, default=DEFAULTS.resample_budget, help="resampling budget for constructions")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="decide a weight vector")
@@ -117,7 +117,7 @@ def cmd_witness(args, opts: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, opts: RunConfig) -> int:
+def cmd_verify(args, _opts: RunConfig) -> int:
     try:
         with open(args.curve) as fh:
             curve = serialize.dec_curve(json.load(fh))
@@ -160,10 +160,10 @@ def cmd_hilbert(args, opts: RunConfig) -> int:
     try:
         raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
         data = json.loads(raw)
-        n = int(data["n"])
-        d = int(data["d"])
-        spec = [(int(c["dim"]), int(c.get("mult", 1))) for c in data["components"]]
-        seed = int(data.get("seed", opts.seed))
+        n = serialize.dec_int(data["n"])
+        d = serialize.dec_int(data["d"])
+        spec = [(serialize.dec_int(c["dim"]), serialize.dec_int(c.get("mult", 1))) for c in data["components"]]
+        seed = serialize.dec_int(data.get("seed", opts.seed))
         hf, ideal = generic_hilbert(n, spec, d, seed, backend=args.backend)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise SystemExit(f"bad hilbert input: {e}")

@@ -79,34 +79,32 @@ class Rng:
     """Deterministic source of bounded rational scalars.
 
     A thin wrapper around :class:`random.Random` that only ever emits exact
-    ``Fraction`` values with numerator bounded by ``height`` (denominator 1
-    by default, so all downstream arithmetic stays in small integers).
+    ``Fraction`` values, integers of absolute value at most ``DEFAULT_HEIGHT``
+    (so all downstream arithmetic stays in small integers).
     """
 
-    def __init__(self, seed: int, height: int = DEFAULT_HEIGHT):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.height = height
         self._r = random.Random(self.seed)
 
     def integer(self, lo: int, hi: int) -> int:
         return self._r.randrange(lo, hi + 1)
 
-    def rational(self, height: int | None = None) -> Fraction:
-        h = height or self.height
-        return Fraction(self.integer(-h, h))
+    def rational(self) -> Fraction:
+        return Fraction(self.integer(-DEFAULT_HEIGHT, DEFAULT_HEIGHT))
 
-    def nonzero_rational(self, height: int | None = None) -> Fraction:
+    def nonzero_rational(self) -> Fraction:
         while True:
-            x = self.rational(height)
+            x = self.rational()
             if x:
                 return x
 
-    def vector(self, length: int, height: int | None = None) -> tuple[Fraction, ...]:
-        return tuple(self.rational(height) for _ in range(length))
+    def vector(self, length: int) -> tuple[Fraction, ...]:
+        return tuple(self.rational() for _ in range(length))
 
     def derive(self, *tags) -> "Rng":
         """Independent child stream, stable under the tag sequence."""
-        return Rng(stable_mix(self.seed, *tags), height=self.height)
+        return Rng(stable_mix(self.seed, *tags))
 
 
 @dataclass(frozen=True)

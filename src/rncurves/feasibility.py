@@ -50,7 +50,7 @@ from .errors import (
     RncError,
     VerificationFailed,
 )
-from .exactgeom import LinearSubspace, Rng, sample_point, sample_point_on, stable_mix
+from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, sample_point_on, stable_mix
 from .rnc import RationalCurve, intersection_degree, is_rnc, rnc_through_points
 from .segre import SegreContext, witness_curve
 from . import serialize
@@ -67,7 +67,7 @@ class RunConfig:
     seed: int = 0
     d_max: int = 3
     projection_depth: int = 2
-    resample_budget: int = 16
+    resample_budget: int = RESAMPLE_BUDGET
 
 
 DEFAULTS = RunConfig()
@@ -586,7 +586,7 @@ def _block_witness(cfg: Configuration, choice: Sequence[int], rng: Rng) -> Ratio
         else:
             for j in range(space.dim + 1):
                 points.append(sample_point_on(space, prng.derive(idx, j)))
-    return witness_curve(spaces, points, rng)
+    return witness_curve(spaces, points)
 
 
 # ---------------------------------------------------------------------------

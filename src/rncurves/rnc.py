@@ -189,41 +189,32 @@ def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list
     forms = []
     for i in range(n + 1):
         forms.append(product([linear[j] for j in range(n + 1) if j != i]))
-    model = RationalCurve(n, tuple(forms))
-    curve = apply_projectivity(model, h_inv)
+    # is_rnc is invariant under projectivities: one check, on the image
+    curve = RationalCurve(n, apply_projectivity(ParamCurve(n, tuple(forms)), h_inv).forms)
     params = [ParamPoint(Fraction(1), bj) for bj in b]
     params.append(ParamPoint(Fraction(0), Fraction(1)))
     params.append(ParamPoint(Fraction(1), Fraction(0)))
     return curve, params
 
 
-def _default_parameters(count: int) -> list[ParamPoint]:
-    """The stock parameter values [1 : 0], [1 : 1], [1 : 2], ..."""
-    return [ParamPoint(Fraction(1), Fraction(i)) for i in range(count)]
+def rnc_with_assigned_preimages(params: Sequence[ParamPoint], points: Sequence[ProjPoint]) -> RationalCurve:
+    """A rational normal curve in P^t sending ``params[i]`` to ``points[i]``.
 
-
-def rnc_with_assigned_preimages(
-    params: Sequence[ParamPoint],
-    points: Sequence[ProjPoint],
-    degree: int | None = None,
-) -> RationalCurve:
-    """A degree-t rational normal curve with prescribed preimages.
-
-    Sends ``params[i]`` to ``points[i]``; at most t+2 pairs may be assigned
-    on a degree-t curve, and fewer are padded deterministically (parameter
-    values continuing the stock sequence, points drawn from a stream seeded
-    by a stable hash of the input data).
+    The degree t is the points' ambient dimension.  At most t+2 pairs may be
+    assigned, and fewer are padded deterministically (parameter values
+    ``[1 : i]`` not already assigned, points drawn from a stream seeded by a
+    stable hash of the input data).
     """
     points = list(points)
     if not points:
         raise ValueError("no points given")
-    t = points[0].n if degree is None else degree
+    t = points[0].n
     if any(p.n != t for p in points):
         raise ValueError("points must live in the curve's ambient space")
     m = len(points)
     if m > t + 2:
         raise FrameDegenerate(f"at most {t + 2} assigned preimages on a degree-{t} curve")
-    params = list(params) if params is not None else _default_parameters(m)
+    params = list(params)
     if len(params) != m:
         raise ValueError("need one parameter per point")
     distinct_parameters(params)
@@ -272,8 +263,7 @@ def _rnc_assigned_full(params: Sequence[ParamPoint], points: Sequence[ProjPoint]
         if not a_i:
             raise CoincidentParameters("last parameter collides with an assigned one")
         forms.append(product([linear[j] for j in range(t + 1) if j != i]).scale(a_i))
-    model = RationalCurve(t, tuple(forms))
-    return apply_projectivity(model, h_inv)
+    return RationalCurve(t, apply_projectivity(ParamCurve(t, tuple(forms)), h_inv).forms)
 
 
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:

@@ -23,8 +23,15 @@ def enc_fraction(x) -> list[int]:
     return [f.numerator, f.denominator]
 
 
+def dec_int(v) -> int:
+    """A JSON integer as read; a float, bool or string raises ``ValueError``."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 def dec_fraction(v) -> Fraction:
-    return Fraction(int(v[0]), int(v[1]))
+    return Fraction(dec_int(v[0]), dec_int(v[1]))
 
 
 def enc_curve(c: ParamCurve) -> dict:
@@ -36,8 +43,8 @@ def enc_curve(c: ParamCurve) -> dict:
 
 
 def dec_curve(d) -> ParamCurve:
-    n = int(d["ambient_dim"])
-    deg = int(d["degree"])
+    n = dec_int(d["ambient_dim"])
+    deg = dec_int(d["degree"])
     forms = tuple(BinaryForm(deg, tuple(dec_fraction(x) for x in row)) for row in d["coefficients"])
     try:
         return RationalCurve(n, forms)
@@ -56,11 +63,11 @@ def enc_config(cfg: Configuration) -> dict:
 
 
 def dec_config(d) -> Configuration:
-    n = int(d["ambient_dim"])
+    n = dec_int(d["ambient_dim"])
     comps = []
     for c in d["components"]:
         rows = [[dec_fraction(x) for x in row] for row in c["basis"]]
-        comps.append((LinearSubspace.from_rows(n, rows), int(c.get("mult", 1))))
+        comps.append((LinearSubspace.from_rows(n, rows), dec_int(c.get("mult", 1))))
     return Configuration(n, tuple(comps))
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from rncurves import serialize
-from rncurves.cli import EXIT_NO_PATH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SEED_ENV, main
+from rncurves.cli import EXIT_NO_PATH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SEED_ENV, build_parser, main
 from rncurves.feasibility import DEFAULTS, RunConfig, build_witness
 from rncurves.arrangements import WeightVector
 
@@ -149,6 +149,11 @@ PINNED_OUTPUTS = {
     ("hilbert",): "0ca94c19a58fb2cca0603e1224d35ddba369657dcaf359a3da8ebb5a7313c8a2",
     ("defect", "--m", "2", "--s", "4"): "d7db4f1dcd13b17d9641b231c113cf2389ffb3df44e03c0512b1f8375efb6b20",
     ("defect", "--m", "1"): "b2578ede0b40dd2a7e452fee06fef27bc2e18946a58057afc8917f7093da87b7",
+    # the interpolation path and three block profiles
+    ("witness", "-n", "3", "3,1"): "2f1a0edbbf6b34bb58036301d9ddad8206946f3b97f290d03b414d9c9173a693",
+    ("witness", "-n", "4", "0,4,0"): "1c8bd0462ac8a5320a1ddeafd70cdd336a1db8c8414b6e5f0e9c920be6bbbf57",
+    ("witness", "-n", "5", "5,1,1,0"): "221809e72fcb52b141bfe3ae9ce0c63a5c878cc8f815c5b543a419bff44479f0",
+    ("witness", "-n", "6", "2,0,0,0,2"): "596caaa1c59f5cb7321c6e61b11f1548e953821843399b24e7e49bc6a1ecbc76",
 }
 
 
@@ -196,6 +201,15 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert SEED_ENV in capsys.readouterr().err
 
 
+def test_global_flag_defaults_are_the_run_defaults():
+    args = build_parser().parse_args(["classify", "-n", "3", "1,1"])
+    assert (args.d_max, args.depth, args.budget) == (
+        DEFAULTS.d_max,
+        DEFAULTS.projection_depth,
+        DEFAULTS.resample_budget,
+    )
+
+
 def test_lowest_global_flag_values_are_accepted(capsys):
     # 0 switches the Bezout and projection rules off; one attempt is a budget
     code, out = run(capsys, ["--d-max", "0", "--depth", "0", "--budget", "1", "classify", "-n", "3", "4,2"])
@@ -226,6 +240,15 @@ CONIC = {
         (["--budget", "0", "witness", "-n", "3", "1,1"], None, None),
         (["--d-max", "-1", "classify", "-n", "3", "1,1"], None, None),
         (["--depth", "-1", "classify", "-n", "3", "1,1"], None, None),
+        # numeric fields are JSON integers: no truncation, no coercion
+        (["hilbert"], {"n": 3, "d": 2, "components": [{"dim": 1, "mult": 1.5}]}, None),
+        (["hilbert"], {"n": 3.0, "d": 2, "components": [{"dim": 1}]}, None),
+        (["hilbert"], {"n": 3, "d": 2, "components": [{"dim": 1, "mult": True}]}, None),
+        (["hilbert"], {"n": 3, "d": "2", "components": [{"dim": 1}]}, None),
+        (["hilbert"], {"n": 3, "d": 2, "components": [{"dim": 1}], "seed": 0.5}, None),
+        # int() would truncate 1.5 back to the conic's 1
+        (["verify"], None, {**CONIC, "coefficients": [[[1.5, 1], [0, 1], [0, 1]], *CONIC["coefficients"][1:]]}),
+        (["verify"], None, {**CONIC, "ambient_dim": 2.0}),
     ],
 )
 def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rncurves.errors import FrameDegenerate, InCenter, NotComplementary
 from rncurves.exactgeom import (
+    DEFAULT_HEIGHT,
     LinearSubspace,
     ProjectionMap,
     ProjPoint,
@@ -138,7 +139,7 @@ def test_generators_are_integer_rows_spanning_the_space(seed, n, k):
     b = sample_generic_subspace(n, n - 1 - k, rng)
     # sampled: the raw bounded rows it was drawn from
     _assert_integer_generators(a)
-    assert all(abs(x) <= rng.height for r in a.generators for x in r)
+    assert all(abs(x) <= DEFAULT_HEIGHT for r in a.generators for x in r)
     # transformed, projected and met: primitive multiples of the basis rows
     _assert_integer_generators(sample_projectivity(n, rng).apply_subspace(a))
     center = sample_generic_subspace(n, 0, rng)

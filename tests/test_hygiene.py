@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private name is referenced somewhere in the package."""
+"""Source hygiene: every name a module imports is used in that module, every
+module-level private name is referenced somewhere in the package, and every
+function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,42 @@ def test_scan_sees_a_function_local_import():
         "class C:\n    def g(self):\n        from . import c\n        return c\n"
     )
     assert function_local_imports(tree) == [(6, "f"), (10, "g")]
+
+
+def unused_parameters(tree):
+    """Sorted (line, function, parameter) for each parameter its body never reads.
+
+    ``self``, ``cls`` and names starting with ``_`` are exempt; a read inside
+    a nested function counts.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            for p in params:
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_"):
+                    found.add((node.lineno, node.name, p.arg))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{name}({arg}) (line {line})" for line, name, arg in unused_parameters(tree)]
+    assert not found, f"{path.name} has parameters no body reads: {', '.join(found)}"
+
+
+def test_scan_sees_an_unused_parameter():
+    tree = ast.parse(
+        "def f(a, b, *args, c=1, _d=2, **kw):\n    return a + kw['x']\n"
+        "class C:\n    def g(self, x):\n        def h():\n            return x\n        return h\n"
+        "    @classmethod\n    def k(cls, y):\n        y = 1\n        return cls\n"
+    )
+    assert unused_parameters(tree) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "c"), (9, "k", "y")]

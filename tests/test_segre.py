@@ -190,7 +190,7 @@ def test_witness_curve_line_and_plane_with_five_points():
     line = sample_generic_subspace(n, 1, rng.derive("line"))
     plane = sample_generic_subspace(n, 2, rng.derive("plane"))
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(5)]
-    curve = witness_curve([line, plane], pts, rng.derive("w"))
+    curve = witness_curve([line, plane], pts)
     assert is_rnc(curve)
     assert intersection_degree(curve, line) == 2
     assert intersection_degree(curve, plane) == 3
@@ -204,7 +204,7 @@ def test_witness_curve_equal_blocks():
     a = sample_generic_subspace(n, 1, rng.derive("a"))
     b = sample_generic_subspace(n, 1, rng.derive("b"))
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(4)]  # bound n2+2
-    curve = witness_curve([a, b], pts, rng.derive("w"))
+    curve = witness_curve([a, b], pts)
     assert intersection_degree(curve, a) == 2
     assert intersection_degree(curve, b) == 2
     for p in pts:
@@ -219,7 +219,7 @@ def test_witness_curve_point_blocks_give_interpolation():
         for i in range(3)
     ]
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(3)]  # bound n2+2=3
-    curve = witness_curve(spaces, pts, rng.derive("w"))
+    curve = witness_curve(spaces, pts)
     for s in spaces:
         assert intersection_degree(curve, s) == 1
     for p in pts:
@@ -233,4 +233,4 @@ def test_witness_curve_rejects_too_many_points():
     plane = sample_generic_subspace(n, 2, rng.derive("plane"))
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(6)]
     with pytest.raises(BoundViolated):
-        witness_curve([line, plane], pts, rng.derive("w"))
+        witness_curve([line, plane], pts)
