@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -39,7 +40,9 @@ def _default_seed() -> int:
         raise SystemExit(f"invalid {SEED_ENV}={raw!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: ``parse_args`` leaves it unchanged."""
     p = argparse.ArgumentParser(prog="rncurves")
     p.add_argument("--seed", type=int, default=None, help=f"sampling seed (default: ${SEED_ENV} or 0)")
     p.add_argument("--backend", choices=BACKENDS, default="exact", help="rank backend; every value is exact")
@@ -208,8 +211,7 @@ def cmd_defect(args, opts: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "classify": cmd_classify,
         "witness": cmd_witness,

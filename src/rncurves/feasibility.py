@@ -25,8 +25,9 @@ negative rules
     projection-chain   project away from a sub-configuration and detect a
                        non-feasible image by the base rules.
 
-Sampled rules (bezout, projection) triple their seeds and carry a
-``generic-sample`` caveat in their certificates.
+Sampled rules (bezout, projection) decide on three seeded samples and carry
+a ``generic-sample`` caveat in their certificates.  Bezout screens each
+(d, k) on sample 0 and draws samples 1 and 2 only for a (d, k) that passes.
 """
 
 from __future__ import annotations
@@ -243,9 +244,12 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     """Remove one component; if its conditions on degree-d forms through the
     rest are independent while the contact count exceeds d*n, no curve exists.
 
-    Hilbert values come from three seeded samples under the policy of
-    :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k) whose samples
-    disagree is skipped.
+    Sample 0 screens each (d, k): only a (d, k) whose equation holds on it
+    draws samples 1 and 2 (once per call), and the three samples decide under
+    the policy of :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k)
+    whose samples disagree is skipped.  Agreement and the equation together
+    imply the equation on sample 0, so the screen skips only what the policy
+    would skip.
     """
     n = weights.n
     total = weights.total_intersection()
@@ -259,15 +263,27 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
         stable_mix(opts.seed, "bezout", n, weights.counts, t) for t in range(3)
     )
     try:
-        samples = [sample_configuration(weights, Rng(s)) for s in seeds]
+        first = sample_configuration(weights, Rng(seeds[0]))
     except GenericityExhausted:
         return None
+    rest = None
     for d in usable:
-        matrices = [ConditionMatrix.build(cfg, d) for cfg in samples]
-        full, _ = agreed_hilbert(matrices, seeds)
+        head = ConditionMatrix.build(first, d)
+        head_full = head.hilbert()
+        matrices = None
         for k in dims_present:
             drop = comb(d + k, k)
             idx = sum(weights.counts[:k])  # components are listed by ascending dimension
+            if head_full != head.without(idx).hilbert() + drop:
+                continue
+            if matrices is None:
+                if rest is None:
+                    try:
+                        rest = [sample_configuration(weights, Rng(s)) for s in seeds[1:]]
+                    except GenericityExhausted:
+                        return None
+                matrices = [head, *(ConditionMatrix.build(cfg, d) for cfg in rest)]
+                full, _ = agreed_hilbert(matrices, seeds)
             reduced, _ = agreed_hilbert([cm.without(idx) for cm in matrices], seeds)
             if not (full.agreed and reduced.agreed) or full.value != reduced.value + drop:
                 continue

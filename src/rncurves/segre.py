@@ -195,6 +195,12 @@ def compose_phi(mc: MultiCurve) -> RationalCurve:
     parameter would land on the base locus) and the image to be
     non-degenerate.
     """
+    return RationalCurve(mc.context.n, _phi_forms(mc))
+
+
+def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
+    """Coordinate forms of the push-forward of a multi-curve; the image is
+    not checked for normality."""
     ctx = mc.context
     leads = [f.forms[0] for f in mc.factors]
     for i in range(ctx.r):
@@ -207,7 +213,7 @@ def compose_phi(mc: MultiCurve) -> RationalCurve:
         base = product(others) if others else BinaryForm.constant(1)
         for k in range(1, ctx.factor_dims[i] + 1):
             forms.append(crv.forms[k].mul(base))
-    return RationalCurve(ctx.n, tuple(forms))
+    return tuple(forms)
 
 
 def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint]) -> RationalCurve:
@@ -234,5 +240,6 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
         aligned.append(y)
     multi = [phi_inverse(ctx, y) for y in aligned]
     mc, _ = product_curve(ctx, multi)
-    model = compose_phi(mc)
-    return apply_projectivity(model, g.inverse())
+    # is_rnc is invariant under projectivities: one check, on the image
+    model = ParamCurve(ctx.n, _phi_forms(mc))
+    return RationalCurve(ctx.n, apply_projectivity(model, g.inverse()).forms)

@@ -210,6 +210,25 @@ def test_global_flag_defaults_are_the_run_defaults():
     )
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    assert build_parser() is build_parser()
+    good = ["classify", "-n", "4", "0,5,0"]
+    code, alone = run(capsys, good)
+    assert code == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "-n", "x", "0,5,0"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    assert run(capsys, good) == (EXIT_OK, alone)
+    # the seed fallback is read on every call, not when the parser is built
+    monkeypatch.setenv(SEED_ENV, "5")
+    code, seeded = run(capsys, good)
+    assert code == EXIT_OK
+    assert (code, seeded) == run(capsys, ["--seed", "5", *good])
+    assert seeded != alone
+
+
 def test_lowest_global_flag_values_are_accepted(capsys):
     # 0 switches the Bezout and projection rules off; one attempt is a budget
     code, out = run(capsys, ["--d-max", "0", "--depth", "0", "--budget", "1", "classify", "-n", "3", "4,2"])

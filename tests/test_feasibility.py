@@ -3,7 +3,7 @@
 import pytest
 
 from rncurves.arrangements import WeightVector, sample_configuration
-from rncurves.errors import NoConstructivePath
+from rncurves.errors import GenericityExhausted, NoConstructivePath
 from rncurves.exactgeom import Rng
 from rncurves.feasibility import (
     DEFAULTS,
@@ -161,6 +161,48 @@ def test_bezout_rule_five_lines_in_p4():
 def test_bezout_rule_silent_on_feasible_vector():
     assert check_bezout(w(3, 6, 0), DEFAULTS) is None
     assert check_bezout(w(4, 0, 4, 0), DEFAULTS) is None
+
+
+def _counting_sampler(monkeypatch, fail_on=None):
+    """Wrap feasibility.sample_configuration, recording each call; the call
+    numbered ``fail_on`` (from 1) raises GenericityExhausted instead."""
+    from rncurves import feasibility
+
+    calls = []
+
+    def stub(weights, rng):
+        calls.append(rng.seed)
+        if len(calls) == fail_on:
+            raise GenericityExhausted("stub")
+        return sample_configuration(weights, rng)
+
+    monkeypatch.setattr(feasibility, "sample_configuration", stub)
+    return calls
+
+
+def test_bezout_without_a_hit_draws_one_sample(monkeypatch):
+    # 1 point and 3 lines in P^3: contact 7 > 1 + n, so d = 1 is usable;
+    # the vector is Unknown in the atlas, so no (d, k) passes
+    weights = w(3, 1, 3)
+    assert weights.total_intersection() - 1 > weights.n
+    calls = _counting_sampler(monkeypatch)
+    assert check_bezout(weights, DEFAULTS) is None
+    assert len(calls) == 1
+
+
+def test_bezout_hit_draws_three_samples_once(monkeypatch):
+    calls = _counting_sampler(monkeypatch)
+    cert = check_bezout(w(4, 0, 5, 0), DEFAULTS)
+    assert cert is not None
+    assert calls == list(cert.seeds)
+
+
+def test_bezout_genericity_failure_on_a_later_sample_is_silent(monkeypatch):
+    five_lines = w(4, 0, 5, 0)
+    assert check_bezout(five_lines, DEFAULTS) is not None
+    calls = _counting_sampler(monkeypatch, fail_on=2)
+    assert check_bezout(five_lines, DEFAULTS) is None
+    assert len(calls) == 2
 
 
 def test_projection_rule_frozen_chain():

@@ -226,6 +226,26 @@ def test_witness_curve_point_blocks_give_interpolation():
         assert passes_through(curve, p)
 
 
+def test_witness_curve_checks_normality_once(monkeypatch):
+    from rncurves import rnc
+
+    rng = Rng(100)
+    n = 5
+    line = sample_generic_subspace(n, 1, rng.derive("line"))
+    plane = sample_generic_subspace(n, 2, rng.derive("plane"))
+    pts = [sample_point(n, rng.derive("pt", i)) for i in range(5)]
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return is_rnc(c)
+
+    monkeypatch.setattr(rnc, "is_rnc", counting)
+    curve = witness_curve([line, plane], pts)
+    # the factor curves live in P^2 and P^3; the witness is checked once, in P^5
+    assert [c for c in calls if c.ambient == n] == [curve]
+
+
 def test_witness_curve_rejects_too_many_points():
     rng = Rng(103)
     n = 5
