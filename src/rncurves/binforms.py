@@ -151,17 +151,18 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _univariate_gcd(polys: list[Sequence[Fraction]]) -> list[int]:
-    """Gcd in Z[u], up to sign, of ascending-coefficient polynomials over Q.
-
-    Every input has a nonzero last (leading) coefficient.  The inputs are
-    folded pairwise, shortest first, each pair by a primitive
-    pseudo-remainder sequence (Collins, J. ACM 14, 1967): every remainder is
-    divided by its content, which bounds coefficient growth, and the
-    sequence is exact in Z[u] and always ends.  The fold stops once the
-    running gcd is a constant.
+def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
+    """Gcd ``(core, s_pow)`` of two or more nonzero coefficient rows (ints or
+    Fractions, ``s^d`` first): the common power of ``s``, and the gcd in Z[u],
+    up to sign and ascending in u = t/s, of the rest.  Those are folded
+    pairwise, shortest first, each pair by a primitive pseudo-remainder
+    sequence (Collins, J. ACM 14, 1967): every remainder is divided by its
+    content, which bounds coefficient growth, and the sequence is exact in
+    Z[u] and always ends.  The fold stops once the running gcd is a constant.
     """
-    ints = sorted((primitive(integerize(p)) for p in polys), key=len)
+    tops = [max(i for i, c in enumerate(r) if c) for r in rows]
+    s_pow = min(len(r) - 1 - top for r, top in zip(rows, tops))
+    ints = sorted((primitive(integerize(r[: top + 1])) for r, top in zip(rows, tops)), key=len)
     g = ints[0]
     for p in ints[1:]:
         if len(g) == 1:
@@ -170,14 +171,12 @@ def _univariate_gcd(polys: list[Sequence[Fraction]]) -> list[int]:
         while b:
             a, b = b, primitive(_prem(a, b))
         g = a
-    return g
+    return g, s_pow
 
 
-def _gcd_nonzero(forms: Sequence[BinaryForm]) -> BinaryForm:
+def _gcd_form(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Gcd of two or more nonzero forms, first nonzero coefficient 1."""
-    tops = [max(i for i, c in enumerate(h.coeffs) if c) for h in forms]
-    s_pow = min(h.degree - top for h, top in zip(forms, tops))
-    core = _univariate_gcd([h.coeffs[: top + 1] for h, top in zip(forms, tops)])
+    core, s_pow = _gcd_nonzero([f.coeffs for f in forms])
     return BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic()
 
 
@@ -192,7 +191,7 @@ def gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    return _gcd_nonzero([f, g])
+    return _gcd_form([f, g])
 
 
 def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
@@ -206,7 +205,19 @@ def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
         raise ValueError("gcd of all-zero family")
     if len(nonzero) == 1:
         return nonzero[0].monic()
-    return _gcd_nonzero(nonzero)
+    return _gcd_form(nonzero)
+
+
+def gcd_degree(rows: Sequence[Sequence]) -> int:
+    """``gcd_many(...).degree`` of the forms with these coefficient rows
+    (a single nonzero row keeps its formal degree), building no form."""
+    nonzero = [r for r in rows if any(r)]
+    if not nonzero:
+        raise ValueError("gcd of all-zero family")
+    if len(nonzero) == 1:
+        return len(nonzero[0]) - 1
+    core, s_pow = _gcd_nonzero(nonzero)
+    return len(core) - 1 + s_pow
 
 
 def divide_exact(f: BinaryForm, d: BinaryForm) -> BinaryForm:

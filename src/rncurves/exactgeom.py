@@ -154,12 +154,14 @@ class LinearSubspace:
 
     ``generators`` are ``dim+1`` integer rows spanning the same space; they
     take no part in equality, hashing or serialization.  When not given they
-    are the primitive integer multiples of the basis rows.
+    are the primitive integer multiples of the basis rows.  ``equations()``
+    is computed once, on first use.
     """
 
     n: int
     basis: tuple[tuple[Fraction, ...], ...]
     generators: tuple[tuple[int, ...], ...] = field(default=None, compare=False)
+    _equations: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generators is None:
@@ -207,7 +209,9 @@ class LinearSubspace:
 
     def equations(self) -> tuple[tuple[Fraction, ...], ...]:
         """Linear forms cutting out the subspace (nullspace of the basis)."""
-        return tuple(linalg.nullspace(self.basis, self.n + 1))
+        if self._equations is None:
+            object.__setattr__(self, "_equations", tuple(linalg.nullspace(self.basis, self.n + 1)))
+        return self._equations
 
     def points(self) -> list[ProjPoint]:
         return [ProjPoint(self.n, row) for row in self.basis]

@@ -460,22 +460,22 @@ def verify_witness(curve, config: Configuration) -> tuple[bool, dict]:
     """Exact check that the curve meets every component maximally."""
     if not config.is_reduced():
         raise FatComponentPresent("witnesses are only defined for reduced configurations")
+    same_space = curve.ambient == config.n
     report = {
         "ambient_dim": config.n,
         # a RationalCurve passed is_rnc when it was built
-        "curve_is_normal": (isinstance(curve, RationalCurve) or is_rnc(curve)) and curve.ambient == config.n,
+        "curve_is_normal": (isinstance(curve, RationalCurve) or is_rnc(curve)) and same_space,
         "components": [],
     }
     ok = report["curve_is_normal"]
     for idx, (space, _) in enumerate(config.components):
         expected = space.dim + 1
-        try:
-            got = intersection_degree(curve, space)
-        except RncError as e:
-            got = None
-            note = type(e).__name__
-        else:
-            note = None
+        got, note = None, "ambient mismatch"
+        if same_space:
+            try:
+                got, note = intersection_degree(curve, space), None
+            except RncError as e:
+                note = type(e).__name__
         good = got == expected
         ok = ok and good
         entry = {"component": idx, "dim": space.dim, "expected": expected, "degree": got, "ok": good}

@@ -2,7 +2,9 @@
 
 A degree-n rational curve in P^n is stored as n+1 binary forms of degree n
 sharing no common root; it is a *rational normal curve* when, additionally,
-its coefficient matrix has full rank n+1 (the image spans P^n).
+its coefficient matrix has full rank n+1 (the image spans P^n).  The curve
+also keeps that matrix over Z, so restricting linear forms to it and their
+gcd run over Z; ``Fraction`` appears only in returned forms.
 
 The two interpolation builders realize the classical facts that a rational
 normal curve is determined by n+3 general points, and that points with
@@ -12,12 +14,14 @@ prescribed on a degree-t factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_exact, gcd_many, product
+from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_exact, gcd_degree, gcd_many, product
 from .errors import (
     CenterMeetsCurve,
     CoincidentParameters,
@@ -45,6 +49,8 @@ class ParamCurve:
 
     ambient: int
     forms: tuple[BinaryForm, ...]
+    # (cols, den): cols[k] holds the forms' k-th coefficients times den; not in ==, hash, repr or JSON
+    integer_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.forms) != self.ambient + 1:
@@ -54,6 +60,10 @@ class ParamCurve:
             raise ValueError("coordinate forms must share a degree")
         if all(f.is_zero() for f in self.forms):
             raise ValueError("all coordinate forms vanish")
+        flat = [c for f in self.forms for c in f.coeffs]
+        ints, step = linalg.integerize(flat), self.degree + 1
+        cols = tuple(ints[k::step] for k in range(step))
+        object.__setattr__(self, "integer_columns", (cols, lcm(*(c.denominator for c in flat))))
 
     @property
     def degree(self) -> int:
@@ -98,17 +108,20 @@ def standard_rnc(n: int) -> RationalCurve:
     return RationalCurve(n, tuple(forms))
 
 
-def _combine(weights: Sequence[Fraction], curve: ParamCurve) -> BinaryForm:
-    """The form sum_j weights[j] * curve.forms[j]."""
-    terms = [(w, f.coeffs) for w, f in zip(weights, curve.forms) if w]
-    return BinaryForm(curve.degree, tuple(sum(w * f[k] for w, f in terms) for k in range(curve.degree + 1)))
+def _restrict(rows: Sequence[Sequence[Fraction]], curve: ParamCurve):
+    """Yield ``(coeffs, scale)`` per row: ``sum_j row[j] * curve.forms[j]`` is
+    the integer ``coeffs`` divided by ``scale``."""
+    cols, den = curve.integer_columns
+    for row in rows:
+        w = linalg.integerize(row)
+        yield [sum(map(mul, w, col)) for col in cols], den * lcm(*(x.denominator for x in row))
 
 
 def apply_projectivity(curve: ParamCurve, g: Projectivity) -> ParamCurve:
     """Transform the coordinate forms by the matrix of ``g``."""
     if g.n != curve.ambient:
         raise ValueError("ambient mismatch")
-    out = [_combine(row, curve) for row in g.matrix]
+    out = [BinaryForm(curve.degree, tuple(Fraction(c, k) for c in cs)) for cs, k in _restrict(g.matrix, curve)]
     cls = RationalCurve if isinstance(curve, RationalCurve) else ParamCurve
     return cls(curve.ambient, tuple(out))
 
@@ -125,10 +138,10 @@ def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
     eqs = space.equations()
     if not eqs:
         raise ValueError("intersection with the whole space is not finite")
-    restricted = [_combine(eq, curve) for eq in eqs]
-    if all(f.is_zero() for f in restricted):
+    restricted = [cs for cs, _ in _restrict(eqs, curve)]
+    if not any(map(any, restricted)):
         raise CurveInSubspaceSpan("curve lies inside the subspace")
-    return gcd_many(restricted).degree
+    return gcd_degree(restricted)
 
 
 def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
@@ -137,23 +150,17 @@ def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
     With ``i`` the point's first nonzero coordinate, the point is cut out by
     the equations ``x_j p_i - x_i p_j`` (j != i).  The curve passes through
     it when their restrictions to the curve all vanish or share a root; the
-    exact `gcd_many` decides the latter.
+    exact `gcd_degree` decides the latter, on the curve's integer matrix.
     """
     if point.n != curve.ambient:
         raise ValueError("ambient mismatch")
     if point.n == 0:
         raise ValueError("intersection with the whole space is not finite")
-    p = point.coords
+    p = linalg.integerize(point.coords)
     i = next(k for k, c in enumerate(p) if c)
-    fi = curve.forms[i].coeffs
-    restricted = [
-        BinaryForm(curve.degree, tuple(p[i] * a - p[j] * b for a, b in zip(f.coeffs, fi)))
-        for j, f in enumerate(curve.forms)
-        if j != i
-    ]
-    if all(f.is_zero() for f in restricted):
-        return True
-    return gcd_many(restricted).degree >= 1
+    forms = list(zip(*curve.integer_columns[0]))
+    restricted = [[p[i] * a - p[j] * b for a, b in zip(f, forms[i])] for j, f in enumerate(forms) if j != i]
+    return not any(map(any, restricted)) or gcd_degree(restricted) >= 1
 
 
 def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
@@ -280,7 +287,9 @@ def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = Fals
         raise ValueError("ambient mismatch")
     if center.dim < 0:
         raise ValueError("projection center must be nonempty")
-    image = [_combine(eq, curve) for eq in center.equations()]
+    image = [
+        BinaryForm(curve.degree, tuple(Fraction(c, k) for c in cs)) for cs, k in _restrict(center.equations(), curve)
+    ]
     if all(f.is_zero() for f in image):
         raise CurveInSubspaceSpan("curve lies inside the projection center")
     common = gcd_many(image)

@@ -14,6 +14,7 @@ from rncurves.binforms import (
     distinct_parameters,
     divide_exact,
     gcd,
+    gcd_degree,
     gcd_many,
     product,
 )
@@ -199,6 +200,40 @@ def test_gcd_many_keeps_a_repeated_factor():
     common = product([big_form(rng, 1, 40)] * 3)
     family = [common.mul(big_form(rng, d, 30)) for d in (1, 2, 3)]
     assert gcd_many(family) == sympy_gcd(family) == common.monic()
+
+
+# zero or 31 to 36 digits, either sign
+big_int = st.one_of(st.just(0), st.integers(10**30, 10**35), st.integers(-(10**35), -(10**30)))
+
+
+def int_rows(max_degree):
+    return st.integers(0, max_degree).flatmap(lambda d: st.lists(big_int, min_size=d + 1, max_size=d + 1))
+
+
+@given(int_rows(2), st.lists(int_rows(3), min_size=1, max_size=4), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_gcd_degree_matches_gcd_many_on_large_integer_rows(common, cofactors, s_pow, zeros):
+    # every row is common * cofactor * s^s_pow, padded to one degree; some rows are zero
+    base = BinaryForm(len(common) + s_pow - 1, tuple(common) + (0,) * s_pow)
+    members = [base.mul(BinaryForm(len(c) - 1, tuple(c))) for c in cofactors]
+    degree = max(f.degree for f in members)
+    members = [f.mul(BinaryForm(degree - f.degree, (1,) + (0,) * (degree - f.degree))) for f in members]
+    members += [BinaryForm.zero(degree)] * zeros
+    rows = [tuple(int(c) for c in f.coeffs) for f in members]
+    if not any(map(any, rows)):
+        with pytest.raises(ValueError):
+            gcd_degree(rows)
+        return
+    assert gcd_degree(rows) == gcd_many(members).degree
+
+
+def test_gcd_degree_single_nonzero_row_keeps_its_formal_degree():
+    big = 10**33 + 7
+    # s t^2 with a 34-digit coefficient: a single nonzero row is not reduced
+    rows = [(0, 0, big, 0), (0, 0, 0, 0)]
+    assert gcd_degree(rows) == 3 == gcd_many([BinaryForm(3, r) for r in rows]).degree
+    with pytest.raises(ValueError):
+        gcd_degree([(0, 0), (0, 0)])
 
 
 @given(forms(max_degree=3), forms(min_degree=1, max_degree=3))

@@ -76,6 +76,24 @@ def test_verify_accepts_and_rejects(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
+def test_verify_rejects_curve_and_config_in_different_spaces(tmp_path, capsys):
+    # a twisted cubic in P^3 against a configuration of P^4
+    _, out = run(capsys, ["witness", "-n", "3", "3,1"])
+    curve_path = tmp_path / "curve.json"
+    curve_path.write_text(json.dumps(json.loads(out)["curve"]))
+    _, out = run(capsys, ["witness", "-n", "4", "3,2,0"])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(json.loads(out)["config"]))
+
+    code, out = run(capsys, ["verify", "--curve", str(curve_path), "--config", str(cfg_path)])
+    assert code == EXIT_VERIFY
+    report = json.loads(out)
+    assert report["verified"] is False
+    assert report["curve_is_normal"] is False
+    assert len(report["components"]) == 5
+    assert all(c["degree"] is None and c["error"] == "ambient mismatch" for c in report["components"])
+
+
 def test_atlas_csv_and_determinism(capsys):
     code, first = run(capsys, ["atlas", "-n", "3", "--format", "csv"])
     assert code == EXIT_OK

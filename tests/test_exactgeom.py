@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rncurves import linalg
 from rncurves.errors import FrameDegenerate, InCenter, NotComplementary
 from rncurves.exactgeom import (
     DEFAULT_HEIGHT,
@@ -100,6 +101,20 @@ def test_subspace_equations_cut_out_the_space():
     for p in sub.points():
         for eq in eqs:
             assert sum(a * b for a, b in zip(eq, p.coords)) == 0
+
+
+def test_equations_are_computed_once_and_stay_out_of_equality(monkeypatch):
+    rng = Rng(32)
+    sub = sample_generic_subspace(4, 1, rng)
+    twin = LinearSubspace(sub.n, sub.basis, sub.generators)
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: calls.append(ncols) or nullspace(rows, ncols))
+    eqs = sub.equations()
+    assert sub.equations() is eqs
+    assert sub.contains(sub.points()[0]) and not sub.contains(sample_point(4, rng))
+    assert calls == [5]
+    assert sub == twin and hash(sub) == hash(twin) and repr(sub) == repr(twin)
 
 
 def test_span_and_meet_frozen():

@@ -1,9 +1,14 @@
 """Rational normal curves: interpolation, intersection degree, projection."""
 
+import functools
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rncurves.binforms import BinaryForm, ParamPoint
 from rncurves.errors import (
@@ -16,6 +21,7 @@ from rncurves.errors import (
 )
 from rncurves.exactgeom import (
     LinearSubspace,
+    Projectivity,
     ProjectionMap,
     ProjPoint,
     Rng,
@@ -98,6 +104,115 @@ def test_intersection_degree_rejects_containing_span():
     with pytest.raises(ValueError):
         whole = LinearSubspace.from_points([standard_point(3, i) for i in range(4)])
         intersection_degree(standard_rnc(3), whole)
+
+
+# ---------------------------------------------------------------- integer-native kernels
+
+# numerators up to 20 digits over denominators up to 15 digits, each its own
+big_fraction = st.builds(F, st.integers(-(10**20), 10**20), st.integers(1, 10**15))
+PARAMS = [ParamPoint(0, 1), ParamPoint(1, 0), ParamPoint(1, 1), ParamPoint(1, -2), ParamPoint(3, 5), ParamPoint(2, -7)]
+
+
+@st.composite
+def curve_and_component(draw):
+    """A curve with large mixed denominators and a component through 0..dim+1 of its points."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        # the monomial curve, each coordinate scaled: coordinate subspaces pull back to s^a t^b
+        scales = draw(st.lists(big_fraction.filter(bool), min_size=n + 1, max_size=n + 1))
+        forms = tuple(f.scale(c) for f, c in zip(standard_rnc(n).forms, scales))
+    else:
+        coeffs = draw(st.lists(big_fraction, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+        forms = tuple(BinaryForm(n, tuple(coeffs[i * (n + 1) : (i + 1) * (n + 1)])) for i in range(n + 1))
+        assume(any(not f.is_zero() for f in forms))
+    curve = ParamCurve(n, forms)
+    k = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        axes = draw(st.lists(st.integers(0, n), min_size=k + 1, max_size=k + 1, unique=True))
+        return curve, LinearSubspace.from_points([standard_point(n, i) for i in axes])
+    on_curve = draw(st.lists(st.sampled_from(PARAMS), max_size=k + 1, unique=True))
+    vectors = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1).filter(any)
+    others = draw(st.lists(vectors, min_size=k + 1 - len(on_curve), max_size=k + 1 - len(on_curve)))
+    try:
+        points = [curve.evaluate(p) for p in on_curve]
+    except ValueError:  # the parametrization vanishes there
+        assume(False)
+    return curve, LinearSubspace.from_points(points + [ProjPoint(n, v) for v in others])
+
+
+def rat(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def sympy_intersection_degree(curve, space):
+    """Degree of the sympy gcd of the curve restricted to the space's equations; None if all vanish."""
+    s, t = sympy.symbols("s t")
+    polys = [sum(rat(c) * s ** (curve.degree - i) * t**i for i, c in enumerate(f.coeffs)) for f in curve.forms]
+    eqs = sympy.Matrix([[rat(x) for x in row] for row in space.basis]).nullspace()
+    restricted = [sympy.expand(sum(v[j] * polys[j] for j in range(len(polys)))) for v in eqs]
+    nonzero = [r for r in restricted if r != 0]
+    if not nonzero:
+        return None
+    return sympy.Poly(functools.reduce(sympy.gcd, nonzero), s, t).total_degree()
+
+
+@given(curve_and_component())
+@settings(max_examples=40, deadline=None)
+def test_intersection_degree_matches_sympy_gcd(data):
+    curve, space = data
+    expected = sympy_intersection_degree(curve, space)
+    if expected is None:
+        with pytest.raises(CurveInSubspaceSpan):
+            intersection_degree(curve, space)
+    else:
+        assert intersection_degree(curve, space) == expected
+
+
+def test_intersection_degree_single_nonzero_restriction():
+    # a conic with a large fractional scale in the plane x_3 = 0 of P^3
+    conic = [f.scale(F(10**20 + 1, 3**30)) for f in standard_rnc(2).forms]
+    flat = ParamCurve(3, tuple(conic) + (BinaryForm.zero(2),))
+    # the line x_1 = x_3 = 0 pulls back to (c s t, 0): one nonzero form, of formal degree 2
+    line = LinearSubspace.from_points([standard_point(3, 0), standard_point(3, 2)])
+    assert intersection_degree(flat, line) == 2
+    plane = LinearSubspace.from_points([standard_point(3, i) for i in range(3)])
+    with pytest.raises(CurveInSubspaceSpan):
+        intersection_degree(flat, plane)
+
+
+def test_apply_projectivity_with_fractional_matrix_matches_fraction_sums():
+    rng = random.Random(12)
+    n = 4
+
+    def big():
+        return F(rng.randrange(-(10**18), 10**18), rng.randrange(1, 10**12))
+
+    curve = ParamCurve(n, tuple(BinaryForm(n, tuple(big() for _ in range(n + 1))) for _ in range(n + 1)))
+    g = Projectivity(tuple(tuple(big() for _ in range(n + 1)) for _ in range(n + 1)))
+    moved = apply_projectivity(curve, g)
+    for row, form in zip(g.matrix, moved.forms):
+        expected = [sum(w * f.coeffs[k] for w, f in zip(row, curve.forms)) for k in range(n + 1)]
+        assert all(type(c) is F for c in form.coeffs)
+        assert list(form.coeffs) == expected
+
+
+def test_intersection_degree_builds_no_binary_form(monkeypatch):
+    rng = Rng(61)
+    curve = apply_projectivity(standard_rnc(4), sample_projectivity(4, rng))
+    spaces = [sample_generic_subspace(4, k, rng) for k in range(4)]
+    spaces.append(LinearSubspace.from_points([curve.evaluate(ParamPoint(1, i)) for i in range(3)]))
+    built = []
+    post_init = BinaryForm.__post_init__
+
+    def counting(self):
+        built.append(self.degree)
+        post_init(self)
+
+    monkeypatch.setattr(BinaryForm, "__post_init__", counting)
+    assert [intersection_degree(curve, s) for s in spaces] == [0, 0, 0, 4, 3]
+    assert built == []
+    BinaryForm.zero(2)  # the counter sees every construction
+    assert built == [2]
 
 
 # ---------------------------------------------------------------- interpolation
