@@ -57,7 +57,6 @@ from .segre import (
     MultiCurve,
     SegreContext,
     canonical_contracted_spaces,
-    compose_phi,
     phi,
     phi_inverse,
     product_curve,

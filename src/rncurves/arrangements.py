@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
-from .errors import FatComponentPresent, GenericityExhausted
+from .errors import GenericityExhausted
 from .exactgeom import (
     RESAMPLE_BUDGET,
     LinearSubspace,
@@ -95,23 +95,8 @@ class Configuration:
             if s.dim < 0:
                 raise ValueError("empty component")
 
-    @classmethod
-    def reduced(cls, n: int, spaces: Iterable[LinearSubspace]) -> "Configuration":
-        return cls(n, tuple((s, 1) for s in spaces))
-
     def is_reduced(self) -> bool:
         return all(m == 1 for _, m in self.components)
-
-    def weight_of(self) -> WeightVector:
-        """Weight vector of a reduced configuration of small-dim components."""
-        if not self.is_reduced():
-            raise FatComponentPresent("weight vectors only describe reduced configurations")
-        counts = [0] * (self.n - 1)
-        for s, _ in self.components:
-            if s.dim > self.n - 2:
-                raise ValueError("component dimension exceeds n-2")
-            counts[s.dim] += 1
-        return WeightVector(self.n, tuple(counts))
 
     def without(self, index: int) -> "Configuration":
         comps = tuple(c for i, c in enumerate(self.components) if i != index)
@@ -128,30 +113,27 @@ def sample_configuration(weights: WeightVector, rng: Rng) -> Configuration:
     configurations up to the package budget; pairwise generality means every
     two components meet in the expected dimension ``k_a + k_b - n``.
     """
-    dims = weights.component_dims()
-    n = weights.n
-    for attempt in range(RESAMPLE_BUDGET):
-        sub = rng.derive("config", attempt)
-        try:
-            spaces = [sample_generic_subspace(n, k, sub.derive(i)) for i, k in enumerate(dims)]
-        except GenericityExhausted:
-            continue
-        if _pairwise_generic(spaces, n):
-            return Configuration.reduced(n, spaces)
-    raise GenericityExhausted(f"no generic configuration of weight {weights.counts} in P^{n}")
+    spec = [(k, 1) for k in weights.component_dims()]
+    return _resample_configuration(weights.n, spec, rng, "config", f"configuration of weight {weights.counts}")
 
 
 def sample_fat_configuration(n: int, spec: Sequence[tuple[int, int]], rng: Rng) -> Configuration:
     """Sample components with multiplicities given as (dim, mult) pairs."""
+    return _resample_configuration(n, spec, rng, "fat-config", f"fat configuration {spec}")
+
+
+def _resample_configuration(n: int, spec: Sequence[tuple[int, int]], rng: Rng, tag: str, what: str) -> Configuration:
+    """Draw (dim, mult) components from ``rng.derive(tag, attempt)`` until they
+    are pairwise generic, or raise that there is no generic ``what``."""
     for attempt in range(RESAMPLE_BUDGET):
-        sub = rng.derive("fat-config", attempt)
+        sub = rng.derive(tag, attempt)
         try:
             spaces = [sample_generic_subspace(n, k, sub.derive(i)) for i, (k, _) in enumerate(spec)]
         except GenericityExhausted:
             continue
         if _pairwise_generic(spaces, n):
             return Configuration(n, tuple((s, m) for s, (_, m) in zip(spaces, spec)))
-    raise GenericityExhausted(f"no generic fat configuration {spec} in P^{n}")
+    raise GenericityExhausted(f"no generic {what} in P^{n}")
 
 
 def _pairwise_generic(spaces: Sequence[LinearSubspace], n: int) -> bool:

@@ -109,16 +109,6 @@ class BinaryForm:
                         out[i + j] += a * b
         return BinaryForm(d, tuple(out))
 
-    def effective_degree(self) -> int:
-        """Formal degree minus the number of leading zero coefficients.
-
-        The amount by which the form fails to vanish at [0 : 1]; -1 for 0.
-        """
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return self.degree - i
-        return -1
-
     def monic(self) -> "BinaryForm":
         for c in self.coeffs:
             if c:

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 from .arrangements import BACKENDS, WeightVector, generic_hilbert
 from .defectivity import DefectQuery, defect_check, defect_sweep
@@ -128,6 +129,11 @@ def cmd_verify(args, _opts: RunConfig) -> int:
             cfg = serialize.dec_config(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise SystemExit(f"cannot read inputs: {e}")
+    for idx, (space, mult) in enumerate(cfg.components):
+        if mult != 1:
+            raise SystemExit(f"cannot verify: component {idx} has multiplicity {mult}, not 1")
+        if space.dim == cfg.n:
+            raise SystemExit(f"cannot verify: component {idx} fills the ambient space P^{cfg.n}")
     ok, report = verify_witness(curve, cfg)
     _emit(report)
     return EXIT_OK if ok else EXIT_VERIFY
@@ -161,7 +167,7 @@ def cmd_atlas(args, opts: RunConfig) -> int:
 
 def cmd_hilbert(args, opts: RunConfig) -> int:
     try:
-        raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         data = json.loads(raw)
         n = serialize.dec_int(data["n"])
         d = serialize.dec_int(data["d"])

@@ -20,9 +20,9 @@ Conventions
   non-pivot column f of the echelon basis, the form with 1 at f and
   ``-basis[i][f]`` at the i-th pivot column.  Membership, meets, projection
   and the restriction of a curve all read these forms.
-* Projection away from a center is the matrix of the center's equations.
-  Its target coordinates are the pivot-complement coordinates, in increasing
-  order, each with the center component subtracted.
+* ``project_from`` projects away from a center by the matrix of its
+  equations.  The target coordinates are the pivot-complement coordinates,
+  in increasing order, each with the center component subtracted.
 """
 
 from __future__ import annotations
@@ -92,12 +92,6 @@ class Rng:
 
     def rational(self) -> Fraction:
         return Fraction(self.integer(-DEFAULT_HEIGHT, DEFAULT_HEIGHT))
-
-    def nonzero_rational(self) -> Fraction:
-        while True:
-            x = self.rational()
-            if x:
-                return x
 
     def vector(self, length: int) -> tuple[Fraction, ...]:
         return tuple(self.rational() for _ in range(length))
@@ -293,15 +287,6 @@ class Projectivity:
         object.__setattr__(inv, "matrix", linalg.invert(self.matrix, self.n + 1))
         return inv
 
-    def compose(self, other: "Projectivity") -> "Projectivity":
-        """Matrix product self . other (apply ``other`` first)."""
-        n1 = self.n + 1
-        m = tuple(
-            tuple(sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n1)) for j in range(n1))
-            for i in range(n1)
-        )
-        return Projectivity(m)
-
 
 def projectivity_from_frames(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Projectivity:
     """The unique projectivity mapping one frame of n+2 points to another.
@@ -341,52 +326,25 @@ def standard_frame(n: int) -> list[ProjPoint]:
     return [standard_point(n, i) for i in range(n + 1)] + [unit_point(n)]
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
-    """Linear projection of P^n away from a center, onto ``P^(n - dim center - 1)``.
-
-    ``matrix`` is the center's ``equations()``: the row of a non-pivot
-    column f of the center's echelon basis reads off coordinate f minus the
-    center component, so the target coordinates are the pivot-complement
-    coordinates in increasing order.  A point or basis row maps to zero
-    exactly when it lies in the center.
-    """
-
-    center: LinearSubspace
-    matrix: tuple[tuple[Fraction, ...], ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", self.center.equations())
-
-    @property
-    def target_dim(self) -> int:
-        return len(self.matrix) - 1
-
-    def apply(self, p: ProjPoint) -> ProjPoint:
-        if p.n != self.center.n:
-            raise ValueError("ambient mismatch")
-        image = _apply(self.matrix, p.coords)
+def project_from(center: LinearSubspace, obj):
+    """Project a point or subspace away from ``center`` onto ``P^(n - dim center - 1)``
+    by the matrix of ``center.equations()``; a point or subspace inside the
+    center maps to zero and raises ``InCenter``."""
+    if not isinstance(obj, (ProjPoint, LinearSubspace)):
+        raise TypeError(f"cannot project {type(obj)!r}")
+    if obj.n != center.n:
+        raise ValueError("ambient mismatch")
+    matrix = center.equations()
+    target = len(matrix) - 1
+    if isinstance(obj, ProjPoint):
+        image = _apply(matrix, obj.coords)
         if not any(image):
             raise InCenter("point lies in the projection center")
-        return ProjPoint(self.target_dim, image)
-
-    def apply_subspace(self, s: LinearSubspace) -> LinearSubspace:
-        if s.n != self.center.n:
-            raise ValueError("ambient mismatch")
-        rows = [row for row in (_apply(self.matrix, b) for b in s.basis) if any(row)]
-        if not rows:
-            raise InCenter("subspace lies in the projection center")
-        return LinearSubspace.from_rows(self.target_dim, rows)
-
-
-def project_from(center: LinearSubspace, obj):
-    """Project a point or subspace away from ``center``."""
-    pm = ProjectionMap(center)
-    if isinstance(obj, ProjPoint):
-        return pm.apply(obj)
-    if isinstance(obj, LinearSubspace):
-        return pm.apply_subspace(obj)
-    raise TypeError(f"cannot project {type(obj)!r}")
+        return ProjPoint(target, image)
+    rows = [row for row in (_apply(matrix, b) for b in obj.basis) if any(row)]
+    if not rows:
+        raise InCenter("subspace lies in the projection center")
+    return LinearSubspace.from_rows(target, rows)
 
 
 def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:

@@ -311,7 +311,8 @@ def _reductions(weights: WeightVector):
     components small enough to stay disjoint from it, drop the rest."""
     n = weights.n
     counts = weights.counts
-    for sel in itertools.product(*(range(c + 1) for c in counts)):
+    # a center of total t <= n-2 takes at most (n-2)//(i+1) components of dimension i
+    for sel in itertools.product(*(range(min(c, (n - 2) // (i + 1)) + 1) for i, c in enumerate(counts))):
         if not any(sel):
             continue
         t = sum((i + 1) * s for i, s in enumerate(sel))
@@ -497,7 +498,8 @@ def _pattern_choices(weights: WeightVector) -> list[tuple[int, ...]]:
     n = weights.n
     choices = []
     s_req = weights.total_intersection() - n
-    for sel in itertools.product(*(range(c + 1) for c in weights.counts)):
+    # blocks filling a hyperplane take at most n//(i+1) components of dimension i
+    for sel in itertools.product(*(range(min(c, n // (i + 1)) + 1) for i, c in enumerate(weights.counts))):
         if sum((i + 1) * c for i, c in enumerate(sel)) != n:
             continue
         if sum(sel) < 2:

@@ -1,8 +1,10 @@
 """Rational normal curves: construction, interpolation, and intersections.
 
-A degree-n rational curve in P^n is stored as n+1 binary forms of degree n
-sharing no common root; it is a *rational normal curve* when, additionally,
-its coefficient matrix has full rank n+1 (the image spans P^n).  The curve
+A degree-n rational curve in P^n is stored as n+1 binary forms of degree n;
+it is a *rational normal curve* exactly when its coefficient matrix has full
+rank n+1 (the image spans P^n).  Full rank already implies that the forms
+share no common root: n+1 independent forms of degree n span every binary
+form of degree n, s^n and t^n among them, so no gcd is taken.  The curve
 also keeps that matrix over Z, so restricting linear forms to it and their
 gcd run over Z; ``Fraction`` appears only in returned forms.
 
@@ -75,9 +77,6 @@ class ParamCurve:
             raise ValueError(f"parametrization vanishes at {p}")
         return ProjPoint(self.ambient, coords)
 
-    def coefficient_matrix(self) -> list[tuple[Fraction, ...]]:
-        return [f.coeffs for f in self.forms]
-
 
 class RationalCurve(ParamCurve):
     """A rational normal curve: degree = ambient dimension, image spans P^n."""
@@ -89,13 +88,10 @@ class RationalCurve(ParamCurve):
 
 
 def is_rnc(curve: ParamCurve) -> bool:
-    """True when the curve is a rational normal curve of its ambient space."""
+    """True when the curve is a rational normal curve of its ambient space:
+    degree n in P^n with a coefficient matrix of rank n+1."""
     n = curve.ambient
-    if curve.degree != n:
-        return False
-    if gcd_many(curve.forms).degree != 0:
-        return False
-    return linalg.rank(curve.coefficient_matrix(), n + 1) == n + 1
+    return curve.degree == n and linalg.rank([f.coeffs for f in curve.forms], n + 1) == n + 1
 
 
 def standard_rnc(n: int) -> RationalCurve:

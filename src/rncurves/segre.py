@@ -188,19 +188,13 @@ def _identity_line() -> RationalCurve:
     return RationalCurve(1, (BinaryForm(1, (Fraction(1), Fraction(0))), BinaryForm(1, (Fraction(0), Fraction(1)))))
 
 
-def compose_phi(mc: MultiCurve) -> RationalCurve:
-    """Push a multi-curve forward to a rational normal curve in P^n.
+def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
+    """Coordinate forms of the push-forward of a multi-curve through ``phi``.
 
     Requires the leading forms of distinct factors to share no root (else a
-    parameter would land on the base locus) and the image to be
-    non-degenerate.
+    parameter would land on the base locus); the image is not checked for
+    normality.
     """
-    return RationalCurve(mc.context.n, _phi_forms(mc))
-
-
-def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
-    """Coordinate forms of the push-forward of a multi-curve; the image is
-    not checked for normality."""
     ctx = mc.context
     leads = [f.forms[0] for f in mc.factors]
     for i in range(ctx.r):

@@ -24,7 +24,6 @@ from rncurves.arrangements import (
 )
 from rncurves import arrangements, defectivity, feasibility
 from rncurves.defectivity import DefectQuery, defect_check
-from rncurves.errors import FatComponentPresent
 from rncurves.exactgeom import (
     LinearSubspace,
     Rng,
@@ -87,7 +86,7 @@ def test_weight_vector_validation():
 def test_sample_configuration_matches_weights_and_is_generic():
     w = WeightVector(4, (2, 2, 0))
     cfg = sample_configuration(w, Rng(77))
-    assert cfg.weight_of() == w
+    assert cfg.is_reduced()
     dims = sorted(s.dim for s, _ in cfg.components)
     assert dims == [0, 0, 1, 1]
     # pairwise generic: two lines in P^4 are disjoint, points stay off lines
@@ -138,13 +137,6 @@ def test_sample_configuration_is_deterministic():
     c1 = sample_configuration(w, Rng(5))
     c2 = sample_configuration(w, Rng(5))
     assert c1 == c2
-
-
-def test_weight_of_rejects_fat_configuration():
-    line = coordinate_space(3, (0, 1))
-    cfg = Configuration(3, ((line, 2),))
-    with pytest.raises(FatComponentPresent):
-        cfg.weight_of()
 
 
 # ---------------------------------------------------------------- conditions
@@ -238,7 +230,7 @@ def test_condition_matrix_without_drops_one_block():
 def test_skew_lines_hilbert_matches_monomial_oracle():
     a = coordinate_space(3, (0, 1))
     b = coordinate_space(3, (2, 3))
-    cfg = Configuration.reduced(3, [a, b])
+    cfg = Configuration(3, ((a, 1), (b, 1)))
     for d in (2, 3):
         hf_oracle, ideal_oracle = monomial_oracle(3, (0, 1), (2, 3), d)
         assert hilbert_function(cfg, d) == hf_oracle
@@ -251,7 +243,7 @@ def test_two_codim3_spaces_match_monomial_oracle():
     for n in (5, 6, 7, 8):
         a = coordinate_space(n, range(0, n - 2))
         b = coordinate_space(n, range(3, n + 1))
-        cfg = Configuration.reduced(n, [a, b])
+        cfg = Configuration(n, ((a, 1), (b, 1)))
         hf_oracle, _ = monomial_oracle(n, tuple(range(0, n - 2)), tuple(range(3, n + 1)), 2)
         assert hilbert_function(cfg, 2) == hf_oracle
         assert hf_oracle == (n * n + 3 * n - 16) // 2

@@ -253,14 +253,6 @@ def test_divide_exact_rejects_non_divisor():
         divide_exact(f, d)
 
 
-def test_effective_degree_counts_the_surviving_s_power():
-    f = BinaryForm(3, (F(0), F(0), F(1), F(2)))  # s t^2 + 2 t^3
-    assert f.effective_degree() == 1
-    g = BinaryForm(3, (F(1), F(2), F(0), F(0)))  # s^3 + 2 s^2 t
-    assert g.effective_degree() == 3
-    assert BinaryForm.zero(3).effective_degree() == -1
-
-
 def test_monic_normalizes_leading_coefficient():
     f = BinaryForm(2, (F(0), F(3), F(6)))
     m = f.monic()

@@ -53,6 +53,16 @@ def test_witness_without_constructive_path(capsys):
     assert json.loads(out)["error"] == "no-constructive-path"
 
 
+def test_witness_without_pattern_bounds_its_block_choices(capsys):
+    # 10^7 selections when bounded by the counts, 3,240 when bounded by n // (i+1)
+    code, out = run(capsys, ["witness", "-n", "8", "9,9,9,9,9,9,9"])
+    assert code == EXIT_NO_PATH
+    assert json.loads(out) == {
+        "error": "no-constructive-path",
+        "detail": "no interpolation or block pattern applies to (9, 9, 9, 9, 9, 9, 9) in P^8",
+    }
+
+
 def test_verify_accepts_and_rejects(tmp_path, capsys):
     w = WeightVector(3, (1, 1))
     curve, cfg, _ = build_witness(w, DEFAULTS)
@@ -262,6 +272,23 @@ CONIC = {
 }
 
 
+def verify_inputs(tmp_path, curve, config):
+    """``--curve`` and ``--config`` arguments naming the inputs written as JSON files."""
+    curve_path = tmp_path / "curve.json"
+    cfg_path = tmp_path / "config.json"
+    curve_path.write_text(json.dumps(curve))
+    cfg_path.write_text(json.dumps(config))
+    return ["--curve", str(curve_path), "--config", str(cfg_path)]
+
+
+def assert_usage_exit(argv, capsys):
+    """Exit 2 with a message on stderr and nothing on stdout."""
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()
+
+
 @pytest.mark.parametrize(
     "argv, stdin, curve",
     [
@@ -292,12 +319,22 @@ def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monke
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
     if curve is not None:
-        curve_path = tmp_path / "curve.json"
-        cfg_path = tmp_path / "config.json"
-        curve_path.write_text(json.dumps(curve))
-        cfg_path.write_text(json.dumps({"ambient_dim": 2, "components": []}))
-        argv = argv + ["--curve", str(curve_path), "--config", str(cfg_path)]
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip()
+        argv = argv + verify_inputs(tmp_path, curve, {"ambient_dim": 2, "components": []})
+    assert_usage_exit(argv, capsys)
+
+
+# Configurations the conic cannot be verified against.  They are a separate
+# case list because a fourth parameter above would rename every case id there.
+@pytest.mark.parametrize(
+    "component",
+    [
+        # a fat line: witnesses are defined for reduced configurations only
+        {"dim": 1, "mult": 2, "basis": CONIC["coefficients"][:2]},
+        # the whole plane: its intersection with the conic is not finite
+        {"dim": 2, "basis": CONIC["coefficients"]},
+    ],
+    ids=["fat", "fills-ambient"],
+)
+def test_malformed_verify_config_exits_usage(component, tmp_path, capsys):
+    config = {"ambient_dim": 2, "components": [component]}
+    assert_usage_exit(["verify"] + verify_inputs(tmp_path, CONIC, config), capsys)

@@ -22,7 +22,6 @@ from rncurves.errors import (
 from rncurves.exactgeom import (
     LinearSubspace,
     Projectivity,
-    ProjectionMap,
     ProjPoint,
     Rng,
     project_from,
@@ -74,6 +73,42 @@ def test_degenerate_parametrization_rejected():
 def test_plane_cubic_is_not_an_rnc():
     cubic = ParamCurve(2, tuple(standard_rnc(3).forms[:3]))
     assert not is_rnc(cubic)
+
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def small_curves(draw):
+    """Degree-n curves in P^n with entries in [-3, 3]: free draws, forms
+    sharing a planted linear factor, and forms with one planted dependency."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["free", "common-factor", "dropped-rank"]))
+    if kind == "common-factor":
+        factor = BinaryForm(1, tuple(map(F, draw(st.tuples(SMALL, SMALL).filter(any)))))
+        rows = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n + 1, max_size=n + 1))
+        forms = [factor.mul(BinaryForm(n - 1, tuple(map(F, r)))) for r in rows]
+    else:
+        rows = draw(st.lists(st.lists(SMALL, min_size=n + 1, max_size=n + 1), min_size=n + 1, max_size=n + 1))
+        if kind == "dropped-rank":
+            i = draw(st.integers(0, n))
+            weights = draw(st.lists(SMALL, min_size=n + 1, max_size=n + 1))
+            rows[i] = [sum(w * r[k] for j, (w, r) in enumerate(zip(weights, rows)) if j != i) for k in range(n + 1)]
+        forms = [BinaryForm(n, tuple(map(F, r))) for r in rows]
+    assume(any(not f.is_zero() for f in forms))
+    return ParamCurve(n, tuple(forms))
+
+
+@given(small_curves())
+@settings(max_examples=150, deadline=None)
+def test_is_rnc_matches_rank_and_sympy_gcd(curve):
+    # the definition with both conditions; full rank alone must imply the second
+    n = curve.ambient
+    s, t = sympy.symbols("s t")
+    polys = [sum(rat(c) * s ** (n - i) * t**i for i, c in enumerate(f.coeffs)) for f in curve.forms]
+    common = functools.reduce(sympy.gcd, [q for q in polys if q != 0])
+    full_rank = sympy.Matrix([[rat(c) for c in f.coeffs] for f in curve.forms]).rank() == n + 1
+    assert is_rnc(curve) == (full_rank and sympy.Poly(common, s, t).total_degree() == 0)
 
 
 def test_intersection_degree_with_coordinate_subspaces():
@@ -365,11 +400,10 @@ def test_projected_curve_tracks_projected_points():
     n = 4
     c = apply_projectivity(standard_rnc(n), sample_projectivity(n, rng))
     center = LinearSubspace.from_points([sample_point(n, rng)])
-    pm = ProjectionMap(center)
     image = project_curve(c, center, strict=True)
     for k in range(5):
         p = ParamPoint(1, k)
-        assert image.evaluate(p) == pm.apply(c.evaluate(p))
+        assert image.evaluate(p) == project_from(center, c.evaluate(p))
 
 
 # ---------------------------------------------------------------- pinned projection outputs

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rncurves import segre
 from rncurves.binforms import ParamPoint
 from rncurves.errors import (
     BaseLocus,
@@ -20,12 +21,11 @@ from rncurves.exactgeom import (
     sample_point,
     standard_point,
 )
-from rncurves.rnc import intersection_degree, is_rnc, passes_through, standard_rnc
+from rncurves.rnc import ParamCurve, intersection_degree, is_rnc, passes_through, standard_rnc
 from rncurves.segre import (
     MultiCurve,
     SegreContext,
     canonical_contracted_spaces,
-    compose_phi,
     phi,
     phi_inverse,
     product_curve,
@@ -166,7 +166,7 @@ def test_compose_phi_gives_rnc_meeting_blocks_maximally():
         if y.coords[0]:
             pts.append(phi_inverse(ctx, y))
     mc, params = product_curve(ctx, pts)
-    curve = compose_phi(mc)
+    curve = ParamCurve(ctx.n, segre._phi_forms(mc))
     assert is_rnc(curve)
     for space, expected in zip(canonical_contracted_spaces(ctx), (2, 3)):
         assert intersection_degree(curve, space) == expected
@@ -178,7 +178,7 @@ def test_compose_phi_rejects_lead_forms_with_common_root():
     ctx = SegreContext((1, 1))
     line = standard_rnc(1)
     with pytest.raises(CommonRootOfLeadForms):
-        compose_phi(MultiCurve(ctx, (line, line)))
+        segre._phi_forms(MultiCurve(ctx, (line, line)))
 
 
 # ---------------------------------------------------------------- witnesses
