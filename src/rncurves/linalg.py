@@ -10,27 +10,37 @@ applied to rows).  ``Fraction`` arithmetic appears only where :func:`rref`
 divides each finished row by its pivot.
 
 :func:`rank` is the single rank entry point, and every rank it returns is
-exact.  Before the elimination it tries two cheap reductions that are
-themselves exact:
+exact.  It takes the first of these steps that settles the rank, each of
+them exact:
 
 * unit-row stripping -- a row with a single nonzero entry pins down one pivot
   column, which can be deleted outright; repeated to a fixpoint this often
   collapses large sparse condition matrices to a small dense core;
 * a single-prime prescreen -- ``rank_p <= rank <= min(rows, cols)``, so when
-  the modular rank hits the dimension cap the exact rank is already known.
+  the modular rank hits the dimension cap the exact rank is already known;
+* a kernel certificate -- the prescreen's echelon gives a ``rank_p x rank_p``
+  block nonsingular mod p, so ``rank >= rank_p``; one kernel vector per
+  free column, lifted p-adically (Dixon, Numer. Math. 40, 1982), rebuilt by
+  rational reconstruction and checked as ``A v = 0`` over Z, gives
+  ``rank <= rank_p``;
+* the elimination :func:`_echelon`, when the certificate fails (a bad prime,
+  or entries past its int64 guard).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-# Largest 31-bit prime (2**31 - 1 is a Mersenne prime).  Used only for the
-# prescreen shortcut inside rank(); a "bad" prime can only underestimate the
-# rank, in which case we fall through to the elimination and stay exact.
-_PRESCREEN_PRIME = 2**31 - 1
+# The one prime of rank(): its prescreen and its kernel certificate.  A "bad"
+# prime can only underestimate the rank, and then the certificate fails and
+# the elimination runs, so every rank stays exact.  Below 2**26, so that the
+# lifting product ``b^-1 (R mod p)`` sums at most _KERNEL_MAX_RANK terms
+# under (p-1)**2 and stays in int64.
+_PRESCREEN_PRIME = 2**26 - 5
+_KERNEL_MAX_RANK = 2**63 // (_PRESCREEN_PRIME - 1) ** 2
 
 
 _INT = frozenset((int,))
@@ -130,22 +140,27 @@ def _echelon(int_rows, ncols):
     return out, pivots
 
 
-# Named for the Bareiss loop it replaced: perfbench/tracing.py wraps the
-# elimination fallback of rank() by this name, as ``linalg.bareiss``.
+# perfbench/tracing.py wraps this name as ``linalg.bareiss``: since the kernel
+# certificate it is only rank()'s fallback, taken when the certificate fails.
 def _rank_bareiss(int_rows, ncols):
     """Exact rank of an integer matrix by the one elimination loop."""
     return len(_echelon(int_rows, ncols)[1])
 
 
 def _rank_mod_int(int_rows, p):
-    """Rank of an integer matrix modulo the odd prime ``p`` (numpy int64)."""
+    """Rank of an integer matrix modulo the odd prime ``p`` (numpy int64).
+
+    Returns ``(rank, pivot_rows, pivot_cols)``: the rows (indices into
+    ``int_rows``) and columns of a ``rank x rank`` block nonsingular mod p.
+    """
     data = [[x % p for x in r] for r in int_rows]
-    data = [r for r in data if any(r)]
-    if not data:
-        return 0
-    a = np.array(data, dtype=np.int64)
+    live = [i for i, r in enumerate(data) if any(r)]
+    if not live:
+        return 0, [], []
+    a = np.array([data[i] for i in live], dtype=np.int64)
     m, n = a.shape
     r = 0
+    pivots = []
     for col in range(n):
         nz = np.nonzero(a[r:, col])[0]
         if nz.size == 0:
@@ -153,16 +168,127 @@ def _rank_mod_int(int_rows, p):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
+            live[r], live[i] = live[i], live[r]
         inv = pow(int(a[r, col]), -1, p)
         a[r] = (a[r] * inv) % p
         below = a[r + 1 :, col] != 0
         if below.any():
             block = a[r + 1 :][below]
             a[r + 1 :][below] = (block - np.outer(block[:, col], a[r])) % p
+        pivots.append(col)
         r += 1
         if r == m:
             break
-    return r
+    return r, live[:r], pivots
+
+
+def _inverse_mod(b, p):
+    """Inverse mod ``p`` of a square int64 array that is nonsingular mod p."""
+    n = len(b)
+    a = np.concatenate([b % p, np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        i = col + int(np.nonzero(a[col:, col])[0][0])
+        if i != col:
+            a[[col, i]] = a[[i, col]]
+        a[col] = (a[col] * pow(int(a[col, col]), -1, p)) % p
+        f = a[:, col].copy()
+        f[col] = 0
+        a = (a - np.outer(f, a[col])) % p
+    return a[:, n:]
+
+
+def _lift(b, rhs, p, steps):
+    """Yield ``(x, p**s)``, ``b x = rhs (mod p**s)``, for s = 8, 16, 32, ..., steps.
+
+    Dixon's p-adic lifting (Numer. Math. 40, 1982): each step takes one digit
+    ``x_i = b^-1 R mod p`` and divides the residual ``R - b x_i`` by p
+    exactly.  |R| stays below ``rank + 1`` times the largest entry of ``b``
+    and ``rhs``, so the quotient fits int64 while that is below 2**62, and
+    the numerator may wrap in uint64: multiplying by ``p^-1 mod 2**64``
+    recovers the quotient.  Each chunk of digits is combined by pairwise
+    halving.
+    """
+    c = _inverse_mod(b, p)
+    bu = b.view(np.uint64)
+    p_inv = np.uint64(pow(p, -1, 2**64))
+    x, done, modulus = 0, 0, 1
+    while done < steps:
+        chunk = min(max(done, 8), steps - done)
+        digits = np.empty((chunk,) + rhs.shape, dtype=np.int64)
+        for i in range(chunk):
+            digits[i] = c @ (rhs % p) % p
+            rhs = ((rhs.view(np.uint64) - bu @ digits[i].view(np.uint64)) * p_inv).view(np.int64)
+        digits, q = digits.astype(object), p
+        while len(digits) > 1:
+            if len(digits) % 2:
+                digits = np.concatenate([digits, np.zeros_like(digits[:1])])
+            digits = digits[0::2] + digits[1::2] * q
+            q *= q
+        x = x + digits[0] * modulus
+        done += chunk
+        modulus = p**done
+        yield x, modulus
+
+
+def _reconstruct(x, modulus):
+    """``(den, nums)`` with ``x = nums / den (mod modulus)``, or None.
+
+    One common denominator, grown by rational reconstruction (von zur
+    Gathen--Gerhard, Modern Computer Algebra, 5.10) at each entry it does not
+    yet clear, up to sqrt(modulus/2); numerators are the symmetric residues.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    for u in x.flat:
+        r0, r1 = modulus, den * u % modulus
+        if r1 <= bound or modulus - r1 <= bound:
+            continue
+        t0, t1 = 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if not 0 < den <= bound:
+            return None
+    nums = x * den % modulus
+    return den, np.where(nums > modulus // 2, nums - modulus, nums)
+
+
+def _kernel_certified(core, ncols, prows, pcols):
+    """Whether ``ncols - len(pcols)`` kernel vectors of ``core`` check over Z.
+
+    Free column ``f`` gets ``v`` with ``v[f] = den``, zero on the other free
+    columns and ``B v[pcols] = -den A[prows, f]``, ``B`` the block that is
+    nonsingular mod p.  Independent vectors with ``A v = 0`` cap the rank at
+    ``len(pcols)``, and ``B`` gives the matching lower bound.  Each lift
+    checkpoint is tried, up to the Hadamard bound that makes the
+    reconstruction unique (Mulders--Storjohann, J. Symbolic Comput. 37, 2004,
+    certify solving the same way).  False past the int64 guard, or when no
+    vector set checks.
+    """
+    if len(core) < ncols:
+        core, ncols, prows, pcols = [list(c) for c in zip(*core)], len(core), pcols, prows
+    r = len(pcols)
+    top = max(max(map(abs, row)) for row in core)
+    if not 0 < r <= _KERNEL_MAX_RANK or (r + 1) * top >= 2**62:
+        return False
+    p = _PRESCREEN_PRIME
+    a = np.array(core, dtype=np.int64)
+    free = sorted(set(range(ncols)) - set(pcols))
+    hadamard_sq = prod(sum(x * x for x in core[i]) for i in prows)
+    steps = -(-(2 * hadamard_sq).bit_length() // (p.bit_length() - 1))
+    exact = np.array(core, dtype=object)
+    for x, modulus in _lift(a[np.ix_(prows, pcols)], -a[np.ix_(prows, free)], p, steps):
+        found = _reconstruct(x, modulus)
+        if found is None:
+            continue
+        den, nums = found
+        v = np.zeros((ncols, len(free)), dtype=object)
+        v[pcols] = nums
+        v[free, range(len(free))] = den
+        if not np.any(exact @ v):
+            return True
+    return False
 
 
 def rank(rows, ncols):
@@ -171,9 +297,8 @@ def rank(rows, ncols):
     gained, core, core_cols = _strip_unit_rows(int_rows, ncols)
     if not core:
         return gained
-    cap = min(len(core), core_cols)
-    r_p = _rank_mod_int(core, _PRESCREEN_PRIME)
-    if r_p == cap:
+    r_p, prows, pcols = _rank_mod_int(core, _PRESCREEN_PRIME)
+    if r_p == min(len(core), core_cols) or _kernel_certified(core, core_cols, prows, pcols):
         return gained + r_p
     return gained + _rank_bareiss(core, core_cols)
 

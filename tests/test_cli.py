@@ -204,6 +204,15 @@ def test_outputs_are_byte_identical_to_pinned_digests(capsys, monkeypatch):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_atlas_5_is_byte_identical_to_its_pinned_digest(capsys, monkeypatch):
+    # 240 rows; every rank-deficient Bézout matrix here is settled by the
+    # kernel certificate of linalg.rank, so the digest pins that path too.
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    code, out = run(capsys, ["atlas", "-n", "5", "--format", "csv"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == "be084713d585ce9ae6b17dce6a6d68a093646c979f7366d7d0ca2f4cd534eb23"
+
+
 def test_bad_weights_exit_usage(capsys):
     code = main(["classify", "-n", "3", "1,2,3,4"])
     assert code == EXIT_USAGE

@@ -7,6 +7,8 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from rncurves import linalg
 from rncurves.linalg import (
@@ -116,7 +118,11 @@ def test_solve_right_and_invert_round_trip():
 
 
 def test_prescreen_prime_is_prime():
-    assert sympy.isprime(linalg._PRESCREEN_PRIME)
+    p = linalg._PRESCREEN_PRIME
+    assert sympy.isprime(p)
+    # the lifting product b^-1 (R mod p) sums up to _KERNEL_MAX_RANK terms below (p-1)**2
+    assert p < 2**26
+    assert linalg._KERNEL_MAX_RANK * (p - 1) ** 2 < 2**63
 
 
 def test_rank_with_huge_entries_stays_exact():
@@ -217,3 +223,102 @@ def test_invert_and_solve_right_match_sympy(system):
     assert (x is not None) == consistent
     if x is not None:
         assert list(a * to_sympy([[y] for y in x], 1)) == list(to_sympy([[y] for y in b], 1))
+
+
+P = linalg._PRESCREEN_PRIME
+
+
+def product(rnd, rows, cols, inner, bits):
+    """A random ``rows x cols`` integer matrix ``U V`` of rank at most ``inner``."""
+    u = [[rnd.randrange(-(2**bits), 2**bits) for _ in range(inner)] for _ in range(rows)]
+    v = [[rnd.randrange(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(inner)]
+    return [[sum(a * b for a, b in zip(r, c)) for c in zip(*v)] for r in u]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The core matrices that reach the elimination fallback of rank()."""
+    calls = []
+    fallback = linalg._rank_bareiss
+
+    def spy(rows, ncols):
+        calls.append(len(rows))
+        return fallback(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rank_bareiss", spy)
+    return calls
+
+
+def no_bareiss(rows, ncols):
+    raise AssertionError("the kernel certificate fell back to the elimination")
+
+
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 8), st.integers(0, 2**32))
+@example(9, 3, 2, 1)  # tall
+@example(3, 9, 2, 2)  # wide
+@settings(max_examples=40, deadline=None)
+def test_kernel_certificate_ranks_low_rank_products(rows, cols, inner, seed):
+    # Entries below 2**40 and rank below min(rows, cols): every rank is a
+    # prescreen miss that the certificate settles without the elimination.
+    inner = min(inner, rows - 1, cols - 1)
+    m = product(random.Random(seed), rows, cols, inner, 17)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rank_bareiss", no_bareiss)
+        assert rank(m, cols) == to_sympy(m, cols).rank()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bad_prime_falls_back_and_stays_exact(seed, bareiss_calls):
+    # U V + p E has rank 2 mod p but full rank over Q: the pivot block's
+    # bordering minors are all divisible by p, so no kernel vector checks.
+    rnd = random.Random(seed)
+    low = product(rnd, 7, 5, 2, 10)
+    m = [[x + P * rnd.randrange(-3, 4) for x in row] for row in low]
+    assert linalg._rank_mod_int(m, P)[0] == 2
+    assert rank(m, 5) == to_sympy(m, 5).rank() == 5
+    assert bareiss_calls == [7]
+
+
+def test_wrong_reconstruction_is_rejected_by_the_check(monkeypatch, bareiss_calls):
+    reconstruct = linalg._reconstruct
+    tampered = []
+
+    def off_by_one(x, modulus):
+        found = reconstruct(x, modulus)
+        if found is None:
+            return None
+        tampered.append(modulus)
+        den, nums = found
+        return den, nums + 1
+
+    monkeypatch.setattr(linalg, "_reconstruct", off_by_one)
+    m = product(random.Random(7), 6, 5, 3, 12)
+    assert rank(m, 5) == to_sympy(m, 5).rank() == 3
+    assert tampered and bareiss_calls == [6]
+
+
+def test_int64_guard(bareiss_calls):
+    # rank 2 of 3 x 4, certified on the 4 x 3 transpose: (rank + 1) * max|A| < 2**62
+    def matrix(top):
+        r0, r1 = [top, 1, 2, 3], [0, 1, 1, 1]
+        return [r0, r1, [a - b for a, b in zip(r0, r1)]]
+
+    under, over = (2**62 - 1) // 3, 2**62 // 3 + 1
+    assert rank(matrix(under), 4) == 2
+    assert bareiss_calls == []
+    assert rank(matrix(over), 4) == 2
+    assert bareiss_calls == [3]
+    m = product(random.Random(3), 5, 6, 3, 32)  # entries past 2**62
+    assert rank(m, 6) == to_sympy(m, 6).rank() == 3
+    assert bareiss_calls == [3, 5]
+
+
+@given(matrices())
+@settings(max_examples=40, deadline=None)
+def test_prescreen_returns_a_block_nonsingular_mod_p(case):
+    m, cols = case
+    ints = integerize_rows(m)
+    r, prows, pcols = linalg._rank_mod_int(ints, P)
+    assert r == len(prows) == len(pcols)
+    assert r == DomainMatrix([[ZZ(x) for x in row] for row in ints], (len(ints), cols), ZZ).convert_to(GF(P)).rank()
+    assert r == 0 or sympy.Matrix(r, r, [ints[i][j] for i in prows for j in pcols]).det() % P != 0
