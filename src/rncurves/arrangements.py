@@ -3,16 +3,20 @@
 The degree-d piece of the ideal of a union of fat linear subspaces is cut
 out by explicit linear conditions on the coefficients of a form.  For one
 component of dimension k and multiplicity m inside P^n, choose coordinates
-``y = x H^(-1)`` in which the component is ``{y_(k+1) = ... = y_n = 0}``;
-vanishing to order m along it says precisely that every coefficient of a
-monomial of *normal degree* below m (total degree in the y_(k+1)..y_n
-variables) is zero.  Expanding ``F(y H)`` monomial by monomial, with the
-expansion truncated at normal degree m-1, produces one condition row per
-tracked monomial without ever computing the full substitution.  ``H`` is an
-integer matrix (the component's integer generators and unit normals), so
-every condition row is a tuple of Python ints; any other choice of
-tangential rows changes the coordinates only within each normal degree and
-gives the same row space, so ranks and Hilbert values do not depend on it.
+``x = y H`` in which the component is ``{y_(k+1) = ... = y_n = 0}``: the
+rows of ``H`` are the component's integer generators G (tangential) and unit
+vectors on the non-pivot columns of its basis (normal).  Vanishing to order
+m along the component says precisely that every coefficient of ``F(y H)`` at
+a monomial of *normal degree* below m (total degree in y_(k+1)..y_n) is
+zero; the coefficient at ``y_T^tau y_N^nu`` is the Hasse derivative
+``D^nu F`` in the normal directions, restricted to the component and read
+at ``y_T^tau``.  Since each normal variable enters only its own coordinate,
+these coefficients have a closed form: binomials in the normal exponents
+times the entries of ``Sym^e(G)``, the symmetric powers of the generators,
+built once per component.  Every condition row is a tuple of Python ints;
+any other choice of tangential rows changes the coordinates only within
+each normal degree and gives the same row space, so ranks and Hilbert
+values do not depend on it.
 
 Hilbert function values on sampled configurations are reported together
 with the seeds used.  One policy, in :func:`agreed_hilbert`, serves every
@@ -25,7 +29,9 @@ generic sample, the maximal Hilbert value (the minimal ideal dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from . import linalg
@@ -154,12 +160,23 @@ def expected_conditions(n: int, k: int, mult: int, d: int) -> int:
 def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[tuple[int, ...]]:
     """Integer condition rows forcing a degree-d form to vanish to order ``mult``.
 
-    Rows are indexed by the monomials of normal degree < mult in the adapted
-    coordinates; columns follow the shared monomial order on the ambient
-    coordinates.  For a reduced component (mult = 1) this is restriction to
-    the subspace; higher multiplicities add rows for the normal derivatives.
-    The row space depends only on the component, not on which integer
-    generators span it.
+    One row per y-monomial ``y_T^tau y_N^nu`` of degree d and normal degree
+    ``|nu| < mult``: the coefficient of that monomial in ``F(y H)``, as a
+    linear form in the coefficients of F.  That is the coefficient at
+    ``y_T^tau`` of the Hasse derivative ``D^nu`` of ``F(y H)`` in the normal
+    variables, restricted to the component (``y_N = 0``).  In the column of
+    ``x^mu`` the row holds
+
+        prod_c C(mu_c, nu_c) * Sym^e(G)[tau, mu - nu],   e = d - |nu|,
+
+    and 0 unless ``mu >= nu`` on the normal columns; ``Sym^e(G)`` is built
+    once per component by :func:`_sym_powers`.
+
+    Rows are ordered by normal degree, then normal monomial, then tangential
+    monomial, each in the shared lex-descending order; columns follow that
+    order on the ambient coordinates.  For a reduced component (mult = 1)
+    this is restriction to the subspace.  The row space depends only on the
+    component, not on which integer generators span it.
     """
     n = component.n
     k = component.dim
@@ -169,57 +186,96 @@ def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[t
         raise ValueError("multiplicity must be positive")
     if k == n:
         raise ValueError("component fills the ambient space")
-    cols = monomials(n + 1, d)
-    # Adapted coordinates: tangential y_0..y_k are the component's integer
-    # generators, normal y_(k+1).. are unit vectors on the basis's non-pivot
-    # columns.
-    h_rows = list(component.generators)
     pivots = set(component.pivot_columns())
-    for j in range(n + 1):
-        if j not in pivots:
-            h_rows.append(tuple(int(i == j) for i in range(n + 1)))
-    tracked = _tracked_monomials(n, k, mult, d)
-    index = {m: i for i, m in enumerate(tracked)}
-    rows = [[0] * len(cols) for _ in tracked]
-    linforms = []
-    for j in range(n + 1):
-        linforms.append([(i, h_rows[i][j]) for i in range(n + 1) if h_rows[i][j]])
-    zero_mono = (0,) * (n + 1)
-    for ci, mu in enumerate(cols):
-        poly = {zero_mono: 1}
-        for j, e in enumerate(mu):
-            for _ in range(e):
-                poly = _mul_truncated(poly, linforms[j], k, mult)
-                if not poly:
-                    break
-            if not poly:
-                break
-        for alpha, coeff in poly.items():
-            rows[index[alpha]][ci] = coeff
-    return [tuple(r) for r in rows]
+    normals = tuple(j for j in range(n + 1) if j not in pivots)
+    top = min(mult, d + 1)
+    sym = _sym_powers(component.generators, n, d)
+    rows = []
+    for nd in range(top):
+        table = sym[d - nd]
+        for getter, weights in _normal_plans(n, normals, d, nd):
+            for srow in table:
+                rows.append(tuple(map(mul, weights, getter(srow))))
+    return rows
 
 
-def _tracked_monomials(n: int, k: int, mult: int, d: int) -> list[tuple[int, ...]]:
-    """Degree-d monomials in y with normal degree below ``mult``."""
+def _sym_powers(generators, n: int, d: int) -> list[list[tuple[int, ...]]]:
+    """Tables of ``Sym^e(G)`` for ``e = 0..d``, indexed by e.
+
+    ``Sym^e(G)[tau, lam]`` is the coefficient of ``y^tau`` in ``g^lam``, the
+    product of ``g_j^(lam_j)`` with ``g_j = sum_i G[i][j] y_i`` column j of
+    the generators read as a linear form in the k+1 tangential variables.
+    A table is a list of rows, one per tau.  Level e comes from level e-1 as
+    ``g^lam = g_j * g^(lam - e_j)`` with j the first nonzero index of lam, so
+
+        Sym^e(G)[tau, lam] = sum_i G[i][j] * Sym^(e-1)(G)[tau - e_i, lam - e_j];
+
+    row tau is built whole from the gathered rows ``tau - e_i``.
+    """
+    level = [(1,)]
+    tables = [level]
+    for e in range(1, d + 1):
+        firsts, lowers = _first_lowerings(n + 1, e)
+        coeffs = [firsts(g) for g in generators]
+        gathered = [lowers(row) for row in level]
+        level = []
+        for steps in _lowerings(len(generators), e):
+            acc = None
+            for i, t in steps:
+                part = map(mul, coeffs[i], gathered[t])
+                acc = part if acc is None else map(add, acc, part)
+            level.append(tuple(acc))
+        tables.append(level)
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _lowerings(nvars: int, e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each degree-e monomial m in nvars variables, in order, the pairs
+    (i, index of ``m - e_i`` among degree e-1) over the i with ``m_i > 0``."""
+    lower = {m: t for t, m in enumerate(monomials(nvars, e - 1))}
+    return tuple(
+        tuple((i, lower[m[:i] + (a - 1,) + m[i + 1 :]]) for i, a in enumerate(m) if a) for m in monomials(nvars, e)
+    )
+
+
+@lru_cache(maxsize=None)
+def _first_lowerings(nvars: int, e: int) -> tuple[itemgetter, itemgetter]:
+    """The first pair of each entry of :func:`_lowerings` as two gathers: the
+    first index j with ``m_j > 0``, and the index of ``m - e_j``.  Callers
+    have ``nvars >= 2`` and ``e >= 1``, so each gather returns a tuple."""
+    firsts, lowers = zip(*(pairs[0] for pairs in _lowerings(nvars, e)))
+    return itemgetter(*firsts), itemgetter(*lowers)
+
+
+def _gather(indices):
+    """``seq -> tuple(seq[i] for i in indices)``, for a single index too."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _normal_plans(n: int, normals: tuple[int, ...], d: int, nd: int) -> tuple:
+    """Per normal monomial nu of degree nd, in order: the gather from a
+    ``Sym^(d-nd)`` row to the degree-d columns mu, reading entry ``mu - nu``,
+    and the weights ``prod_c C(mu_c, nu_c)`` over ``normals``.  A column
+    without ``mu >= nu`` on ``normals`` reads entry 0 with weight 0."""
+    lower = {m: t for t, m in enumerate(monomials(n + 1, d - nd))}
     out = []
-    for nd in range(min(mult, d + 1)):
-        for normal in monomials(n - k, nd):
-            for tang in monomials(k + 1, d - nd):
-                out.append(tang + normal)
-    return out
-
-
-def _mul_truncated(poly: dict, linform, k: int, mult: int) -> dict:
-    out: dict = {}
-    for alpha, c in poly.items():
-        nd = sum(alpha[k + 1 :])
-        for i, a in linform:
-            if i > k and nd + 1 >= mult:
-                continue
-            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-            prev = out.get(beta)
-            out[beta] = c * a if prev is None else prev + c * a
-    return {b: c for b, c in out.items() if c}
+    for nu in monomials(len(normals), nd):
+        indices, weights = [], []
+        for mu in monomials(n + 1, d):
+            lam, w = list(mu), 1
+            for c, v in zip(normals, nu):
+                lam[c] -= v
+                w *= comb(mu[c], v)
+            present = min(lam) >= 0
+            indices.append(lower[tuple(lam)] if present else 0)
+            weights.append(w if present else 0)
+        out.append((_gather(indices), tuple(weights)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

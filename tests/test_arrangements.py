@@ -1,5 +1,6 @@
 """Weight vectors, configurations, condition matrices, Hilbert functions."""
 
+import hashlib
 import itertools
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from rncurves.exactgeom import (
     LinearSubspace,
     Rng,
     meet,
+    sample_generic_subspace,
     sample_projectivity,
     standard_point,
 )
@@ -98,8 +101,6 @@ def test_sample_configuration_matches_weights_and_is_generic():
 @given(st.integers(0, 2**32), st.integers(2, 5), st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_pairwise_rank_check_agrees_with_meet(seed, n, ka, kb):
-    from rncurves.exactgeom import sample_generic_subspace
-
     rng = Rng(seed)
     a = sample_generic_subspace(n, min(ka, n - 1), rng)
     b = sample_generic_subspace(n, min(kb, n - 1), rng)
@@ -163,8 +164,6 @@ def test_expected_conditions_frozen_values():
 def test_vanishing_conditions_count_and_rank(n, k, mult, d, seed):
     if k > n - 1:
         return
-    from rncurves.exactgeom import sample_generic_subspace
-
     comp = sample_generic_subspace(n, k, Rng(seed))
     rows = vanishing_conditions(comp, mult, d)
     expected = expected_conditions(n, k, mult, d)
@@ -178,8 +177,6 @@ def test_vanishing_conditions_count_and_rank(n, k, mult, d, seed):
     [(2, 0, 2, 3), (3, 0, 3, 4), (3, 1, 1, 3), (3, 1, 2, 4), (4, 1, 2, 3), (4, 2, 1, 3), (5, 2, 2, 2)],
 )
 def test_vanishing_conditions_keep_their_row_space_across_generators(n, k, mult, d):
-    from rncurves.exactgeom import sample_generic_subspace
-
     ncols = comb(n + d, d)
     for seed in range(3):
         comp = sample_generic_subspace(n, k, Rng(seed))
@@ -205,6 +202,76 @@ def test_vanishing_conditions_annihilate_vanishing_forms():
             vec[i] = F(1)
     for row in rows:
         assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def lex_descending(nvars, degree):
+    return sorted((m for m in itertools.product(range(degree + 1), repeat=nvars) if sum(m) == degree), reverse=True)
+
+
+def sympy_conditions(comp, mult, d):
+    """The condition rows by expanding every x^mu under x = y H with sympy.
+
+    H stacks the component's generators and unit vectors on the non-pivot
+    columns of its basis.  The rows are the coefficients of the y-monomials
+    of normal degree < mult, ordered by normal degree, then normal monomial,
+    then tangential monomial, each lex-descending."""
+    n, k = comp.n, comp.dim
+    ys = sympy.symbols(f"y0:{n + 1}")
+    h = [list(g) for g in comp.generators]
+    h += [[int(i == j) for i in range(n + 1)] for j in range(n + 1) if j not in comp.pivot_columns()]
+    xs = [sum(ys[i] * h[i][j] for i in range(n + 1)) for j in range(n + 1)]
+    columns = [
+        sympy.Poly(sympy.expand(sympy.Mul(*(x**e for x, e in zip(xs, mu)))), *ys).as_dict()
+        for mu in lex_descending(n + 1, d)
+    ]
+    rows = []
+    for nd in range(min(mult, d + 1)):
+        for normal in lex_descending(n - k, nd):
+            for tang in lex_descending(k + 1, d - nd):
+                rows.append(tuple(int(col.get(tang + normal, 0)) for col in columns))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, k, mult, d",
+    [(2, 0, 1, 0), (3, 1, 2, 0), (3, 0, 2, 3), (3, 1, 3, 3), (3, 2, 2, 2), (4, 1, 4, 2), (4, 2, 2, 3), (4, 3, 6, 2)],
+)
+def test_vanishing_conditions_equal_the_sympy_expansion(n, k, mult, d):
+    comp = sample_generic_subspace(n, k, Rng(7 * n + k))
+    shifted = LinearSubspace.from_rows(n, [(0,) + g[1:] for g in comp.generators])
+    assert shifted.pivot_columns()[0] > 0
+    for space in (comp, shifted):
+        rows = vanishing_conditions(space, mult, d)
+        assert rows == sympy_conditions(space, mult, d)
+        assert len(rows) == expected_conditions(n, k, mult, d)
+
+
+def pinned_components():
+    """(n, k, component) for n = 2..5 and k = 0..n-1: a seeded generic space
+    with its raw integer generators, and the space its generators span once
+    their first coordinate is zeroed (pivots not 0..k, primitive generators)."""
+    for n in range(2, 6):
+        for k in range(n):
+            comp = sample_generic_subspace(n, k, Rng(100 * n + k))
+            shifted = LinearSubspace.from_rows(n, [(0,) + g[1:] for g in comp.generators])
+            assert shifted.dim == k and shifted.pivot_columns()[0] > 0
+            yield n, k, comp
+            yield n, k, shifted
+
+
+# sha256 of the rows below, recorded from the truncated monomial-by-monomial
+# expansion that preceded the closed form.  A change to any row, its order
+# or its scaling changes the digest.
+PINNED_ROWS_SHA256 = "fd9ccd72f61c10ce4c5cebea26d09294b99e633f82a63e1fd5244fe40711c20a"
+
+
+def test_vanishing_conditions_rows_are_pinned():
+    h = hashlib.sha256()
+    for n, k, comp in pinned_components():
+        for mult in range(1, 5):
+            for d in range(5):
+                h.update(repr((n, k, mult, d, vanishing_conditions(comp, mult, d))).encode())
+    assert h.hexdigest() == PINNED_ROWS_SHA256
 
 
 # ---------------------------------------------------------------- hilbert
