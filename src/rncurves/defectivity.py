@@ -85,10 +85,9 @@ def canonical_spaces(m: int) -> tuple[LinearSubspace, LinearSubspace]:
     return span(coords[:m]), span(coords[m:])
 
 
-def _sample_points(m: int, count: int, rng: Rng) -> list[ProjPoint]:
-    """Points of P^(2m+1) off both canonical spaces, pairwise distinct."""
-    a, b = canonical_spaces(m)
-    n = ambient_dim(m)
+def _sample_points(a: LinearSubspace, b: LinearSubspace, count: int, rng: Rng) -> list[ProjPoint]:
+    """Points of the common ambient space off both ``a`` and ``b``, pairwise distinct."""
+    n = a.n
     for attempt in range(RESAMPLE_BUDGET):
         sub = rng.derive("defect-points", attempt)
         pts = [sample_point(n, sub.derive(i)) for i in range(count)]
@@ -102,7 +101,7 @@ def _sample_points(m: int, count: int, rng: Rng) -> list[ProjPoint]:
 
 def _instance(m: int, s: int, seed: int) -> Configuration:
     a, b = canonical_spaces(m)
-    pts = _sample_points(m, s + 1, Rng(seed))
+    pts = _sample_points(a, b, s + 1, Rng(seed))
     comps = [(LinearSubspace.from_points([pts[0]]), 2), (a, 3), (b, 3)]
     comps.extend((LinearSubspace.from_points([p]), 2) for p in pts[1:])
     return Configuration(ambient_dim(m), tuple(comps))

@@ -76,11 +76,12 @@ def stable_mix(*parts) -> int:
 
 
 class Rng:
-    """Deterministic source of bounded rational scalars.
+    """Deterministic source of bounded integer scalars.
 
-    A thin wrapper around :class:`random.Random` that only ever emits exact
-    ``Fraction`` values, integers of absolute value at most ``DEFAULT_HEIGHT``
-    (so all downstream arithmetic stays in small integers).
+    A thin wrapper around :class:`random.Random` that emits Python ints of
+    absolute value at most ``DEFAULT_HEIGHT`` (so all downstream arithmetic
+    stays in small integers); callers that need ``Fraction`` convert at their
+    edge, as ``ProjPoint`` and ``Projectivity`` do.
     """
 
     def __init__(self, seed: int):
@@ -90,11 +91,8 @@ class Rng:
     def integer(self, lo: int, hi: int) -> int:
         return self._r.randrange(lo, hi + 1)
 
-    def rational(self) -> Fraction:
-        return Fraction(self.integer(-DEFAULT_HEIGHT, DEFAULT_HEIGHT))
-
-    def vector(self, length: int) -> tuple[Fraction, ...]:
-        return tuple(self.rational() for _ in range(length))
+    def vector(self, length: int) -> tuple[int, ...]:
+        return tuple(self.integer(-DEFAULT_HEIGHT, DEFAULT_HEIGHT) for _ in range(length))
 
     def derive(self, *tags) -> "Rng":
         """Independent child stream, stable under the tag sequence."""
@@ -354,7 +352,9 @@ def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:
     hyperplane: ``sum(dim_i + 1) = n``.  The result ``g`` maps space ``i``
     onto the span of the i-th consecutive block of coordinate points inside
     ``{x_0 = 0}``, blocks ordered as the input.  The hyperplane complement
-    direction is the first coordinate point not contained in the common span.
+    direction is the first coordinate point e_i off the common span, read off
+    the span's one equation: e_i lies off it exactly when that form is
+    nonzero at i.
     """
     if not spaces:
         raise NotComplementary("no spaces given")
@@ -366,16 +366,11 @@ def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:
         rows.extend(s.basis)
     if len(rows) != n:
         raise NotComplementary(f"block dimensions sum to {len(rows)}, expected {n}")
-    if linalg.rank(rows, n + 1) != n:
+    hyperplane = span(spaces)
+    if hyperplane.dim != n - 1:
         raise NotComplementary("spaces are not mutually independent")
-    v = None
-    for i in range(n + 1):
-        probe = rows + [tuple(Fraction(int(j == i)) for j in range(n + 1))]
-        if linalg.rank(probe, n + 1) == n + 1:
-            v = probe[-1]
-            break
-    assert v is not None
-    cols = [v] + rows
+    i = next(j for j, x in enumerate(hyperplane.equations()[0]) if x)
+    cols = [standard_point(n, i).coords] + rows
     b = tuple(tuple(cols[j][i] for j in range(n + 1)) for i in range(n + 1))
     return Projectivity(linalg.invert(b, n + 1))
 
@@ -395,7 +390,7 @@ def sample_generic_subspace(n: int, k: int, rng: Rng) -> LinearSubspace:
     if k == -1:
         return LinearSubspace.empty(n)
     for _ in range(RESAMPLE_BUDGET):
-        generators = tuple(tuple(x.numerator for x in rng.vector(n + 1)) for _ in range(k + 1))
+        generators = tuple(rng.vector(n + 1) for _ in range(k + 1))
         basis, _ = linalg.rref(generators, n + 1)
         if len(basis) == k + 1:
             return LinearSubspace(n, tuple(basis), generators)

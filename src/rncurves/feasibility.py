@@ -326,34 +326,20 @@ def _reductions(weights: WeightVector):
         yield sel, child
 
 
-def _base_nonfeasible(weights: WeightVector, opts: RunConfig, memo: dict) -> Optional[Certificate]:
-    key = (weights.n, weights.counts)
-    if key in memo:
-        return memo[key]
-    # the negative rules of the table that come before projection itself
-    negative = [rule for rule, polarity in _rule_table() if polarity == NON_FEASIBLE]
-    base = [(rule, NON_FEASIBLE) for rule in negative[: negative.index(check_projection)]]
-    hit = _first_verdict(weights, opts, None, base)
-    cert = hit.certificate if hit else None
-    memo[key] = cert
-    return cert
-
-
-def check_projection(
-    weights: WeightVector, opts: RunConfig = DEFAULTS, memo: Optional[dict] = None
-) -> Optional[Certificate]:
+def check_projection(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[Certificate]:
     """Breadth-first search for a projection chain ending in a base rule.
 
     Each step removes a chosen sub-configuration (the projection center,
     total dimension-plus-one t) and lands in P^(n-t); components of
-    dimension up to n-t-2 survive.  A child shown non-feasible by the
-    parameter count, a complete table, or the degree rule certifies the
-    source vector.
+    dimension up to n-t-2 survive.  A child shown non-feasible by a base
+    rule -- a negative rule that precedes projection in the table: the
+    parameter count, a complete table, or the degree rule -- certifies the
+    source vector.  The base table is built once per call.
     """
     if opts.projection_depth < 1:
         return None
-    if memo is None:
-        memo = {}
+    negative = [rule for rule, polarity in _rule_table() if polarity == NON_FEASIBLE]
+    base = [(rule, NON_FEASIBLE) for rule in negative[: negative.index(check_projection)]]
     visited = {(weights.n, weights.counts)}
     frontier: list[tuple[WeightVector, tuple]] = [(weights, ())]
     for _ in range(opts.projection_depth):
@@ -371,14 +357,14 @@ def check_projection(
                     "child_counts": list(child.counts),
                 }
                 new_chain = chain + (step,)
-                base = _base_nonfeasible(child, opts, memo)
-                if base is not None:
+                hit = _first_verdict(child, opts, base)
+                if hit is not None:
                     return Certificate(
                         "projection-chain",
                         {"steps": list(new_chain), "counts": list(weights.counts), "n": weights.n},
-                        seeds=base.seeds,
-                        caveats=base.caveats,
-                        child=base,
+                        seeds=hit.certificate.seeds,
+                        caveats=hit.certificate.caveats,
+                        child=hit.certificate,
                     )
                 next_frontier.append((child, new_chain))
         frontier = next_frontier
@@ -410,46 +396,42 @@ def _rule_table() -> tuple:
     )
 
 
-def _table_verdicts(weights: WeightVector, opts: RunConfig, memo: Optional[dict], table):
+def _table_verdicts(weights: WeightVector, opts: RunConfig, table):
     """Yield ``(rule, polarity, verdict)`` along the table, lazily.
 
     Each rule runs at most once; its verdict (None when it is silent) is
     reused by a later entry of the same rule.  A rule that returns a bare
-    certificate decides only its own polarity.
+    certificate decides only its own polarity.  The two sampled rules take
+    the run options; the closed-form rules take the weights alone.
     """
     done: dict = {}
     for rule, polarity in table:
         if rule not in done:
-            if rule is check_projection:
-                hit = rule(weights, opts, memo)
-            elif rule is check_bezout:
-                hit = rule(weights, opts)
-            else:
-                hit = rule(weights)
+            hit = rule(weights, opts) if rule in (check_bezout, check_projection) else rule(weights)
             if isinstance(hit, Certificate):
                 hit = (polarity, hit)
             done[rule] = Verdict(*hit) if hit else None
         yield rule, polarity, done[rule]
 
 
-def _first_verdict(weights: WeightVector, opts: RunConfig, memo: Optional[dict], table) -> Optional[Verdict]:
+def _first_verdict(weights: WeightVector, opts: RunConfig, table) -> Optional[Verdict]:
     """The first verdict along the table that matches its entry's polarity."""
-    for _, polarity, verdict in _table_verdicts(weights, opts, memo, table):
+    for _, polarity, verdict in _table_verdicts(weights, opts, table):
         if verdict is not None and verdict.status == polarity:
             return verdict
     return None
 
 
-def classify(weights: WeightVector, opts: RunConfig = DEFAULTS, memo: Optional[dict] = None) -> Verdict:
+def classify(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Verdict:
     """First-hit verdict along the rule table: positive rules, then negative
-    rules, else Unknown."""
-    return _first_verdict(weights, opts, memo, _rule_table()) or Verdict(UNKNOWN, None)
+    rules, else Unknown.  An atlas row is the verdict of its vector alone."""
+    return _first_verdict(weights, opts, _rule_table()) or Verdict(UNKNOWN, None)
 
 
 def all_rule_verdicts(weights: WeightVector, opts: RunConfig = DEFAULTS) -> list[Verdict]:
     """Every rule's independent opinion (for soundness cross-checks), one per
     rule in table order."""
-    by_rule = {rule: verdict for rule, _, verdict in _table_verdicts(weights, opts, None, _rule_table())}
+    by_rule = {rule: verdict for rule, _, verdict in _table_verdicts(weights, opts, _rule_table())}
     return [verdict for verdict in by_rule.values() if verdict is not None]
 
 
@@ -643,10 +625,9 @@ def enumerate_weights(n: int) -> list[WeightVector]:
 
 def atlas(n: int, opts: RunConfig = DEFAULTS) -> list[AtlasRow]:
     """Classify every in-range weight vector; rows sorted lexicographically."""
-    memo: dict = {}
     rows = []
     for w in enumerate_weights(n):
-        verdict = classify(w, opts, memo)
+        verdict = classify(w, opts)
         cert = verdict.certificate
         rows.append(
             AtlasRow(

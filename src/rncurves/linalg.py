@@ -58,11 +58,6 @@ def integerize(row) -> tuple[int, ...]:
     return tuple(x.numerator * (den // x.denominator) for x in row)
 
 
-def integerize_rows(rows) -> list[tuple[int, ...]]:
-    """:func:`integerize` applied to each row."""
-    return [integerize(row) for row in rows]
-
-
 def primitive(row):
     """An integer row divided by the gcd of its entries.
 
@@ -200,34 +195,24 @@ def _inverse_mod(b, p):
 def _lift(b, rhs, p, steps):
     """Yield ``(x, p**s)``, ``b x = rhs (mod p**s)``, for s = 8, 16, 32, ..., steps.
 
-    Dixon's p-adic lifting (Numer. Math. 40, 1982): each step takes one digit
-    ``x_i = b^-1 R mod p`` and divides the residual ``R - b x_i`` by p
-    exactly.  |R| stays below ``rank + 1`` times the largest entry of ``b``
-    and ``rhs``, so the quotient fits int64 while that is below 2**62, and
-    the numerator may wrap in uint64: multiplying by ``p^-1 mod 2**64``
-    recovers the quotient.  Each chunk of digits is combined by pairwise
-    halving.
+    Dixon's p-adic lifting (Numer. Math. 40, 1982): step s takes one digit
+    ``x_s = b^-1 R mod p``, adds ``x_s p^s`` to ``x`` and divides the residual
+    ``R - b x_s`` by p exactly.  |R| stays below ``rank + 1`` times the
+    largest entry of ``b`` and ``rhs``, so the quotient fits int64 while that
+    is below 2**62, and the numerator may wrap in uint64: multiplying by
+    ``p^-1 mod 2**64`` recovers the quotient.
     """
     c = _inverse_mod(b, p)
     bu = b.view(np.uint64)
     p_inv = np.uint64(pow(p, -1, 2**64))
-    x, done, modulus = 0, 0, 1
-    while done < steps:
-        chunk = min(max(done, 8), steps - done)
-        digits = np.empty((chunk,) + rhs.shape, dtype=np.int64)
-        for i in range(chunk):
-            digits[i] = c @ (rhs % p) % p
-            rhs = ((rhs.view(np.uint64) - bu @ digits[i].view(np.uint64)) * p_inv).view(np.int64)
-        digits, q = digits.astype(object), p
-        while len(digits) > 1:
-            if len(digits) % 2:
-                digits = np.concatenate([digits, np.zeros_like(digits[:1])])
-            digits = digits[0::2] + digits[1::2] * q
-            q *= q
-        x = x + digits[0] * modulus
-        done += chunk
-        modulus = p**done
-        yield x, modulus
+    x, modulus = 0, 1
+    for step in range(1, steps + 1):
+        digit = c @ (rhs % p) % p
+        rhs = ((rhs.view(np.uint64) - bu @ digit.view(np.uint64)) * p_inv).view(np.int64)
+        x = x + digit.astype(object) * modulus
+        modulus *= p
+        if step == steps or (step >= 8 and not step & (step - 1)):
+            yield x, modulus
 
 
 def _reconstruct(x, modulus):
@@ -293,7 +278,7 @@ def _kernel_certified(core, ncols, prows, pcols):
 
 def rank(rows, ncols):
     """Exact rank of a matrix given as an iterable of length-``ncols`` rows."""
-    int_rows = integerize_rows(rows)
+    int_rows = [integerize(row) for row in rows]
     gained, core, core_cols = _strip_unit_rows(int_rows, ncols)
     if not core:
         return gained
@@ -310,7 +295,7 @@ def rref(rows, ncols):
     pivot normalized to 1.  The elimination and the back-substitution run
     on primitive integer rows; only the last step divides by the pivots.
     """
-    red, pivots = _echelon(integerize_rows(rows), ncols)
+    red, pivots = _echelon([integerize(row) for row in rows], ncols)
     for i in range(len(red) - 1, 0, -1):
         col = pivots[i]
         for k in range(i):

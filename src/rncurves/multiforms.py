@@ -62,8 +62,8 @@ def substitute_curve(form: dict, curve_forms) -> BinaryForm:
 
 def random_form(nvars: int, degree: int, rng) -> dict:
     """Random form with bounded integer coefficients (not identically 0)."""
+    monos = monomials(nvars, degree)
     while True:
-        form = {m: rng.rational() for m in monomials(nvars, degree)}
-        form = {m: c for m, c in form.items() if c}
+        form = {m: c for m, c in zip(monos, rng.vector(len(monos))) if c}
         if form:
             return form

@@ -29,7 +29,7 @@ from .errors import (
     OnContractedLocus,
 )
 from .exactgeom import LinearSubspace, ProjPoint, adapted_alignment, span, standard_point
-from .rnc import ParamCurve, RationalCurve, apply_projectivity, rnc_through_points, rnc_with_assigned_preimages
+from .rnc import ParamCurve, RationalCurve, apply_projectivity, rnc_through_points, rnc_with_assigned_preimages, standard_rnc
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
         # only the higher blocks constrain anything.
         params = [ParamPoint(q.coords[0], q.coords[1]) for q in factor_points[0]]
         distinct_parameters(params)
-        factors = [_identity_line()]
+        factors = [standard_rnc(1)]
         rest_start = 1
     elif s == n1 + 3:
         first, params = rnc_through_points(factor_points[0])
@@ -181,11 +181,6 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
     for i in range(rest_start, ctx.r):
         factors.append(rnc_with_assigned_preimages(params, factor_points[i]))
     return MultiCurve(ctx, tuple(factors)), params
-
-
-def _identity_line() -> RationalCurve:
-    """The identity parametrization (s, t) of P^1."""
-    return RationalCurve(1, (BinaryForm(1, (Fraction(1), Fraction(0))), BinaryForm(1, (Fraction(0), Fraction(1)))))
 
 
 def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:

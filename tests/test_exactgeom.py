@@ -1,5 +1,6 @@
 """Projective points, subspaces, projectivities, projections, seeded sampling."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from rncurves.exactgeom import (
     standard_point,
     unit_point,
 )
+from rncurves.multiforms import random_form
 
 F = Fraction
 
@@ -338,6 +340,25 @@ def test_adapted_alignment_moves_spaces_onto_coordinate_blocks():
     assert g.apply_subspace(b) == block_b
 
 
+@pytest.mark.parametrize("equation", [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0, 2, 0, 3)])
+def test_adapted_alignment_when_e0_lies_in_the_span(equation):
+    # a line and a point spanning a hyperplane of P^3 through e_0, so the
+    # complement direction is some e_i with i > 0
+    n = 3
+    hyperplane = LinearSubspace.from_rows(n, linalg.nullspace([equation], n + 1))
+    rng = Rng(67)
+    pts = [sample_point_on(hyperplane, rng.derive(j)) for j in range(3)]
+    a, b = LinearSubspace.from_points(pts[:2]), LinearSubspace.from_points(pts[2:])
+    rows = list(a.basis) + list(b.basis)
+    # brute force: the first coordinate point whose row raises the rank to n+1
+    i = next(i for i in range(n + 1) if sympy.Matrix(rows + [standard_point(n, i).coords]).rank() == n + 1)
+    assert i > 0
+    g = adapted_alignment([a, b])
+    assert g.apply(standard_point(n, i)) == standard_point(n, 0)
+    assert g.apply_subspace(a) == LinearSubspace.from_points([standard_point(n, 1), standard_point(n, 2)])
+    assert g.apply_subspace(b) == LinearSubspace.from_points([standard_point(n, 3)])
+
+
 def test_adapted_alignment_rejects_overlapping_spaces():
     rng = Rng(61)
     a = sample_generic_subspace(4, 2, rng)
@@ -355,3 +376,41 @@ def test_sampling_is_deterministic_given_seed():
     s1 = sample_generic_subspace(6, 2, Rng(1002))
     s2 = sample_generic_subspace(6, 2, Rng(1002))
     assert s1 == s2
+
+
+def sampler_outputs():
+    """A seeded grid over every sampler: n = 2..5, three seeds each."""
+    for n in range(2, 6):
+        for seed in range(3):
+            rng = Rng(1000 * n + seed)
+            yield "point", n, sample_point(n, rng).coords
+            for k in range(n):
+                space = sample_generic_subspace(n, k, rng)
+                yield "subspace", n, k, space.basis, space.generators
+                yield "point_on", n, k, sample_point_on(space, rng).coords
+            yield "projectivity", n, sample_projectivity(n, rng).matrix
+            yield "form", n, tuple(sorted(random_form(n + 1, 2, rng).items()))
+
+
+def _encode(obj) -> str:
+    """Nested tuples of numbers as text; an int and the equal Fraction
+    encode alike, so the digest pins values, not their Python type."""
+    if isinstance(obj, (tuple, list)):
+        return "(" + ",".join(_encode(x) for x in obj) + ")"
+    return str(obj)
+
+
+# sha256 of sampler_outputs(), recorded while Rng still drew Fractions.
+PINNED_SAMPLES_SHA256 = "b17ef5d4b91459cffe5e810156734194a8a20719610a64279e31988f1e035117"
+
+
+def test_sampler_outputs_are_pinned():
+    h = hashlib.sha256()
+    for item in sampler_outputs():
+        h.update(_encode(item).encode() + b";")
+    assert h.hexdigest() == PINNED_SAMPLES_SHA256
+
+
+def test_rng_vector_draws_bounded_ints():
+    v = Rng(5).vector(50)
+    assert all(type(x) is int and abs(x) <= DEFAULT_HEIGHT for x in v)

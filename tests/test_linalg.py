@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from rncurves import linalg
 from rncurves.linalg import (
-    integerize_rows,
+    integerize,
     invert,
     nullspace,
     rank,
@@ -67,7 +68,7 @@ def test_integerize_preserves_rank():
     rnd = random.Random(3)
     for _ in range(20):
         m = random_matrix(rnd, 4, 5)
-        ints = integerize_rows(m)
+        ints = [integerize(row) for row in m]
         assert all(all(x.denominator == 1 for x in row) for row in ints)
         assert rank(ints, 5) == rank(m, 5)
 
@@ -317,8 +318,28 @@ def test_int64_guard(bareiss_calls):
 @settings(max_examples=40, deadline=None)
 def test_prescreen_returns_a_block_nonsingular_mod_p(case):
     m, cols = case
-    ints = integerize_rows(m)
+    ints = [integerize(row) for row in m]
     r, prows, pcols = linalg._rank_mod_int(ints, P)
     assert r == len(prows) == len(pcols)
     assert r == DomainMatrix([[ZZ(x) for x in row] for row in ints], (len(ints), cols), ZZ).convert_to(GF(P)).rank()
     assert r == 0 or sympy.Matrix(r, r, [ints[i][j] for i in prows for j in pcols]).det() % P != 0
+
+
+@pytest.mark.parametrize(
+    "steps, checkpoints",
+    [(1, [1]), (5, [5]), (8, [8]), (21, [8, 16, 21]), (32, [8, 16, 32])],
+)
+def test_lift_checkpoints_solve_the_system_mod_p_powers(steps, checkpoints):
+    # entries up to 2**40 make the residual numerator wrap in uint64
+    rnd = random.Random(steps)
+    while True:
+        b = [[rnd.randrange(-(2**40), 2**40) for _ in range(4)] for _ in range(4)]
+        if sympy.Matrix(b).det() % P:
+            break
+    rhs = [[rnd.randrange(-(2**40), 2**40) for _ in range(3)] for _ in range(4)]
+    exact_b, exact_rhs = np.array(b, dtype=object), np.array(rhs, dtype=object)
+    seen = []
+    for x, modulus in linalg._lift(np.array(b, dtype=np.int64), np.array(rhs, dtype=np.int64), P, steps):
+        seen.append(modulus)
+        assert not np.any((exact_b @ x - exact_rhs) % modulus)
+    assert seen == [P**s for s in checkpoints]
