@@ -200,9 +200,17 @@ class LinearSubspace:
         return not any(_apply(self.equations(), p.coords))
 
     def equations(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Linear forms cutting out the subspace (nullspace of the basis)."""
+        """Linear forms cutting out the subspace, read off the echelon basis:
+        for each non-pivot column f, 1 at f and ``-basis[i][f]`` at the i-th
+        pivot column."""
         if self._equations is None:
-            object.__setattr__(self, "_equations", tuple(linalg.nullspace(self.basis, self.n + 1)))
+            rows = dict(zip(self.pivot_columns(), self.basis))  # pivot column -> its basis row
+            eqs = tuple(
+                tuple(-rows[j][f] if j in rows else Fraction(int(j == f)) for j in range(self.n + 1))
+                for f in range(self.n + 1)
+                if f not in rows
+            )
+            object.__setattr__(self, "_equations", eqs)
         return self._equations
 
     def points(self) -> list[ProjPoint]:
@@ -236,14 +244,14 @@ def span(parts: Sequence) -> LinearSubspace:
 
 
 def meet(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
-    """Intersection of two subspaces (possibly empty, dim -1)."""
+    """Intersection of two subspaces (possibly empty, dim -1): the subspace
+    cut out by the span of both sets of equations."""
     if a.n != b.n:
         raise ValueError("mixed ambient dimensions")
-    eqs = list(a.equations()) + list(b.equations())
+    eqs = a.equations() + b.equations()
     if not eqs:
         return a
-    rows = linalg.nullspace(eqs, a.n + 1)
-    return LinearSubspace(a.n, tuple(linalg.rref(rows, a.n + 1)[0]))
+    return LinearSubspace.from_rows(a.n, LinearSubspace.from_rows(a.n, eqs).equations())
 
 
 @dataclass(frozen=True)
@@ -286,37 +294,26 @@ class Projectivity:
         return inv
 
 
-def projectivity_from_frames(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Projectivity:
-    """The unique projectivity mapping one frame of n+2 points to another.
+def projectivity_from_frames(points: Sequence[ProjPoint]) -> Projectivity:
+    """The unique projectivity sending the standard frame to ``points``.
 
-    A frame is n+2 points of P^n with every (n+1)-subset independent; the
-    classical construction scales the first n+1 source columns so that they
-    sum to the last point, and likewise for the target.
+    A frame is n+2 points of P^n with every (n+1)-subset independent.  The
+    matrix columns are the first n+1 points, scaled so that they sum to the
+    last one; it sends e_i to the i-th point and the all-ones point to the
+    last.
     """
-
-    def frame_matrix(points):
-        n = points[0].n
-        if len(points) != n + 2:
-            raise FrameDegenerate(f"need {n + 2} points, got {len(points)}")
-        base = [p.coords for p in points[: n + 1]]
-        lam = linalg.solve_right(
-            [tuple(base[i][row] for i in range(n + 1)) for row in range(n + 1)],
-            points[n + 1].coords,
-            n + 1,
-        )
-        if lam is None or not all(lam):
-            raise FrameDegenerate("frame points are in special position")
-        return tuple(tuple(lam[i] * base[i][row] for i in range(n + 1)) for row in range(n + 1))
-
-    a = frame_matrix(list(src))
-    b = frame_matrix(list(dst))
-    n1 = len(a)
-    a_inv = linalg.invert(a, n1)
-    m = tuple(
-        tuple(sum(b[i][k] * a_inv[k][j] for k in range(n1) if a_inv[k][j]) for j in range(n1))
-        for i in range(n1)
+    n = points[0].n
+    if len(points) != n + 2:
+        raise FrameDegenerate(f"need {n + 2} points, got {len(points)}")
+    base = [p.coords for p in points[: n + 1]]
+    lam = linalg.solve_right(
+        [tuple(base[i][row] for i in range(n + 1)) for row in range(n + 1)],
+        points[n + 1].coords,
+        n + 1,
     )
-    return Projectivity(m)
+    if lam is None or not all(lam):
+        raise FrameDegenerate("frame points are in special position")
+    return Projectivity(tuple(tuple(lam[i] * base[i][row] for i in range(n + 1)) for row in range(n + 1)))
 
 
 def standard_frame(n: int) -> list[ProjPoint]:

@@ -305,20 +305,6 @@ def rref(rows, ncols):
     return out, pivots
 
 
-def nullspace(rows, ncols):
-    """Basis of ``{v : A v = 0}`` as tuples of Fractions."""
-    red, pivots = rref(rows, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[f]
-        basis.append(tuple(v))
-    return basis
-
-
 def solve_right(matrix, rhs, ncols):
     """One exact solution of ``A x = b``, or None if inconsistent."""
     aug = [list(r) + [b] for r, b in zip(matrix, rhs)]

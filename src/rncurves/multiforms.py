@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .binforms import BinaryForm, product
-
 
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -25,39 +23,6 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(nvars - 1, degree - first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def substitute_curve(form: dict, curve_forms) -> BinaryForm:
-    """Restrict a degree-d form in n+1 variables to a parametrized curve.
-
-    ``curve_forms`` are n+1 binary forms of a common degree e; the result is
-    the binary form of degree d*e obtained by substitution.
-    """
-    if not form:
-        raise ValueError("empty form")
-    degrees = {sum(m) for m in form}
-    if len(degrees) != 1:
-        raise ValueError("form is not homogeneous")
-    d = degrees.pop()
-    e = curve_forms[0].degree
-    acc = BinaryForm.zero(d * e)
-    powers: list[dict[int, BinaryForm]] = [dict() for _ in curve_forms]
-
-    def power(i, k):
-        cache = powers[i]
-        if k not in cache:
-            if k == 0:
-                cache[k] = BinaryForm.constant(1)
-            else:
-                cache[k] = power(i, k - 1).mul(curve_forms[i])
-        return cache[k]
-
-    for mono, c in form.items():
-        if not c:
-            continue
-        term = product([power(i, k) for i, k in enumerate(mono) if k])
-        acc = acc.add(term.scale(c))
-    return acc
 
 
 def random_form(nvars: int, degree: int, rng) -> dict:

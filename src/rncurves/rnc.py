@@ -40,9 +40,7 @@ from .exactgeom import (
     Rng,
     projectivity_from_frames,
     stable_mix,
-    standard_frame,
 )
-from .multiforms import substitute_curve
 
 
 @dataclass(frozen=True)
@@ -160,17 +158,29 @@ def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
 
 
 def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
-    """Pull a degree-d form on P^n back to the parameter line (degree d*deg)."""
-    return substitute_curve(form, curve.forms)
+    """Pull a degree-d form on P^n back to the parameter line (degree d*deg).
+
+    ``form`` maps exponent tuples ``mu`` to coefficients ``c_mu``; the result
+    is ``sum c_mu * prod_i curve.forms[i]^mu_i``.
+    """
+    degrees = {sum(mu) for mu in form}
+    if len(degrees) != 1:
+        raise ValueError("need a nonempty homogeneous form")
+    acc = BinaryForm.zero(degrees.pop() * curve.degree)
+    for mu, c in form.items():
+        if c:
+            acc = acc.add(product([f for f, k in zip(curve.forms, mu) for _ in range(k)]).scale(c))
+    return acc
 
 
 def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list[ParamPoint]]:
     """The rational normal curve through n+3 general points of P^n.
 
     Normalizes the first n+2 points to the standard frame, reads off the
-    image c of the last point, and interpolates with the forms
-    ``prod_(j != i) (t - b_j s)`` where ``b_j = 1/c_j``.  Returns the curve
-    together with the parameter values of the input points (in order).
+    image c of the last point, and interpolates with ``_frame_curve`` on the
+    linear forms ``t - b_j s`` where ``b_j = 1/c_j``, with ``[0 : 1]`` as the
+    last parameter, so every scale ``a_i`` is 1.  Returns the curve together
+    with the parameter values of the input points (in order).
     """
     if not points:
         raise ValueError("no points given")
@@ -179,7 +189,7 @@ def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list
         raise FrameDegenerate(f"need {n + 3} points in P^{n}, got {len(points)}")
     # h_inv sends the standard frame onto the first n+2 points, so the image
     # of the last point under h = h_inv^-1 solves h_inv c = point.
-    h_inv = projectivity_from_frames(standard_frame(n), list(points[: n + 2]))
+    h_inv = projectivity_from_frames(points[: n + 2])
     if points[n + 2].n != n:
         raise ValueError("ambient mismatch")
     c = linalg.solve_right(h_inv.matrix, points[n + 2].coords, n + 1)
@@ -189,11 +199,7 @@ def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list
     if len(set(b)) != n + 1:
         raise CoincidentParameters("two interpolation parameters collide")
     linear = [BinaryForm(1, (-bj, Fraction(1))) for bj in b]  # t - b_j s
-    forms = []
-    for i in range(n + 1):
-        forms.append(product([linear[j] for j in range(n + 1) if j != i]))
-    # is_rnc is invariant under projectivities: one check, on the image
-    curve = RationalCurve(n, apply_projectivity(ParamCurve(n, tuple(forms)), h_inv).forms)
+    curve = _frame_curve(h_inv, linear, ParamPoint(Fraction(0), Fraction(1)))
     params = [ParamPoint(Fraction(1), bj) for bj in b]
     params.append(ParamPoint(Fraction(0), Fraction(1)))
     params.append(ParamPoint(Fraction(1), Fraction(0)))
@@ -249,24 +255,30 @@ def rnc_with_assigned_preimages(params: Sequence[ParamPoint], points: Sequence[P
 
 
 def _rnc_assigned_full(params: Sequence[ParamPoint], points: Sequence[ProjPoint]) -> RationalCurve:
-    """Interpolation with exactly t+2 assigned (parameter, point) pairs.
-
-    With the points frame-normalized, the curve is forced to be
-    ``psi_i = a_i * prod_(j != i) L_j`` where ``L_j`` is the linear form
-    vanishing at ``params[j]`` and ``a_i = L_i(params[t+1])`` makes the last
-    pair match.
-    """
+    """Interpolation with exactly t+2 assigned (parameter, point) pairs:
+    ``_frame_curve`` on the linear forms ``L_j`` vanishing at ``params[j]``,
+    with ``params[t+1]`` as the last parameter."""
     t = points[0].n
-    h_inv = projectivity_from_frames(standard_frame(t), list(points))
     linear = [BinaryForm.vanishing_at(p) for p in params[: t + 1]]
-    last = params[t + 1]
+    return _frame_curve(projectivity_from_frames(points), linear, params[t + 1])
+
+
+def _frame_curve(h_inv: Projectivity, linear: Sequence[BinaryForm], last: ParamPoint) -> RationalCurve:
+    """The curve ``h_inv . psi`` with ``psi_i = a_i * prod_(j != i) L_j``.
+
+    ``L_j = linear[j]`` vanishes at the parameter sent to the j-th frame
+    point, and ``a_i = L_i(last)`` makes ``last`` go to the all-ones point,
+    which ``h_inv`` sends to the last frame point.
+    """
     forms = []
-    for i in range(t + 1):
-        a_i = linear[i].evaluate_at(last)
+    for i, l_i in enumerate(linear):
+        a_i = l_i.evaluate_at(last)
         if not a_i:
             raise CoincidentParameters("last parameter collides with an assigned one")
-        forms.append(product([linear[j] for j in range(t + 1) if j != i]).scale(a_i))
-    return RationalCurve(t, apply_projectivity(ParamCurve(t, tuple(forms)), h_inv).forms)
+        forms.append(product([l_j for j, l_j in enumerate(linear) if j != i]).scale(a_i))
+    # is_rnc is invariant under projectivities: one check, on the image
+    n = len(linear) - 1
+    return RationalCurve(n, apply_projectivity(ParamCurve(n, tuple(forms)), h_inv).forms)
 
 
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:

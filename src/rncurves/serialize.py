@@ -67,7 +67,10 @@ def dec_config(d) -> Configuration:
     comps = []
     for c in d["components"]:
         rows = [[dec_fraction(x) for x in row] for row in c["basis"]]
-        comps.append((LinearSubspace.from_rows(n, rows), dec_int(c.get("mult", 1))))
+        space = LinearSubspace.from_rows(n, rows)
+        if dec_int(c["dim"]) != space.dim:
+            raise ValueError(f"component says dim {c['dim']}, its basis spans dim {space.dim}")
+        comps.append((space, dec_int(c.get("mult", 1))))
     return Configuration(n, tuple(comps))
 
 

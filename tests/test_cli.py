@@ -341,8 +341,10 @@ def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monke
         {"dim": 1, "mult": 2, "basis": CONIC["coefficients"][:2]},
         # the whole plane: its intersection with the conic is not finite
         {"dim": 2, "basis": CONIC["coefficients"]},
+        # a one-row basis spans a point, whatever its "dim" says
+        {"dim": 2, "basis": CONIC["coefficients"][:1]},
     ],
-    ids=["fat", "fills-ambient"],
+    ids=["fat", "fills-ambient", "dim-disagrees"],
 )
 def test_malformed_verify_config_exits_usage(component, tmp_path, capsys):
     config = {"ambient_dim": 2, "components": [component]}

@@ -8,7 +8,6 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rncurves import linalg
 from rncurves.errors import FrameDegenerate, InCenter, NotComplementary
 from rncurves.exactgeom import (
     DEFAULT_HEIGHT,
@@ -103,12 +102,12 @@ def test_equations_are_computed_once_and_stay_out_of_equality(monkeypatch):
     sub = sample_generic_subspace(4, 1, rng)
     twin = LinearSubspace(sub.n, sub.basis, sub.generators)
     calls = []
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows, ncols: calls.append(ncols) or nullspace(rows, ncols))
+    pivot_columns = LinearSubspace.pivot_columns
+    monkeypatch.setattr(LinearSubspace, "pivot_columns", lambda self: calls.append(self.n) or pivot_columns(self))
     eqs = sub.equations()
     assert sub.equations() is eqs
     assert sub.contains(sub.points()[0]) and not sub.contains(sample_point(4, rng))
-    assert calls == [5]
+    assert calls == [4]
     assert sub == twin and hash(sub) == hash(twin) and repr(sub) == repr(twin)
 
 
@@ -244,6 +243,37 @@ def test_equations_contains_and_projection_match_sympy(case):
             assert project_from(sub, p).coords == image
 
 
+@st.composite
+def subspace_pairs(draw):
+    """(n, rows_a, rows_b): row sets of two subspaces of P^n; b starts with
+    some of a's rows, so pairs may be nested, equal or share a point."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(ENTRY, min_size=n + 1, max_size=n + 1)
+    rows_a = draw(st.lists(vector, max_size=n + 1))
+    shared = draw(st.integers(0, len(rows_a)))
+    return n, rows_a, rows_a[:shared] + draw(st.lists(vector, max_size=n + 1))
+
+
+@given(subspace_pairs())
+@example((3, [], []))  # both empty
+@example((3, [[1, 0, 0, 0], [0, 1, 2, 0]], [[1, 0, 0, 0], [0, 1, 2, 0]]))  # equal lines
+@example((3, [[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 2, 0]]))  # a point on a line
+@example((3, [[1, 2, 0, 0], [0, 0, 1, 1]], [[1, 2, 0, 0], [0, 1, 0, 5]]))  # lines sharing a point
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1]]))  # the whole plane and a point
+@example((2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # no equations at all
+@settings(max_examples=60, deadline=None)
+def test_meet_matches_sympy(case):
+    n, rows_a, rows_b = case
+    a, b = LinearSubspace.from_rows(n, rows_a), LinearSubspace.from_rows(n, rows_b)
+    common = meet(a, b)
+    eqs = list(a.equations()) + list(b.equations())
+    # the meet is cut out by both sets of forms together
+    assert common.dim == n - (to_sympy(eqs, n + 1).rank() if eqs else 0)
+    for row in common.basis:
+        assert not any(sum(x * y for x, y in zip(eq, row)) for eq in eqs)
+    assert meet(b, a) == common
+
+
 # ---------------------------------------------------------------- projectivities
 
 
@@ -252,7 +282,7 @@ def test_projectivity_from_frames_hits_frame():
     n = 3
     frame = standard_frame(n)
     target = [sample_point(n, rng) for _ in range(n + 2)]
-    g = projectivity_from_frames(frame, target)
+    g = projectivity_from_frames(target)
     for src, dst in zip(frame, target):
         assert g.apply(src) == dst
 
@@ -266,7 +296,7 @@ def test_projectivity_from_degenerate_frame_raises():
         unit_point(2),
     ]
     with pytest.raises(FrameDegenerate):
-        projectivity_from_frames(standard_frame(n), bad)
+        projectivity_from_frames(bad)
 
 
 def test_projectivity_rejects_a_singular_matrix():
@@ -345,7 +375,7 @@ def test_adapted_alignment_when_e0_lies_in_the_span(equation):
     # a line and a point spanning a hyperplane of P^3 through e_0, so the
     # complement direction is some e_i with i > 0
     n = 3
-    hyperplane = LinearSubspace.from_rows(n, linalg.nullspace([equation], n + 1))
+    hyperplane = LinearSubspace.from_rows(n, LinearSubspace.from_rows(n, [equation]).equations())
     rng = Rng(67)
     pts = [sample_point_on(hyperplane, rng.derive(j)) for j in range(3)]
     a, b = LinearSubspace.from_points(pts[:2]), LinearSubspace.from_points(pts[2:])

@@ -1,13 +1,16 @@
 """Source hygiene: every name a module imports is used in that module, every
-module-level private name is referenced somewhere in the package, and every
-function reads each of its parameters."""
+module-level private name is referenced somewhere in the package, every
+module-level public name is referenced in the package, the tests or the
+benchmark, and every function reads each of its parameters."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rncurves"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rncurves"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -57,8 +60,8 @@ def test_scan_sees_an_unused_import():
     assert [name for name, _ in imported_names(tree) if name not in used] == ["os"]
 
 
-def private_definitions(tree):
-    """(name, node) for each module-level ``_private`` function, class or constant."""
+def definitions(tree):
+    """(name, node) for each module-level function, class or constant, dunders excluded."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -69,7 +72,7 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node
 
 
@@ -84,24 +87,33 @@ def referenced_names(node):
     return names
 
 
-def orphans(trees):
-    """``module.name`` of each private definition no other statement references.
+def orphans(trees, public=False, outside=frozenset()):
+    """``module.name`` of each private (with *public*, each public) definition
+    that no other statement references.
 
     *trees* maps module names to parsed modules; a definition's own body
-    (a recursive call, say) does not count as a reference to it.
+    (a recursive call, say) does not count as a reference to it.  A name in
+    *outside* (the words of files beyond *trees*) counts as referenced.
     """
     statements = [node for tree in trees.values() for node in tree.body]
     refs = {id(node): referenced_names(node) for node in statements}
     found = []
     for module, tree in trees.items():
-        for name, node in private_definitions(tree):
+        for name, node in definitions(tree):
+            if name.startswith("_") == public or name in outside:
+                continue
             if not any(name in refs[id(other)] for other in statements if other is not node):
                 found.append(f"{module}.{name}")
     return found
 
 
+def package_trees():
+    """Every module of the package, ``__init__`` included, parsed by stem."""
+    return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
 def test_no_orphan_private_definitions():
-    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    trees = package_trees()
     found = orphans(trees)
     assert not found, f"private names that nothing in src/ references: {', '.join(found)}"
 
@@ -112,6 +124,22 @@ def test_scan_sees_an_orphan_helper():
         "b": ast.parse("from .a import _USED\nclass _Box: pass\nx = _USED\n"),
     }
     assert orphans(trees) == ["a._SPARE", "a._loop", "b._Box"]
+
+
+def test_no_orphan_public_definitions():
+    trees = package_trees()
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    outside = {word for path in files for word in re.findall(r"\w+", path.read_text())}
+    found = orphans(trees, public=True, outside=outside)
+    assert not found, f"public names that nothing in src/, tests/ or perfbench/ mentions: {', '.join(found)}"
+
+
+def test_scan_sees_an_orphan_public_helper():
+    trees = {
+        "a": ast.parse("USED = 2\nSPARE = 3\n_hidden = 4\ndef loop(k):\n    return loop(k - 1)\n"),
+        "b": ast.parse("from .a import USED\nclass Box: pass\nclass Tested: pass\nx = USED\n"),
+    }
+    assert orphans(trees, public=True, outside={"Tested"}) == ["a.SPARE", "a.loop", "b.Box", "b.x"]
 
 
 def function_local_imports(tree):

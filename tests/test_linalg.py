@@ -12,10 +12,10 @@ from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from rncurves import linalg
+from rncurves.exactgeom import LinearSubspace
 from rncurves.linalg import (
     integerize,
     invert,
-    nullspace,
     rank,
     rref,
     solve_right,
@@ -87,12 +87,13 @@ def test_rref_pivots_and_idempotence():
 
 
 def test_nullspace_vectors_annihilate_rows():
+    # the kernel of m is the set of forms cutting out its row space
     rnd = random.Random(5)
     for _ in range(20):
         rows = rnd.randrange(1, 5)
         cols = rnd.randrange(1, 6)
         m = random_matrix(rnd, rows, cols)
-        basis = nullspace(m, cols)
+        basis = LinearSubspace.from_rows(cols - 1, m).equations()
         assert len(basis) == cols - rank(m, cols)
         for v in basis:
             for row in m:

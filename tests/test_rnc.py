@@ -29,6 +29,7 @@ from rncurves.exactgeom import (
     sample_point,
     sample_point_on,
     sample_projectivity,
+    stable_mix,
     standard_point,
     unit_point,
 )
@@ -324,6 +325,21 @@ def test_assigned_preimages_full_data():
     assert is_rnc(curve)
     for p, q in zip(params, pts):
         assert curve.evaluate(p) == q
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_two_interpolation_builders_agree(n):
+    # the n+3 point builder and the assigned-preimage builder share one
+    # interpolation loop: on the same n+2 pairs they give one curve
+    for seed in range(4):
+        rng = Rng(stable_mix("builders-agree", n, seed))
+        pts = [sample_point(n, rng) for _ in range(n + 3)]
+        curve, params = rnc_through_points(pts)
+        assigned = rnc_with_assigned_preimages(params[: n + 2], pts[: n + 2])
+        pivot = next(i for i, c in enumerate(curve.forms[0].coeffs) if c)
+        scalar = assigned.forms[0].coeffs[pivot] / curve.forms[0].coeffs[pivot]
+        assert assigned.forms == tuple(f.scale(scalar) for f in curve.forms)
+        assert assigned.evaluate(params[n + 2]) == pts[n + 2]
 
 
 def test_assigned_preimages_with_padding_is_deterministic():
