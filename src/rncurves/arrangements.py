@@ -18,6 +18,9 @@ any other choice of tangential rows changes the coordinates only within
 each normal degree and gives the same row space, so ranks and Hilbert
 values do not depend on it.
 
+Every sampler, here and in :mod:`rncurves.defectivity`, accepts a draw by
+the one pairwise genericity test :func:`_pairwise_generic`.
+
 Hilbert function values on sampled configurations are reported together
 with the seeds used.  One policy, in :func:`agreed_hilbert`, serves every
 caller: the caller derives three seeds and samples one configuration from
@@ -93,6 +96,8 @@ class Configuration:
     components: tuple[tuple[LinearSubspace, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("ambient dimension must be nonnegative")
         for s, m in self.components:
             if s.n != self.n:
                 raise ValueError("component ambient mismatch")
@@ -144,10 +149,15 @@ def _resample_configuration(n: int, spec: Sequence[tuple[int, int]], rng: Rng, t
 
 def _pairwise_generic(spaces: Sequence[LinearSubspace], n: int) -> bool:
     """Every two spaces meet in dimension ``max(-1, k_a + k_b - n)``, that
-    is, their generators together span ``min(n+1, k_a + k_b + 2)`` dims."""
+    is, their generators together span ``min(n+1, k_a + k_b + 2)`` dims.
+    Two points (n >= 1) do so exactly when they differ, which their
+    canonical RREF bases decide with no rank."""
     for i, a in enumerate(spaces):
         for b in spaces[i + 1 :]:
-            if linalg.rank(a.generators + b.generators, n + 1) != min(n + 1, a.dim + b.dim + 2):
+            if a.dim == b.dim == 0 < n:
+                if a == b:
+                    return False
+            elif linalg.rank(a.generators + b.generators, n + 1) != min(n + 1, a.dim + b.dim + 2):
                 return False
     return True
 

@@ -10,17 +10,18 @@ secant variety is defective, which happens here for every
 
 Two disjoint (m-1)-spaces form a single dense orbit under projectivities,
 and the ideal dimension is a projective invariant, so the pair is pinned to
-coordinate subspaces; only the points are sampled.  This keeps the condition
-matrix nearly monomial and the exact rank cheap.
+coordinate subspaces; only the points are sampled, and a draw is accepted by
+the pairwise genericity test every sampled configuration shares.  This keeps
+the condition matrix nearly monomial and the exact rank cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangements import ConditionMatrix, Configuration, agreed_hilbert, check_backend, stable_seed
+from .arrangements import ConditionMatrix, Configuration, _pairwise_generic, agreed_hilbert, check_backend, stable_seed
 from .errors import BoundViolated, GenericityExhausted
-from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, ProjPoint, Rng, sample_point, span, standard_point
+from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, span, standard_point
 
 DEGREE = 4
 
@@ -85,26 +86,18 @@ def canonical_spaces(m: int) -> tuple[LinearSubspace, LinearSubspace]:
     return span(coords[:m]), span(coords[m:])
 
 
-def _sample_points(a: LinearSubspace, b: LinearSubspace, count: int, rng: Rng) -> list[ProjPoint]:
-    """Points of the common ambient space off both ``a`` and ``b``, pairwise distinct."""
-    n = a.n
+def _instance(m: int, s: int, seed: int) -> Configuration:
+    """The pinned spaces and s+1 double points, drawn until the shared
+    pairwise test accepts them: the points distinct and off both spaces."""
+    n = ambient_dim(m)
+    a, b = canonical_spaces(m)
+    rng = Rng(seed)
     for attempt in range(RESAMPLE_BUDGET):
         sub = rng.derive("defect-points", attempt)
-        pts = [sample_point(n, sub.derive(i)) for i in range(count)]
-        if len(set(pts)) != count:
-            continue
-        if any(a.contains(p) or b.contains(p) for p in pts):
-            continue
-        return pts
+        pts = [LinearSubspace.from_points([sample_point(n, sub.derive(i))]) for i in range(s + 1)]
+        if _pairwise_generic([a, b, *pts], n):
+            return Configuration(n, ((pts[0], 2), (a, 3), (b, 3), *((p, 2) for p in pts[1:])))
     raise GenericityExhausted("could not sample generic double points")
-
-
-def _instance(m: int, s: int, seed: int) -> Configuration:
-    a, b = canonical_spaces(m)
-    pts = _sample_points(a, b, s + 1, Rng(seed))
-    comps = [(LinearSubspace.from_points([pts[0]]), 2), (a, 3), (b, 3)]
-    comps.extend((LinearSubspace.from_points([p]), 2) for p in pts[1:])
-    return Configuration(ambient_dim(m), tuple(comps))
 
 
 def defect_check(query: DefectQuery, seed: int = 0, backend: str = "exact") -> DefectReport:

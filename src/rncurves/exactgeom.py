@@ -343,15 +343,14 @@ def project_from(center: LinearSubspace, obj):
 
 
 def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:
-    """Projectivity moving independent subspaces onto coordinate blocks.
+    """Projectivity moving coordinate blocks onto independent subspaces.
 
     The spaces must be mutually independent with total dimension filling a
-    hyperplane: ``sum(dim_i + 1) = n``.  The result ``g`` maps space ``i``
-    onto the span of the i-th consecutive block of coordinate points inside
-    ``{x_0 = 0}``, blocks ordered as the input.  The hyperplane complement
-    direction is the first coordinate point e_i off the common span, read off
-    the span's one equation: e_i lies off it exactly when that form is
-    nonzero at i.
+    hyperplane: ``sum(dim_i + 1) = n``.  The result ``g`` is the frame that
+    maps the span of the i-th consecutive block of coordinate points inside
+    ``{x_0 = 0}`` onto space ``i``, blocks ordered as the input, and e_0 to
+    the first coordinate point e_i off the common span, read off the span's
+    one equation: e_i lies off it exactly when that form is nonzero at i.
     """
     if not spaces:
         raise NotComplementary("no spaces given")
@@ -369,7 +368,7 @@ def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:
     i = next(j for j, x in enumerate(hyperplane.equations()[0]) if x)
     cols = [standard_point(n, i).coords] + rows
     b = tuple(tuple(cols[j][i] for j in range(n + 1)) for i in range(n + 1))
-    return Projectivity(linalg.invert(b, n + 1))
+    return Projectivity(b)
 
 
 def sample_point(n: int, rng: Rng) -> ProjPoint:

@@ -11,14 +11,16 @@ positive rules
                        with p >= 1, p + l = n + 3;
     segre-iff          complete answer when the spaces fill a hyperplane and
                        the leftovers are points;
-    lines-table / one-each-table / homogeneous-bound
-                       closed-form answers for the all-lines, one-space-per-
-                       dimension, and single-dimension families.
+    lines-table / one-each-table
+                       closed-form answers for the all-lines and one-space-
+                       per-dimension families.
 
 negative rules
     parameter-count    conditions exceed the dimension (n+3)(n-1) of the
                        family of curves;
     the negative branches of the tables above;
+    homogeneous-bound  a single class of i-spaces, i >= 2, in P^n with
+                       n > i^2 + 5i + 1 and more than ceil((n+3)/(i+1)) of them;
     bezout             a component imposing independent conditions on the
                        degree-d forms through the rest contradicts the
                        intersection count when sum (i+1) l_i - 1 > d n;
@@ -190,8 +192,8 @@ def check_segre_iff(weights: WeightVector) -> Optional[tuple[str, Certificate]]:
 
 
 def check_homogeneous(weights: WeightVector) -> Optional[tuple[str, Certificate]]:
-    """Closed-form families: one-per-dimension, all points, all lines,
-    and a single dimension class in high ambient dimension."""
+    """Closed-form families: one-per-dimension, all lines, and too many
+    spaces of one dimension i >= 2 in high ambient dimension."""
     n = weights.n
     counts = weights.counts
     if all(c == 1 for c in counts):
@@ -205,20 +207,10 @@ def check_homogeneous(weights: WeightVector) -> Optional[tuple[str, Certificate]
     if len(nz) != 1:
         return None
     i, count = nz[0]
-    if i == 0:
-        cert = Certificate("interpolation-bound", {"points": count, "bound": n + 3})
-        return (FEASIBLE if count <= n + 3 else NON_FEASIBLE), cert
     if i == 1:
         return _lines_table(n, count)
-    if n > i * i + 5 * i + 1:
-        cert = Certificate(
-            "homogeneous-bound", {"dim": i, "count": count, "n": n, "bound": n + 3}
-        )
-        if (i + 1) * count <= n + 3:
-            return FEASIBLE, cert
-        ceil = -((n + 3) // -(i + 1))
-        if count > ceil:
-            return NON_FEASIBLE, cert
+    if i > 1 and n > i * i + 5 * i + 1 and count > -((n + 3) // -(i + 1)):
+        return NON_FEASIBLE, Certificate("homogeneous-bound", {"dim": i, "count": count, "n": n, "bound": n + 3})
     return None
 
 

@@ -209,9 +209,9 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
     """A rational normal curve meeting each space maximally and hitting points.
 
     The spaces (independent, dimensions summing to n-1... i.e. filling a
-    hyperplane) are aligned onto coordinate blocks, the points are pulled
-    back through the block map, every factor is interpolated, and the
-    composition is pushed back through the alignment.  Nothing here checks
+    hyperplane) are aligned onto coordinate blocks: the points are pulled
+    back by the inverse of the alignment frame, every factor is interpolated,
+    and the frame pushes the composition forward.  Nothing here checks
     the result: :func:`rncurves.feasibility.verify_witness` is the exact
     check of every built witness.
     """
@@ -220,10 +220,11 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
     order = sorted(range(len(spaces)), key=lambda i: spaces[i].dim)
     spaces_sorted = [spaces[i] for i in order]
     ctx = SegreContext(tuple(s.dim + 1 for s in spaces_sorted))
-    g = adapted_alignment(spaces_sorted)
+    frame = adapted_alignment(spaces_sorted)
+    pull = frame.inverse()
     aligned = []
     for p in points:
-        y = g.apply(p)
+        y = pull.apply(p)
         if not y.coords[0]:
             raise OnContractedLocus("a point lies on the hyperplane spanned by the spaces")
         aligned.append(y)
@@ -231,4 +232,4 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
     mc, _ = product_curve(ctx, multi)
     # is_rnc is invariant under projectivities: one check, on the image
     model = ParamCurve(ctx.n, _phi_forms(mc))
-    return RationalCurve(ctx.n, apply_projectivity(model, g.inverse()).forms)
+    return RationalCurve(ctx.n, apply_projectivity(model, frame).forms)

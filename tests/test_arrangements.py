@@ -24,10 +24,11 @@ from rncurves.arrangements import (
     sample_fat_configuration,
     vanishing_conditions,
 )
-from rncurves import arrangements, defectivity, feasibility
+from rncurves import arrangements, defectivity, feasibility, linalg
 from rncurves.defectivity import DefectQuery, defect_check
 from rncurves.exactgeom import (
     LinearSubspace,
+    ProjPoint,
     Rng,
     meet,
     sample_generic_subspace,
@@ -131,6 +132,38 @@ def test_pairwise_rank_check_rejects_special_pairs():
     assert arrangements._pairwise_generic([l3, l4], 3)
     assert arrangements._pairwise_generic([p3, p4], 4)
     assert not arrangements._pairwise_generic([l3, l4, l1, l2], 3)
+
+
+def test_pairwise_check_decides_point_pairs_by_equality():
+    # the oracle is sympy's rank of the stacked generators, over a seeded
+    # grid of point-point, point-line and line-line pairs
+    for n in range(2, 6):
+        for seed in range(5):
+            rng = Rng(1000 * n + seed)
+            p = sample_generic_subspace(n, 0, rng.derive("p"))
+            q = sample_generic_subspace(n, 0, rng.derive("q"))
+            line = sample_generic_subspace(n, 1, rng.derive("line"))
+            # the same point given two ways: sampled, and by a scaled generator
+            again = LinearSubspace.from_points([ProjPoint(n, tuple(-3 * x for x in p.generators[0]))])
+            through = LinearSubspace.from_rows(n, p.basis + line.basis[1:])
+            assert through.dim == 1
+            for x, y in ((p, q), (p, again), (q, again), (p, line), (p, through), (line, through)):
+                want = sympy.Matrix(x.generators + y.generators).rank() == min(n + 1, x.dim + y.dim + 2)
+                assert arrangements._pairwise_generic([x, y], n) is want
+            assert not arrangements._pairwise_generic([p, again], n)
+            assert arrangements._pairwise_generic([p, q], n)
+
+
+def test_points_only_sample_configuration_makes_no_rank_call(monkeypatch):
+    calls = []
+    rank_ = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows, ncols: calls.append(len(rows)) or rank_(rows, ncols))
+    cfg = sample_configuration(WeightVector(4, (6, 0, 0)), Rng(3))
+    assert [s.dim for s, _ in cfg.components] == [0] * 6
+    assert calls == []
+    # a line among the points brings one stacked rank per pair it is in
+    sample_configuration(WeightVector(4, (6, 1, 0)), Rng(3))
+    assert calls == [3] * 6
 
 
 def test_sample_configuration_is_deterministic():

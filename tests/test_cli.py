@@ -322,6 +322,8 @@ def assert_usage_exit(argv, capsys):
         # int() would truncate 1.5 back to the conic's 1
         (["verify"], None, {**CONIC, "coefficients": [[[1.5, 1], [0, 1], [0, 1]], *CONIC["coefficients"][1:]]}),
         (["verify"], None, {**CONIC, "ambient_dim": 2.0}),
+        # a negative ambient dimension is rejected, even with no components
+        (["hilbert"], {"n": -2, "d": 2, "components": []}, None),
     ],
 )
 def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monkeypatch):
@@ -330,6 +332,11 @@ def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monke
     if curve is not None:
         argv = argv + verify_inputs(tmp_path, curve, {"ambient_dim": 2, "components": []})
     assert_usage_exit(argv, capsys)
+
+
+def test_verify_rejects_negative_ambient_config(tmp_path, capsys):
+    config = {"ambient_dim": -3, "components": []}
+    assert_usage_exit(["verify"] + verify_inputs(tmp_path, CONIC, config), capsys)
 
 
 # Configurations the conic cannot be verified against.  They are a separate

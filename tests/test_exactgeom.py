@@ -366,8 +366,11 @@ def test_adapted_alignment_moves_spaces_onto_coordinate_blocks():
     block_a = LinearSubspace.from_points([standard_point(n, 1), standard_point(n, 2)])
     blocks = [standard_point(n, j) for j in (3, 4, 5)]
     block_b = LinearSubspace.from_points(blocks)
-    assert g.apply_subspace(a) == block_a
-    assert g.apply_subspace(b) == block_b
+    # the frame sends the blocks onto the spaces; its inverse aligns them
+    assert g.apply_subspace(block_a) == a
+    assert g.apply_subspace(block_b) == b
+    assert g.inverse().apply_subspace(a) == block_a
+    assert g.inverse().apply_subspace(b) == block_b
 
 
 @pytest.mark.parametrize("equation", [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0, 2, 0, 3)])
@@ -384,9 +387,9 @@ def test_adapted_alignment_when_e0_lies_in_the_span(equation):
     i = next(i for i in range(n + 1) if sympy.Matrix(rows + [standard_point(n, i).coords]).rank() == n + 1)
     assert i > 0
     g = adapted_alignment([a, b])
-    assert g.apply(standard_point(n, i)) == standard_point(n, 0)
-    assert g.apply_subspace(a) == LinearSubspace.from_points([standard_point(n, 1), standard_point(n, 2)])
-    assert g.apply_subspace(b) == LinearSubspace.from_points([standard_point(n, 3)])
+    assert g.apply(standard_point(n, 0)) == standard_point(n, i)
+    assert g.apply_subspace(LinearSubspace.from_points([standard_point(n, 1), standard_point(n, 2)])) == a
+    assert g.apply_subspace(LinearSubspace.from_points([standard_point(n, 3)])) == b
 
 
 def test_adapted_alignment_rejects_overlapping_spaces():

@@ -134,8 +134,10 @@ def test_single_class_bound_in_high_dimension():
     # dim-2 components need n > 15
     assert check_homogeneous(w(16, *([0] * 15))) is None  # zero vector
     counts = [0] * 15
-    counts[2] = 6  # 3*6 = 18 <= 19
-    assert check_homogeneous(w(16, *counts))[0] == FEASIBLE
+    counts[2] = 6  # 3*6 = 18 <= 19: counting decides first, so the rule is silent
+    verdict = classify(w(16, *counts))
+    assert (verdict.status, verdict.certificate.rule) == (FEASIBLE, "counting")
+    assert check_homogeneous(w(16, *counts)) is None
     counts[2] = 8  # 8 > ceil(19/3) = 7
     assert check_homogeneous(w(16, *counts))[0] == NON_FEASIBLE
     counts[2] = 7  # the gap stays open
@@ -144,6 +146,41 @@ def test_single_class_bound_in_high_dimension():
     low = [0] * 4
     low[2] = 2
     assert check_homogeneous(w(5, *low)) is None
+
+
+def _removed_single_class_status(n, i, count):
+    """The status the removed single-class branches of ``check_homogeneous``
+    gave, or None where they were silent: ``interpolation-bound`` on points,
+    and the Feasible branch of ``homogeneous-bound``."""
+    if i == 0:
+        return FEASIBLE if count <= n + 3 else NON_FEASIBLE
+    if i > 1 and n > i * i + 5 * i + 1 and (i + 1) * count <= n + 3:
+        return FEASIBLE
+    return None
+
+
+def test_removed_single_class_branches_are_decided_earlier():
+    # classify reaches the same status through counting or parameter-count,
+    # which precede check_homogeneous in the table
+    spoke = 0
+    for n in range(2, 31):
+        for i in range(n - 1):
+            for count in range(1, n + 6):
+                want = _removed_single_class_status(n, i, count)
+                if want is None:
+                    continue
+                counts = [0] * (n - 1)
+                counts[i] = count
+                verdict = classify(w(n, *counts))
+                assert verdict.status == want, (n, i, count)
+                assert verdict.certificate.rule in ("counting", "parameter-count"), (n, i, count)
+                # one point of P^2 is also the one-each family
+                hit = check_homogeneous(w(n, *counts))
+                assert hit is None or (n, hit[1].rule) == (2, "one-each-table")
+                spoke += 1
+    assert spoke == sum(n + 5 for n in range(2, 31)) + sum(
+        (n + 3) // (i + 1) for i in (2, 3) for n in range(i * i + 5 * i + 2, 31)
+    )
 
 
 # ---------------------------------------------------------------- sampled rules

@@ -246,6 +246,23 @@ def test_witness_curve_checks_normality_once(monkeypatch):
     assert [c for c in calls if c.ambient == n] == [curve]
 
 
+def test_witness_curve_inverts_the_alignment_once(monkeypatch):
+    # the alignment frame pushes the model curve forward as it is; only the
+    # pullback of the points needs its inverse
+    from rncurves import linalg
+
+    rng = Rng(100)
+    n = 5
+    line = sample_generic_subspace(n, 1, rng.derive("line"))
+    plane = sample_generic_subspace(n, 2, rng.derive("plane"))
+    pts = [sample_point(n, rng.derive("pt", i)) for i in range(5)]
+    calls = []
+    invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda matrix, size: calls.append(size) or invert(matrix, size))
+    witness_curve([line, plane], pts)
+    assert calls == [n + 1]
+
+
 def test_witness_curve_rejects_too_many_points():
     rng = Rng(103)
     n = 5
