@@ -19,35 +19,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DuplicateParameters
+from .exactgeom import ProjPoint
 from .linalg import integerize, primitive
 
 
-@dataclass(frozen=True)
-class ParamPoint:
-    """Point [u : v] of the parameter line P^1; equality is projective."""
+class ParamPoint(ProjPoint):
+    """Point [u : v] of the parameter line: the ``ProjPoint`` of P^1 with
+    coordinates ``(u, v)``, so equality and hashing are projective."""
 
-    u: Fraction
-    v: Fraction
-
-    def __post_init__(self):
-        u, v = Fraction(self.u), Fraction(self.v)
-        if not u and not v:
-            raise ValueError("the zero vector is not a parameter point")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def normalized(self) -> tuple[Fraction, Fraction]:
-        if self.u:
-            return (Fraction(1), self.v / self.u)
-        return (Fraction(0), Fraction(1))
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamPoint):
-            return NotImplemented
-        return self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
+    def __init__(self, u, v):
+        super().__init__(1, (u, v))
 
 
 @dataclass(frozen=True)
@@ -74,7 +55,8 @@ class BinaryForm:
     @classmethod
     def vanishing_at(cls, p: ParamPoint) -> "BinaryForm":
         """The linear form v*s - u*t, zero exactly at [u : v]."""
-        return cls(1, (p.v, -p.u))
+        u, v = p.coords
+        return cls(1, (v, -u))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -88,7 +70,7 @@ class BinaryForm:
         return acc
 
     def evaluate_at(self, p: ParamPoint) -> Fraction:
-        return self.evaluate(p.u, p.v)
+        return self.evaluate(*p.coords)
 
     def add(self, other: "BinaryForm") -> "BinaryForm":
         if self.degree != other.degree:
@@ -164,38 +146,29 @@ def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
     return g, s_pow
 
 
-def _gcd_form(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Gcd of two or more nonzero forms, first nonzero coefficient 1."""
-    core, s_pow = _gcd_nonzero([f.coeffs for f in forms])
-    return BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic()
-
-
 def gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Greatest common divisor, normalized so its first nonzero coeff is 1.
-
-    The common power of ``s`` is read off from trailing-coefficient support;
-    the remainder is a univariate gcd in u = t/s, taken exactly in Z[u]
-    (see the module docstring).
-    """
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    return _gcd_form([f, g])
+    """Greatest common divisor, normalized so its first nonzero coeff is 1:
+    ``gcd_many([f, g])``, and ``g`` when both forms are zero."""
+    if f.is_zero() and g.is_zero():
+        return g
+    return gcd_many([f, g])
 
 
 def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Gcd of a family, zero forms ignored, normalized as in `gcd`.
+    """Gcd of a family, zero forms ignored, first nonzero coefficient 1.
 
-    The nonzero members are folded shortest first, and the fold stops as
-    soon as the running gcd is a constant.
+    The common power of ``s`` is read off from trailing-coefficient support;
+    the rest is a univariate gcd in u = t/s, taken exactly in Z[u] (see the
+    module docstring).  The nonzero members are folded shortest first, and
+    the fold stops as soon as the running gcd is a constant.
     """
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
         raise ValueError("gcd of all-zero family")
     if len(nonzero) == 1:
         return nonzero[0].monic()
-    return _gcd_form(nonzero)
+    core, s_pow = _gcd_nonzero([f.coeffs for f in nonzero])
+    return BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic()
 
 
 def gcd_degree(rows: Sequence[Sequence]) -> int:

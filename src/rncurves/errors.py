@@ -54,10 +54,6 @@ class BoundViolated(RncError):
     """A numeric precondition (e.g. point-count bound) is violated."""
 
 
-class CommonRootOfLeadForms(RncError):
-    """Leading coordinate forms share a root; the composition degenerates."""
-
-
 class DegenerateImage(RncError):
     """A constructed image curve failed its non-degeneracy checks."""
 

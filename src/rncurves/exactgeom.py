@@ -305,6 +305,8 @@ def projectivity_from_frames(points: Sequence[ProjPoint]) -> Projectivity:
     n = points[0].n
     if len(points) != n + 2:
         raise FrameDegenerate(f"need {n + 2} points, got {len(points)}")
+    if any(p.n != n for p in points):
+        raise ValueError("ambient mismatch")
     base = [p.coords for p in points[: n + 1]]
     lam = linalg.solve_right(
         [tuple(base[i][row] for i in range(n + 1)) for row in range(n + 1)],
@@ -397,16 +399,15 @@ def sample_point_on(s: LinearSubspace, rng: Rng) -> ProjPoint:
     """Random point on a subspace (a bounded combination of its basis)."""
     if s.dim < 0:
         raise ValueError("cannot sample from the empty subspace")
-    while True:
+    coeffs = rng.vector(s.dim + 1)
+    while not any(coeffs):
         coeffs = rng.vector(s.dim + 1)
-        if not any(coeffs):
-            continue
-        v = [Fraction(0)] * (s.n + 1)
-        for c, row in zip(coeffs, s.basis):
-            if c:
-                v = [a + c * b for a, b in zip(v, row)]
-        if any(v):
-            return ProjPoint(s.n, tuple(v))
+    # the basis rows are independent, so nonzero coefficients give a nonzero v
+    v = [Fraction(0)] * (s.n + 1)
+    for c, row in zip(coeffs, s.basis):
+        if c:
+            v = [a + c * b for a, b in zip(v, row)]
+    return ProjPoint(s.n, tuple(v))
 
 
 def sample_projectivity(n: int, rng: Rng) -> Projectivity:

@@ -166,15 +166,16 @@ def segre_pattern(weights: WeightVector) -> Optional[tuple[int, list[int]]]:
     q = n - higher
     if q < 0 or q > weights.counts[0]:
         return None
-    blocks = [1] * q
-    for i, c in enumerate(weights.counts):
-        if i >= 1:
-            blocks.extend([i + 1] * c)
-    blocks.sort()
+    blocks = _blocks((q,) + weights.counts[1:])
     if len(blocks) < 2:
         return None
     s = weights.counts[0] - q
     return s, blocks
+
+
+def _blocks(sel: Sequence[int]) -> list[int]:
+    """Ascending block sizes: ``sel[i]`` blocks of size i+1."""
+    return [i + 1 for i, c in enumerate(sel) for _ in range(c)]
 
 
 def check_segre_iff(weights: WeightVector) -> Optional[tuple[str, Certificate]]:
@@ -245,8 +246,6 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     """
     n = weights.n
     total = weights.total_intersection()
-    if total == 0:
-        return None
     usable = [d for d in range(1, opts.d_max + 1) if total - 1 > d * n]
     if not usable:
         return None
@@ -328,8 +327,6 @@ def check_projection(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optio
     parameter count, a complete table, or the degree rule -- certifies the
     source vector.  The base table is built once per call.
     """
-    if opts.projection_depth < 1:
-        return None
     negative = [rule for rule, polarity in _rule_table() if polarity == NON_FEASIBLE]
     base = [(rule, NON_FEASIBLE) for rule in negative[: negative.index(check_projection)]]
     visited = {(weights.n, weights.counts)}
@@ -478,11 +475,7 @@ def _pattern_choices(weights: WeightVector) -> list[tuple[int, ...]]:
             continue
         if sum(sel) < 2:
             continue
-        blocks = []
-        for i, c in enumerate(sel):
-            blocks.extend([i + 1] * c)
-        blocks.sort()
-        if s_req > SegreContext(tuple(blocks)).point_bound():
+        if s_req > SegreContext(tuple(_blocks(sel))).point_bound():
             continue
         choices.append(sel)
     return choices

@@ -94,12 +94,7 @@ def is_rnc(curve: ParamCurve) -> bool:
 
 def standard_rnc(n: int) -> RationalCurve:
     """The monomial curve (s^n, s^(n-1) t, ..., t^n)."""
-    forms = []
-    for i in range(n + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        coeffs[i] = Fraction(1)
-        forms.append(BinaryForm(n, tuple(coeffs)))
-    return RationalCurve(n, tuple(forms))
+    return RationalCurve(n, tuple(BinaryForm(n, tuple(int(j == i) for j in range(n + 1))) for i in range(n + 1)))
 
 
 def _restrict(rows: Sequence[Sequence[Fraction]], curve: ParamCurve):
@@ -235,16 +230,7 @@ def rnc_with_assigned_preimages(params: Sequence[ParamPoint], points: Sequence[P
         tuple(q.normalized() for q in points),
     )
     rng = Rng(pad_seed)
-    extra_params = []
-    have = {p.normalized() for p in params}
-    i = 0
-    while len(extra_params) < t + 2 - m:
-        cand = ParamPoint(Fraction(1), Fraction(i))
-        i += 1
-        if cand.normalized() in have:
-            continue
-        have.add(cand.normalized())
-        extra_params.append(cand)
+    extra_params = [q for q in (ParamPoint(1, i) for i in range(t + 2)) if q not in params][: t + 2 - m]
     for _ in range(RESAMPLE_BUDGET):
         extra_points = [ProjPoint(t, rng.vector(t + 1)) for _ in range(t + 2 - m)]
         try:

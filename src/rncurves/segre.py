@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .binforms import BinaryForm, ParamPoint, distinct_parameters, gcd, product
-from .errors import (
-    BaseLocus,
-    BoundViolated,
-    CommonRootOfLeadForms,
-    DegenerateImage,
-    OnContractedLocus,
-)
+from .binforms import BinaryForm, ParamPoint, distinct_parameters, product
+from .errors import BaseLocus, BoundViolated, DegenerateImage, OnContractedLocus
 from .exactgeom import LinearSubspace, ProjPoint, adapted_alignment, span, standard_point
 from .rnc import ParamCurve, RationalCurve, apply_projectivity, rnc_through_points, rnc_with_assigned_preimages, standard_rnc
 
@@ -168,7 +162,7 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
         # Identity on a line block: take the parameter values to *be* the
         # first-factor coordinates, so the block is matched for free and
         # only the higher blocks constrain anything.
-        params = [ParamPoint(q.coords[0], q.coords[1]) for q in factor_points[0]]
+        params = factor_points[0]
         distinct_parameters(params)
         factors = [standard_rnc(1)]
         rest_start = 1
@@ -177,7 +171,7 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
         factors = [first]
         rest_start = 1
     else:
-        params = [ParamPoint(Fraction(1), Fraction(i)) for i in range(s)]
+        params = [ParamPoint(1, i) for i in range(s)]
     for i in range(rest_start, ctx.r):
         factors.append(rnc_with_assigned_preimages(params, factor_points[i]))
     return MultiCurve(ctx, tuple(factors)), params
@@ -186,16 +180,13 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
 def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
     """Coordinate forms of the push-forward of a multi-curve through ``phi``.
 
-    Requires the leading forms of distinct factors to share no root (else a
-    parameter would land on the base locus); the image is not checked for
-    normality.
+    The image is not checked here.  Should the leading forms of two factors
+    share a root, every image form vanishes there, so the forms have rank
+    below n+1 and ``RationalCurve`` rejects them as ``DegenerateImage``: the
+    rank check is the one test of the image.
     """
     ctx = mc.context
     leads = [f.forms[0] for f in mc.factors]
-    for i in range(ctx.r):
-        for j in range(i + 1, ctx.r):
-            if gcd(leads[i], leads[j]).degree > 0:
-                raise CommonRootOfLeadForms(f"factors {i} and {j} share a root of the 0-th form")
     forms = [product(leads)]
     for i, (crv, off) in enumerate(zip(mc.factors, ctx.offsets())):
         others = [leads[j] for j in range(ctx.r) if j != i]
@@ -222,13 +213,8 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
     ctx = SegreContext(tuple(s.dim + 1 for s in spaces_sorted))
     frame = adapted_alignment(spaces_sorted)
     pull = frame.inverse()
-    aligned = []
-    for p in points:
-        y = pull.apply(p)
-        if not y.coords[0]:
-            raise OnContractedLocus("a point lies on the hyperplane spanned by the spaces")
-        aligned.append(y)
-    multi = [phi_inverse(ctx, y) for y in aligned]
+    # phi_inverse raises OnContractedLocus for a point on the spaces' hyperplane
+    multi = [phi_inverse(ctx, pull.apply(p)) for p in points]
     mc, _ = product_curve(ctx, multi)
     # is_rnc is invariant under projectivities: one check, on the image
     model = ParamCurve(ctx.n, _phi_forms(mc))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rncurves.binforms import (
@@ -19,6 +19,7 @@ from rncurves.binforms import (
     product,
 )
 from rncurves.errors import DuplicateParameters
+from rncurves.exactgeom import ProjPoint
 
 F = Fraction
 
@@ -50,6 +51,11 @@ def test_param_point_projective_equality():
     assert ParamPoint(1, 0) != ParamPoint(0, 1)
     with pytest.raises(ValueError):
         ParamPoint(0, 0)
+    # a parameter point is the ProjPoint of P^1 with the same coordinates
+    for u, v in [(1, 0), (0, 1), (2, 4), (F(-3, 2), 5)]:
+        p, q = ParamPoint(u, v), ProjPoint(1, (u, v))
+        assert p == q and q == p
+        assert hash(p) == hash(q)
 
 
 def test_vanishing_at_vanishes_there_and_nowhere_else_frozen():
@@ -112,6 +118,16 @@ def test_gcd_with_zero_and_constants():
     assert gcd(f, BinaryForm.zero(5)).monic().coeffs == f.monic().coeffs
     c = BinaryForm.constant(7)
     assert gcd(f, c).degree == 0
+
+
+@given(forms(allow_zero=True), forms(allow_zero=True))
+@example(BinaryForm.zero(3), BinaryForm.zero(5))
+@settings(max_examples=60, deadline=None)
+def test_gcd_is_gcd_many_of_the_pair(f, g):
+    if f.is_zero() and g.is_zero():
+        assert gcd(f, g) == g
+    else:
+        assert gcd(f, g) == gcd_many([f, g])
 
 
 def test_gcd_many_accumulates():

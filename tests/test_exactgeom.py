@@ -299,6 +299,16 @@ def test_projectivity_from_degenerate_frame_raises():
         projectivity_from_frames(bad)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projectivity_from_frames_rejects_a_point_of_another_ambient(n):
+    rng = Rng(6)
+    for k in range(1, n + 2):
+        pts = [sample_point(n, rng) for _ in range(n + 2)]
+        pts[k] = sample_point(n + 1, rng)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            projectivity_from_frames(pts)
+
+
 def test_projectivity_rejects_a_singular_matrix():
     with pytest.raises(ValueError, match="singular"):
         Projectivity(((1, 2, 3), (2, 4, 6), (0, 0, 1)))

@@ -1,5 +1,7 @@
 """Decision rules, certificates, witnesses, and the classification atlas."""
 
+import hashlib
+
 import pytest
 
 from rncurves import feasibility
@@ -93,6 +95,20 @@ def test_segre_pattern_splits():
     assert segre_pattern(w(4, 1, 2, 0)) == (1, [2, 2])
     # q may not exceed the available points: q = 4 - 2 = 2 > 0
     assert segre_pattern(w(4, 0, 1, 0)) is None
+
+
+# sha256 of (segre_pattern, _pattern_choices) over enumerate_weights(2..7),
+# recorded while each of them built its block profile on its own
+PINNED_BLOCK_PROFILES_SHA256 = "aee38e35bf3318a56e0f8ef9d9e05fc3395c6f7491f1c2053f29426a9f4ec21a"
+
+
+def test_block_profiles_are_pinned():
+    h = hashlib.sha256()
+    vectors = [v for n in range(2, 8) for v in enumerate_weights(n)]
+    assert len(vectors) == 2135
+    for v in vectors:
+        h.update(repr((segre_pattern(v), _pattern_choices(v))).encode())
+    assert h.hexdigest() == PINNED_BLOCK_PROFILES_SHA256
 
 
 def test_segre_iff_rule_both_directions():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
 module-level public name is referenced in the package, the tests or the
-benchmark, and every function reads each of its parameters."""
+benchmark, every error type is raised or caught in the package, and every
+function reads each of its parameters."""
 
 import ast
 import re
@@ -140,6 +141,49 @@ def test_scan_sees_an_orphan_public_helper():
         "b": ast.parse("from .a import USED\nclass Box: pass\nclass Tested: pass\nx = USED\n"),
     }
     assert orphans(trees, public=True, outside={"Tested"}) == ["a.SPARE", "a.loop", "b.Box", "b.x"]
+
+
+def orphan_errors(errors, trees):
+    """Each class of *errors* that no module of *trees* raises, constructs or
+    names in an ``except`` clause (a bare or dotted name both count)."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                part = node.exc
+            elif isinstance(node, ast.Call):
+                part = node.func
+            elif isinstance(node, ast.ExceptHandler):
+                part = node.type
+            else:
+                continue
+            for sub in ast.walk(part) if part is not None else ():
+                if isinstance(sub, ast.Name):
+                    used.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    used.add(sub.attr)
+    return [node.name for node in errors.body if isinstance(node, ast.ClassDef) and node.name not in used]
+
+
+def test_every_error_type_is_raised_or_caught():
+    trees = package_trees()
+    errors = trees.pop("errors")
+    del trees["__init__"]
+    found = orphan_errors(errors, trees.values())
+    assert not found, f"error types that nothing in src/ raises or catches: {', '.join(found)}"
+
+
+def test_scan_sees_an_orphan_error_type():
+    errors = ast.parse(
+        "class Base(Exception): pass\nclass Raised(Base): pass\nclass Built(Base): pass\n"
+        "class Caught(Base): pass\nclass Dotted(Base): pass\nclass Imported(Base): pass\n"
+    )
+    trees = [
+        ast.parse("from .errors import Imported, Raised\ndef f():\n    raise Raised('x')\n"),
+        ast.parse("def g(h):\n    e = Built()\n    try:\n        h()\n    except (Caught, errors.Dotted):\n        raise e\n"),
+        ast.parse("def k():\n    raise\n"),
+    ]
+    assert orphan_errors(errors, trees) == ["Base", "Imported"]
 
 
 def function_local_imports(tree):

@@ -354,6 +354,47 @@ def test_assigned_preimages_with_padding_is_deterministic():
         assert c1.evaluate(p) == q
 
 
+def _padding_grid():
+    """Assigned-preimage data on a seeded grid: t = 1..5, m = 1..t+2, three
+    seeds; the stock values [1 : 0], [2 : 4] = [1 : 2] and [0 : 1] come first,
+    so the padding has to skip the ones it would otherwise pick."""
+    stock = [ParamPoint(1, 0), ParamPoint(2, 4), ParamPoint(0, 1)]
+    for t in range(1, 6):
+        for m in range(1, t + 3):
+            for seed in range(3):
+                rng = Rng(1000 * t + 10 * m + seed)
+                params = stock[: min(m, seed + 1)]
+                params += [ParamPoint(1, k + seed) for k in range(3, 3 + m - len(params))]
+                yield params, [sample_point(t, rng.derive("pt", i)) for i in range(m)]
+
+
+# sha256 of the padded curves' forms, recorded while ParamPoint kept its own
+# normalization and the padding a set of normalized tuples
+PINNED_PADDING_SHA256 = "bfcd8adb1ca2844667fbdef8efa6b5be5acf2c61d6333d25efda721dbfdfa274"
+
+
+def test_assigned_preimage_padding_is_pinned():
+    h = hashlib.sha256()
+    cases = 0
+    for params, pts in _padding_grid():
+        curve = rnc_with_assigned_preimages(params, pts)
+        assert all(curve.evaluate(p) == q for p, q in zip(params, pts))
+        h.update(repr(curve.forms).encode())
+        cases += 1
+    assert cases == 75
+    assert h.hexdigest() == PINNED_PADDING_SHA256
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_interpolation_rejects_a_frame_point_of_another_ambient(n):
+    rng = Rng(23)
+    for k in range(1, n + 2):
+        pts = [sample_point(n, rng) for _ in range(n + 3)]
+        pts[k] = sample_point(n + 1, rng)
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            rnc_through_points(pts)
+
+
 # ---------------------------------------------------------------- invariance
 
 

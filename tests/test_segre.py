@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from rncurves import segre
+import rncurves
+from rncurves import binforms, segre
 from rncurves.binforms import ParamPoint
 from rncurves.errors import (
     BaseLocus,
     BoundViolated,
-    CommonRootOfLeadForms,
+    DegenerateImage,
     OnContractedLocus,
     VerificationFailed,
 )
@@ -19,9 +20,11 @@ from rncurves.exactgeom import (
     Rng,
     sample_generic_subspace,
     sample_point,
+    sample_point_on,
+    span,
     standard_point,
 )
-from rncurves.rnc import ParamCurve, intersection_degree, is_rnc, passes_through, standard_rnc
+from rncurves.rnc import ParamCurve, RationalCurve, intersection_degree, is_rnc, passes_through, standard_rnc
 from rncurves.segre import (
     MultiCurve,
     SegreContext,
@@ -175,10 +178,14 @@ def test_compose_phi_gives_rnc_meeting_blocks_maximally():
 
 
 def test_compose_phi_rejects_lead_forms_with_common_root():
+    # both lead forms vanish at [0 : 1], so every image form does: the rank
+    # check of the image is what rejects it
     ctx = SegreContext((1, 1))
     line = standard_rnc(1)
-    with pytest.raises(CommonRootOfLeadForms):
-        segre._phi_forms(MultiCurve(ctx, (line, line)))
+    forms = segre._phi_forms(MultiCurve(ctx, (line, line)))
+    assert not is_rnc(ParamCurve(ctx.n, forms))
+    with pytest.raises(DegenerateImage):
+        RationalCurve(ctx.n, forms)
 
 
 # ---------------------------------------------------------------- witnesses
@@ -261,6 +268,34 @@ def test_witness_curve_inverts_the_alignment_once(monkeypatch):
     monkeypatch.setattr(linalg, "invert", lambda matrix, size: calls.append(size) or invert(matrix, size))
     witness_curve([line, plane], pts)
     assert calls == [n + 1]
+
+
+def test_witness_curve_builds_no_gcd(monkeypatch):
+    # the image is checked once, by rank; no pairwise gcd of the lead forms
+    rng = Rng(100)
+    n = 5
+    line = sample_generic_subspace(n, 1, rng.derive("line"))
+    plane = sample_generic_subspace(n, 2, rng.derive("plane"))
+    pts = [sample_point(n, rng.derive("pt", i)) for i in range(5)]
+    calls = []
+    gcd = binforms.gcd
+    for mod in [m for m in vars(rncurves).values() if getattr(m, "gcd", None) is gcd]:
+        monkeypatch.setattr(mod, "gcd", lambda f, g: calls.append((f, g)) or gcd(f, g))
+    witness_curve([line, plane], pts)
+    assert calls == []
+
+
+def test_witness_curve_rejects_a_point_on_the_spaces_hyperplane():
+    rng = Rng(104)
+    n = 5
+    line = sample_generic_subspace(n, 1, rng.derive("line"))
+    plane = sample_generic_subspace(n, 2, rng.derive("plane"))
+    on_span = sample_point_on(span([line, plane]), rng.derive("on"))
+    for k in range(3):
+        pts = [sample_point(n, rng.derive("pt", i)) for i in range(2)]
+        pts.insert(k, on_span)
+        with pytest.raises(OnContractedLocus):
+            witness_curve([line, plane], pts)
 
 
 def test_witness_curve_rejects_too_many_points():
