@@ -110,8 +110,9 @@ class Configuration:
         return all(m == 1 for _, m in self.components)
 
     def without(self, index: int) -> "Configuration":
-        comps = tuple(c for i, c in enumerate(self.components) if i != index)
-        return Configuration(self.n, comps)
+        if not 0 <= index < len(self.components):
+            raise IndexError(f"no component {index}")
+        return Configuration(self.n, self.components[:index] + self.components[index + 1 :])
 
     def transformed(self, g) -> "Configuration":
         return Configuration(self.n, tuple((g.apply_subspace(s), m) for s, m in self.components))
@@ -290,32 +291,25 @@ def _normal_plans(n: int, normals: tuple[int, ...], d: int, nd: int) -> tuple:
 
 @dataclass(frozen=True)
 class ConditionMatrix:
-    """Stacked condition rows for a configuration, with block provenance."""
+    """Condition rows of a configuration in degree d: one block of rows per component, in order."""
 
     n: int
     degree: int
-    rows: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, int, int], ...]  # (component index, row start, row end)
+    blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
     @classmethod
     def build(cls, config: Configuration, d: int) -> "ConditionMatrix":
-        rows: list[tuple[int, ...]] = []
-        blocks = []
-        for idx, (space, mult) in enumerate(config.components):
-            start = len(rows)
-            rows.extend(vanishing_conditions(space, mult, d))
-            blocks.append((idx, start, len(rows)))
-        return cls(config.n, d, tuple(rows), tuple(blocks))
+        return cls(config.n, d, tuple(tuple(vanishing_conditions(s, m, d)) for s, m in config.components))
 
     def without(self, index: int) -> "ConditionMatrix":
         """The matrix of ``config.without(index)``, from the blocks at hand."""
-        rows: list[tuple[int, ...]] = []
-        blocks = []
-        for idx, start, end in self.blocks:
-            if idx != index:
-                blocks.append((idx - (idx > index), len(rows), len(rows) + end - start))
-                rows.extend(self.rows[start:end])
-        return ConditionMatrix(self.n, self.degree, tuple(rows), tuple(blocks))
+        if not 0 <= index < len(self.blocks):
+            raise IndexError(f"no block {index}")
+        return ConditionMatrix(self.n, self.degree, self.blocks[:index] + self.blocks[index + 1 :])
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(row for block in self.blocks for row in block)
 
     @property
     def ncols(self) -> int:
@@ -388,10 +382,6 @@ def generic_hilbert(
     ``backend`` must name one of :data:`BACKENDS`; every value is exact.
     """
     check_backend(backend)
-    seeds = tuple(stable_seed(seed, t) for t in range(3))
+    seeds = tuple(stable_mix(seed, "sample", t) for t in range(3))
     samples = [sample_fat_configuration(n, spec, Rng(s)) for s in seeds]
     return agreed_hilbert([ConditionMatrix.build(cfg, d) for cfg in samples], seeds)
-
-
-def stable_seed(seed: int, tag) -> int:
-    return stable_mix(seed, "sample", tag)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangements import ConditionMatrix, Configuration, _pairwise_generic, agreed_hilbert, check_backend, stable_seed
+from .arrangements import ConditionMatrix, Configuration, _pairwise_generic, agreed_hilbert, check_backend
 from .errors import BoundViolated, GenericityExhausted
-from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, span, standard_point
+from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, span, stable_mix, standard_point
 
 DEGREE = 4
 
@@ -109,7 +109,7 @@ def defect_check(query: DefectQuery, seed: int = 0, backend: str = "exact") -> D
     every value is exact.
     """
     check_backend(backend)
-    seeds = tuple(stable_seed(seed, ("defect", query.m, query.s, t)) for t in range(3))
+    seeds = tuple(stable_mix(seed, "sample", ("defect", query.m, query.s, t)) for t in range(3))
     samples = [_instance(query.m, query.s, s) for s in seeds]
     _, ideal = agreed_hilbert([ConditionMatrix.build(cfg, DEGREE) for cfg in samples], seeds)
     return DefectReport(query, ideal.value, seeds, ideal.agreed)

@@ -46,7 +46,7 @@ RESAMPLE_BUDGET = 16
 
 
 def stable_mix(*parts) -> int:
-    """Order-sensitive 63-bit hash of ints/strings/nested tuples.
+    """Order-sensitive 63-bit hash of ints, strings, Fractions and nested tuples.
 
     Independent of PYTHONHASHSEED and platform, so derived seeds are
     reproducible across runs.
@@ -54,9 +54,7 @@ def stable_mix(*parts) -> int:
     h = hashlib.sha256()
 
     def feed(obj):
-        if isinstance(obj, bool):
-            h.update(b"b" + (b"1" if obj else b"0"))
-        elif isinstance(obj, int):
+        if isinstance(obj, int):
             h.update(b"i" + str(obj).encode() + b";")
         elif isinstance(obj, str):
             h.update(b"s" + obj.encode() + b"\x00")
@@ -147,13 +145,12 @@ class LinearSubspace:
     ``generators`` are ``dim+1`` integer rows spanning the same space; they
     take no part in equality, hashing or serialization.  When not given they
     are the primitive integer multiples of the basis rows.  ``equations()``
-    is computed once, on first use.
+    reads the forms off the basis on each call, with no elimination.
     """
 
     n: int
     basis: tuple[tuple[Fraction, ...], ...]
     generators: tuple[tuple[int, ...], ...] = field(default=None, compare=False)
-    _equations: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generators is None:
@@ -203,15 +200,12 @@ class LinearSubspace:
         """Linear forms cutting out the subspace, read off the echelon basis:
         for each non-pivot column f, 1 at f and ``-basis[i][f]`` at the i-th
         pivot column."""
-        if self._equations is None:
-            rows = dict(zip(self.pivot_columns(), self.basis))  # pivot column -> its basis row
-            eqs = tuple(
-                tuple(-rows[j][f] if j in rows else Fraction(int(j == f)) for j in range(self.n + 1))
-                for f in range(self.n + 1)
-                if f not in rows
-            )
-            object.__setattr__(self, "_equations", eqs)
-        return self._equations
+        rows = dict(zip(self.pivot_columns(), self.basis))  # pivot column -> its basis row
+        return tuple(
+            tuple(-rows[j][f] if j in rows else Fraction(int(j == f)) for j in range(self.n + 1))
+            for f in range(self.n + 1)
+            if f not in rows
+        )
 
     def points(self) -> list[ProjPoint]:
         return [ProjPoint(self.n, row) for row in self.basis]
@@ -259,8 +253,8 @@ class Projectivity:
     """Invertible (n+1)x(n+1) matrix acting on column coordinate vectors.
 
     The constructor rejects a singular matrix with ``ValueError``; the test
-    is the exact ``linalg.rank``.  ``inverse`` skips it, because the inverse
-    of a nonsingular matrix is nonsingular.
+    is the exact ``linalg.rank``.  Every projectivity, ``inverse()`` included,
+    is built through it.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -289,9 +283,7 @@ class Projectivity:
         return LinearSubspace.from_rows(self.n, [_apply(self.matrix, b) for b in s.basis])
 
     def inverse(self) -> "Projectivity":
-        inv = object.__new__(Projectivity)
-        object.__setattr__(inv, "matrix", linalg.invert(self.matrix, self.n + 1))
-        return inv
+        return Projectivity(linalg.invert(self.matrix, self.n + 1))
 
 
 def projectivity_from_frames(points: Sequence[ProjPoint]) -> Projectivity:

@@ -493,8 +493,7 @@ def build_witness(
     is resampled up to the budget.
     """
     n = weights.n
-    total = weights.total_intersection()
-    counting = total <= n + 3
+    counting = check_counting_feasible(weights) is not None
     choices = [] if counting else _pattern_choices(weights)
     if not counting and not choices:
         raise NoConstructivePath(
@@ -560,9 +559,8 @@ def _block_witness(cfg: Configuration, choice: Sequence[int], rng: Rng) -> Ratio
     spaces = []
     leftovers = []
     for i in sorted(by_dim):
-        take = choice[i] if i < len(choice) else 0
-        spaces.extend(by_dim[i][:take])
-        leftovers.extend(by_dim[i][take:])
+        spaces.extend(by_dim[i][: choice[i]])
+        leftovers.extend(by_dim[i][choice[i] :])
     points = []
     prng = rng.derive("specialized")
     for idx, space in enumerate(leftovers):

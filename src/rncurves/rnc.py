@@ -134,22 +134,13 @@ def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
 
 
 def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
-    """Exact membership test via a zero-dimensional intersection.
-
-    With ``i`` the point's first nonzero coordinate, the point is cut out by
-    the equations ``x_j p_i - x_i p_j`` (j != i).  The curve passes through
-    it when their restrictions to the curve all vanish or share a root; the
-    exact `gcd_degree` decides the latter, on the curve's integer matrix.
-    """
-    if point.n != curve.ambient:
-        raise ValueError("ambient mismatch")
-    if point.n == 0:
-        raise ValueError("intersection with the whole space is not finite")
-    p = linalg.integerize(point.coords)
-    i = next(k for k, c in enumerate(p) if c)
-    forms = list(zip(*curve.integer_columns[0]))
-    restricted = [[p[i] * a - p[j] * b for a, b in zip(f, forms[i])] for j, f in enumerate(forms) if j != i]
-    return not any(map(any, restricted)) or gcd_degree(restricted) >= 1
+    """Exact membership test: the dimension-0 case of :func:`intersection_degree`,
+    with its two ``ValueError``s.  A curve whose image is the point
+    (``CurveInSubspaceSpan``) passes through it."""
+    try:
+        return intersection_degree(curve, LinearSubspace.from_points([point])) >= 1
+    except CurveInSubspaceSpan:
+        return True
 
 
 def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:

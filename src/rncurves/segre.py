@@ -199,8 +199,8 @@ def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
 def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint]) -> RationalCurve:
     """A rational normal curve meeting each space maximally and hitting points.
 
-    The spaces (independent, dimensions summing to n-1... i.e. filling a
-    hyperplane) are aligned onto coordinate blocks: the points are pulled
+    The spaces are independent and their dim+1 sum to n, so they span a
+    hyperplane.  They are aligned onto coordinate blocks: the points are pulled
     back by the inverse of the alignment frame, every factor is interpolated,
     and the frame pushes the composition forward.  Nothing here checks
     the result: :func:`rncurves.feasibility.verify_witness` is the exact

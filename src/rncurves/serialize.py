@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from .arrangements import Configuration
 from .binforms import BinaryForm
-from .errors import DegenerateImage
 from .exactgeom import LinearSubspace
-from .rnc import ParamCurve, RationalCurve
+from .rnc import ParamCurve
 
 
 def enc_fraction(x) -> list[int]:
@@ -46,10 +45,7 @@ def dec_curve(d) -> ParamCurve:
     n = dec_int(d["ambient_dim"])
     deg = dec_int(d["degree"])
     forms = tuple(BinaryForm(deg, tuple(dec_fraction(x) for x in row)) for row in d["coefficients"])
-    try:
-        return RationalCurve(n, forms)
-    except DegenerateImage:
-        return ParamCurve(n, forms)
+    return ParamCurve(n, forms)
 
 
 def enc_config(cfg: Configuration) -> dict:

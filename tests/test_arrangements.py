@@ -315,8 +315,46 @@ def test_condition_matrix_blocks_cover_all_components():
     cm = ConditionMatrix.build(cfg, 2)
     assert cm.ncols == comb(3 + 2, 2)
     assert len(cm.blocks) == 3
-    covered = sum(end - start for _, start, end in cm.blocks)
-    assert covered == len(cm.rows)
+    assert sum(len(b) for b in cm.blocks) == len(cm.rows)
+
+
+def test_without_rejects_an_index_outside_the_components():
+    cfg = sample_configuration(WeightVector(3, (2, 1)), Rng(31))
+    cm = ConditionMatrix.build(cfg, 2)
+    for index in (5, -1):
+        with pytest.raises(IndexError):
+            cfg.without(index)
+        with pytest.raises(IndexError):
+            cm.without(index)
+
+
+# (n, weight counts, fat (dim, mult) spec) of the pinned condition matrices
+PINNED_MATRIX_CASES = (
+    (3, (2, 1), ((0, 2), (1, 1))),
+    (3, (0, 3), ((1, 2), (0, 3))),
+    (4, (1, 1, 1), ((0, 3), (1, 2), (2, 1))),
+    (4, (3, 0, 1), ((2, 2), (0, 1), (0, 2))),
+    (5, (2, 1, 1, 0), ((1, 2), (0, 2), (3, 1))),
+    (5, (0, 0, 1, 2), ((2, 1), (2, 2))),
+)
+
+
+def test_condition_matrix_rows_are_pinned():
+    # sha256 recorded before ConditionMatrix held one row block per component
+    h = hashlib.sha256()
+    for n, counts, spec in PINNED_MATRIX_CASES:
+        for seed in range(2):
+            configs = (
+                sample_configuration(WeightVector(n, counts), Rng(seed)),
+                sample_fat_configuration(n, spec, Rng(seed)),
+            )
+            for cfg in configs:
+                for d in (1, 2, 3):
+                    cm = ConditionMatrix.build(cfg, d)
+                    h.update(repr(cm.rows).encode())
+                    for i in range(len(cfg.components)):
+                        h.update(repr(cm.without(i).rows).encode())
+    assert h.hexdigest() == "fadd153da9d0ca90a989aeba577c79cc16ba82568d181fda614d09c0a093daff"
 
 
 def test_condition_matrix_without_drops_one_block():

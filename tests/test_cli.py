@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -356,3 +357,47 @@ def test_verify_rejects_negative_ambient_config(tmp_path, capsys):
 def test_malformed_verify_config_exits_usage(component, tmp_path, capsys):
     config = {"ambient_dim": 2, "components": [component]}
     assert_usage_exit(["verify"] + verify_inputs(tmp_path, CONIC, config), capsys)
+
+
+def witness_data(capsys, n, weights):
+    """The JSON of a successful ``witness`` run."""
+    code, out = run(capsys, ["witness", "-n", str(n), weights])
+    assert code == EXIT_OK
+    return json.loads(out)
+
+
+def not_normal(kind, capsys):
+    """A curve that is not normal, with the witness configuration it is checked against."""
+    if kind == "dependent-form":
+        data = witness_data(capsys, 5, "5,1,1,0")
+        rows = [[Fraction(*x) for x in row] for row in data["curve"]["coefficients"]]
+        rows[0] = [a + b for a, b in zip(rows[1], rows[2])]
+        curve = {**data["curve"], "coefficients": [[serialize.enc_fraction(x) for x in row] for row in rows]}
+    else:  # degree n-1: the conic's monomials in P^3, plus their sum
+        data = witness_data(capsys, 3, "3,1")
+        curve = {"ambient_dim": 3, "degree": 2, "coefficients": CONIC["coefficients"] + [[[1, 1]] * 3]}
+    return curve, data["config"]
+
+
+@pytest.mark.parametrize("kind", ["dependent-form", "degree-n-1"])
+def test_verify_of_a_curve_that_is_not_normal_exits_verify(kind, tmp_path, capsys):
+    curve, config = not_normal(kind, capsys)
+    code, out = run(capsys, ["verify"] + verify_inputs(tmp_path, curve, config))
+    assert code == EXIT_VERIFY
+    report = json.loads(out)
+    assert report["curve_is_normal"] is False and report["verified"] is False
+
+
+def test_verify_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    # sha256 recorded while serialize.dec_curve tried RationalCurve first
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    round_trips = (witness_data(capsys, 3, "3,1"), witness_data(capsys, 5, "5,1,1,0"))
+    cases = [(data["curve"], data["config"]) for data in round_trips]
+    cases += [not_normal(kind, capsys) for kind in ("dependent-form", "degree-n-1")]
+    h = hashlib.sha256()
+    for i, (curve, config) in enumerate(cases):
+        folder = tmp_path / str(i)
+        folder.mkdir()
+        code, out = run(capsys, ["verify"] + verify_inputs(folder, curve, config))
+        h.update(f"{code}:{out}".encode())
+    assert h.hexdigest() == "48f1e148608146de23b5d191dfd47989f6e34213b1b026bf3a69df1093ce0560"

@@ -1,19 +1,29 @@
 """Decision rules, certificates, witnesses, and the classification atlas."""
 
 import hashlib
+import json
 
 import pytest
 
 from rncurves import feasibility
 from rncurves.arrangements import WeightVector, sample_configuration
-from rncurves.errors import GenericityExhausted, NoConstructivePath, RncError
-from rncurves.exactgeom import Rng
+from rncurves.cli import EXIT_VERIFY, main
+from rncurves.errors import (
+    CoincidentParameters,
+    FrameDegenerate,
+    GenericityExhausted,
+    NoConstructivePath,
+    RncError,
+    VerificationFailed,
+)
+from rncurves.exactgeom import Rng, stable_mix
 from rncurves.feasibility import (
     DEFAULTS,
     FEASIBLE,
     NON_FEASIBLE,
     UNKNOWN,
     Certificate,
+    RunConfig,
     _first_verdict,
     _pattern_choices,
     _rule_table,
@@ -378,6 +388,51 @@ def test_build_witness_refuses_without_a_path():
         build_witness(w(4, 8, 0, 0), DEFAULTS)
     with pytest.raises(NoConstructivePath):
         build_witness(w(3, 4, 2), DEFAULTS)  # non-feasible by the table
+
+
+def test_build_witness_resamples_after_a_failed_construction(monkeypatch):
+    build = feasibility._interpolation_witness
+    calls = []
+
+    def flaky(cfg, rng):
+        calls.append(rng.seed)
+        if len(calls) == 1:
+            raise FrameDegenerate("planted")
+        return build(cfg, rng)
+
+    monkeypatch.setattr(feasibility, "_interpolation_witness", flaky)
+    weights = w(3, 1, 1)
+    curve, cfg, cert = build_witness(weights, DEFAULTS)
+    base = Rng(stable_mix(DEFAULTS.seed, "witness", 3, weights.counts))
+    assert calls == [base.derive(0).seed, base.derive(1).seed]
+    assert cert.seeds == (base.derive(1).seed,)
+    assert verify_witness(curve, cfg)[0]
+
+
+def test_build_witness_with_one_attempt_keeps_the_error_type(monkeypatch):
+    def broken(cfg, rng):
+        raise CoincidentParameters("planted")
+
+    monkeypatch.setattr(feasibility, "_interpolation_witness", broken)
+    with pytest.raises(CoincidentParameters, match="planted"):
+        build_witness(w(3, 1, 1), RunConfig(resample_budget=1))
+
+
+def test_build_witness_reports_exhausted_sampling(monkeypatch):
+    def exhausted(weights, rng):
+        raise GenericityExhausted("planted")
+
+    monkeypatch.setattr(feasibility, "sample_configuration", exhausted)
+    with pytest.raises(GenericityExhausted, match="planted"):
+        build_witness(w(3, 1, 1), DEFAULTS)
+
+
+def test_witness_failing_verification_raises_and_exits_verify(monkeypatch, capsys):
+    monkeypatch.setattr(feasibility, "verify_witness", lambda curve, cfg: (False, {"verified": False}))
+    with pytest.raises(VerificationFailed):
+        build_witness(w(3, 1, 1), DEFAULTS)
+    assert main(["witness", "-n", "3", "1,1"]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["error"] == "verification-failed"
 
 
 def test_verify_witness_reports_failures():

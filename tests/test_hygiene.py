@@ -1,11 +1,15 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
 module-level public name is referenced in the package, the tests or the
-benchmark, every error type is raised or caught in the package, and every
-function reads each of its parameters."""
+benchmark, every error type is raised or caught in the package, every
+function reads each of its parameters, frozen objects change only while
+they are built, and the benchmark's tracer still finds the names it wraps."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,3 +258,80 @@ def test_scan_sees_an_unused_parameter():
         "    @classmethod\n    def k(cls, y):\n        y = 1\n        return cls\n"
     )
     assert unused_parameters(tree) == [(1, "f", "args"), (1, "f", "b"), (1, "f", "c"), (9, "k", "y")]
+
+
+def frozen_writes_outside_post_init(tree):
+    """Sorted (line, function) of each ``object.__setattr__`` or
+    ``object.__new__`` call whose innermost enclosing function is not a
+    ``__post_init__``: a frozen object changes only while it is built."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            call = child.func if isinstance(child, ast.Call) else None
+            if (
+                isinstance(call, ast.Attribute)
+                and call.attr in ("__setattr__", "__new__")
+                and isinstance(call.value, ast.Name)
+                and call.value.id == "object"
+                and function != "__post_init__"
+            ):
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_frozen_objects_change_only_in_post_init(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{name} (line {line})" for line, name in frozen_writes_outside_post_init(tree)]
+    assert not found, f"{path.name} writes a frozen object outside __post_init__: {', '.join(found)}"
+
+
+def test_scan_sees_a_frozen_write_outside_post_init():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "    def cache(self):\n"
+        "        object.__setattr__(self, 'y', 2)\n"
+        "    def copy(self):\n"
+        "        return object.__new__(A)\n"
+        "class B:\n"
+        "    def __post_init__(self):\n"
+        "        def later():\n"
+        "            object.__setattr__(self, 'z', 3)\n"
+        "        setattr(self, 'w', later)\n"
+        "object.__setattr__(A, 'v', 4)\n"
+    )
+    assert frozen_writes_outside_post_init(tree) == [(5, "cache"), (7, "copy"), (11, "later"), (13, "<module>")]
+
+
+# Runs three commands under the benchmark's tracer, which wraps functions of
+# the package by name and measures every rank argument with len().
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = ["src", "perfbench"]
+import tracing
+from rncurves import cli
+tracer = tracing.Tracer()
+tracer.install()
+argvs = (["classify", "-n", "4", "0,5,0"], ["witness", "-n", "5", "5,1,1,0"], ["defect", "--m", "1", "--s", "3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps({"codes": codes, "metrics": {k: v for k, (v, _) in tracer.metrics().items()}}))
+"""
+
+
+def test_benchmark_tracer_installs_and_counts():
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    for key in ("linalg.rank.calls", "linalg.rank.cells", "exactgeom.Projectivity.inverse.calls"):
+        assert result["metrics"][key] > 0, key

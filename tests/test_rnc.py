@@ -285,6 +285,36 @@ def test_passes_through_interpolated_points_with_x0_zero():
     assert not passes_through(curve, sample_point(4, rng))
 
 
+def test_passes_through_is_pinned():
+    # criterion 1's grid at seeds 0-4: the n+3 interpolated points, then the
+    # sums of consecutive ones, which lie on secant lines and off the curve;
+    # sha256 recorded while passes_through had its own point equations
+    out = []
+    for n in range(2, 7):
+        for seed in range(5):
+            rng = Rng(seed).derive("acceptance-interpolation", n)
+            points = [sample_point(n, rng.derive(i)) for i in range(n + 3)]
+            curve, _ = rnc_through_points(points)
+            pairs = zip(points, points[1:] + points[:1])
+            secants = [ProjPoint(n, tuple(map(sum, zip(p.coords, q.coords)))) for p, q in pairs]
+            on = [passes_through(curve, p) for p in points]
+            off = [passes_through(curve, p) for p in secants]
+            assert all(on) and not any(off)
+            out.append((n, seed, on, off))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "abd5a039dfa363470875f40d6ff4b6807c1d150897d8d9dbcb42433858f5e9aa"
+
+
+def test_passes_through_accepts_a_curve_whose_image_is_the_point():
+    # a constant parametrization: every equation of the point restricts to zero
+    point = ProjPoint(2, (F(1), F(2), F(3)))
+    curve = ParamCurve(2, tuple(BinaryForm(2, (c, 0, 0)) for c in point.coords))
+    assert passes_through(curve, point)
+    with pytest.raises(CurveInSubspaceSpan):
+        intersection_degree(curve, LinearSubspace.from_points([point]))
+    with pytest.raises(ValueError, match="not finite"):
+        passes_through(ParamCurve(0, (BinaryForm(1, (1, 1)),)), ProjPoint(0, (F(1),)))
+
+
 def test_interpolation_is_deterministic():
     rng = Rng(8)
     pts = [sample_point(3, rng) for _ in range(6)]
