@@ -17,7 +17,10 @@ them exact:
   column, which can be deleted outright; repeated to a fixpoint this often
   collapses large sparse condition matrices to a small dense core;
 * a single-prime prescreen -- ``rank_p <= rank <= min(rows, cols)``, so when
-  the modular rank hits the dimension cap the exact rank is already known;
+  the modular rank hits the dimension cap the exact rank is already known.
+  It has two kernels that return the same pivots: a plain-Python row
+  elimination for cores with at most ``_SMALL_CORE`` rows or columns, and a
+  numpy int64 one for larger cores;
 * a kernel certificate -- the prescreen's echelon gives a ``rank_p x rank_p``
   block nonsingular mod p, so ``rank >= rank_p``; one kernel vector per
   free column, lifted p-adically (Dixon, Numer. Math. 40, 1982), rebuilt by
@@ -25,14 +28,37 @@ them exact:
   ``rank <= rank_p``;
 * the elimination :func:`_echelon`, when the certificate fails (a bad prime,
   or entries past its int64 guard).
+
+numpy is bound lazily: it is imported on the first use by a large prescreen
+core or a kernel certificate, so a command that reaches neither never loads
+it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-import numpy as np
+
+def _lazy_module(name):
+    """The module *name*, loaded on its first attribute access.
+
+    A module already in ``sys.modules`` is returned as it is: building a
+    second, lazy copy would execute it again on first use.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 # The one prime of rank(): its prescreen and its kernel certificate.  A "bad"
 # prime can only underestimate the rank, and then the certificate fails and
@@ -41,6 +67,11 @@ import numpy as np
 # under (p-1)**2 and stays in int64.
 _PRESCREEN_PRIME = 2**26 - 5
 _KERNEL_MAX_RANK = 2**63 // (_PRESCREEN_PRIME - 1) ** 2
+# Prescreen cores with at most this many rows or columns are eliminated in
+# plain Python, larger ones in numpy: below the bound numpy's fixed cost per
+# pivot outweighs its vector speed (the crossover measured on the cores of
+# the atlas and ideal benchmark passes).
+_SMALL_CORE = 14
 
 
 _INT = frozenset((int,))
@@ -143,19 +174,61 @@ def _rank_bareiss(int_rows, ncols):
 
 
 def _rank_mod_int(int_rows, p):
-    """Rank of an integer matrix modulo the odd prime ``p`` (numpy int64).
+    """Rank of an integer matrix modulo the odd prime ``p``.
 
     Returns ``(rank, pivot_rows, pivot_cols)``: the rows (indices into
     ``int_rows``) and columns of a ``rank x rank`` block nonsingular mod p.
+    The pivot of each column is the first remaining row nonzero in it.  A
+    core with at most ``_SMALL_CORE`` rows or columns is eliminated in plain
+    Python, a larger one in numpy; both make the same swaps, so they return
+    the same triple.
     """
     data = [[x % p for x in r] for r in int_rows]
     live = [i for i, r in enumerate(data) if any(r)]
     if not live:
         return 0, [], []
-    a = np.array([data[i] for i in live], dtype=np.int64)
+    rows = [data[i] for i in live]
+    small = min(len(rows), len(rows[0])) <= _SMALL_CORE
+    pivots = (_pivots_mod_python if small else _pivots_mod_numpy)(rows, live, p)
+    return len(pivots), live[: len(pivots)], pivots
+
+
+def _pivots_mod_python(a, order, p):
+    """Pivot columns of the row echelon form mod p of the list rows ``a``.
+
+    ``a`` is reduced in place, and ``order`` is swapped along with its rows.
+    The pivot row is not scaled to 1; the rows below lose the same multiple
+    of it either way.
+    """
+    m, r, pivots = len(a), 0, []
+    for col in range(len(a[0])):
+        for i in range(r, m):
+            if a[i][col]:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            order[r], order[i] = order[i], order[r]
+        pivot = a[r]
+        inv = pow(pivot[col], -1, p)
+        for k in range(r + 1, m):
+            f = a[k][col]
+            if f:
+                c = f * inv % p
+                a[k] = [(x - c * y) % p for x, y in zip(a[k], pivot)]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def _pivots_mod_numpy(rows, order, p):
+    """:func:`_pivots_mod_python` on an int64 array, one vector step per pivot."""
+    a = np.array(rows, dtype=np.int64)
     m, n = a.shape
-    r = 0
-    pivots = []
+    r, pivots = 0, []
     for col in range(n):
         nz = np.nonzero(a[r:, col])[0]
         if nz.size == 0:
@@ -163,7 +236,7 @@ def _rank_mod_int(int_rows, p):
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-            live[r], live[i] = live[i], live[r]
+            order[r], order[i] = order[i], order[r]
         inv = pow(int(a[r, col]), -1, p)
         a[r] = (a[r] * inv) % p
         below = a[r + 1 :, col] != 0
@@ -174,7 +247,7 @@ def _rank_mod_int(int_rows, p):
         r += 1
         if r == m:
             break
-    return r, live[:r], pivots
+    return pivots
 
 
 def _inverse_mod(b, p):

@@ -145,7 +145,9 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
     The number of points must not exceed the interpolation bound of the block
     profile.  A line block takes the values from its own coordinates; with
     exactly ``n_1 + 3`` points the first factor determines them, otherwise
-    stock values ``[1 : i]`` are assigned.
+    stock values ``[1 : i]`` are assigned.  With no points, the lead form of
+    each block vanishes at ``[1 : c]`` for c over the block's own coordinate
+    indices, so no two lead forms share a root.
     """
     s = len(points)
     bound = ctx.point_bound()
@@ -154,6 +156,12 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
     for q in points:
         if len(q) != ctx.r:
             raise ValueError("each multipoint needs one factor per block")
+    if not points:
+        factors = []
+        for d, off in zip(ctx.factor_dims, ctx.offsets()):
+            lead = product([BinaryForm.vanishing_at(ParamPoint(1, off + k)) for k in range(d)])
+            factors.append(RationalCurve(d, (lead,) + standard_rnc(d).forms[:d]))
+        return MultiCurve(ctx, tuple(factors)), []
     n1 = ctx.factor_dims[0]
     factor_points = [[q[i] for q in points] for i in range(ctx.r)]
     rest_start = 0

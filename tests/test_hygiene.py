@@ -221,6 +221,93 @@ def test_scan_sees_a_function_local_import():
     assert function_local_imports(tree) == [(6, "f"), (10, "g")]
 
 
+def numpy_references(tree):
+    """Sorted (line, kind) of each place a module names numpy: an import of
+    it, the string ``"numpy"`` or the name ``np`` or ``numpy``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {(node.lineno, "import") for a in node.names if a.name.split(".")[0] == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.add((node.lineno, "import"))
+        elif isinstance(node, ast.Constant) and node.value == "numpy":
+            found.add((node.lineno, "string"))
+        elif isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+            found.add((node.lineno, "name"))
+    return sorted(found)
+
+
+# linalg binds numpy once, through the lazy loader, so only the commands
+# that rank a large core or certify a kernel load it.
+LAZY_NUMPY = "np = _lazy_module('numpy')"  # as ast.unparse writes it
+
+
+def test_numpy_is_bound_lazily_in_linalg_only():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        refs = numpy_references(tree)
+        kinds = {kind for _, kind in refs}
+        if path.name != "linalg.py":
+            assert not kinds, f"{path.name} names numpy"
+            continue
+        assert "import" not in kinds, "linalg imports numpy eagerly"
+        bindings = [
+            node for node in tree.body
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "np" for t in node.targets)
+        ]
+        assert [ast.unparse(node) for node in bindings] == [LAZY_NUMPY]
+        strings = [line for line, kind in refs if kind == "string"]
+        assert strings == [bindings[0].lineno]
+
+
+def test_scan_sees_numpy_references():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.linalg import det\nimport numpy.random\n"
+        "m = __import__('numpy')\ndef f(a):\n    return np.array(a)\n"
+    )
+    assert numpy_references(tree) == [(1, "import"), (2, "import"), (3, "import"), (4, "string"), (6, "name")]
+
+
+# Runs a command line in a fresh interpreter and reports whether numpy loaded.
+# The lazy binding puts a module named numpy in sys.modules at import, so the
+# test looks for numpy._core, which only the real import brings in.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, "src")
+from rncurves import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"code": code, "numpy": "numpy._core" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ([], False),
+        (["classify", "-n", "5", "0,1,1,1"], False),
+        (["witness", "-n", "6", "9,0,0,0,0"], False),
+        (["classify", "-n", "4", "0,2,2"], True),  # ranks cores past the small-core bound
+    ],
+    ids=["import", "classify-small", "witness", "classify-certificate"],
+)
+def test_numpy_loads_only_when_a_command_needs_it(argv, loads_numpy):
+    cmd = [sys.executable, "-c", NUMPY_PROBE, *argv]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "numpy": loads_numpy}
+
+
+def test_numpy_imported_first_is_reused_not_reloaded():
+    # numpy warns "The NumPy module was reloaded" if the lazy binding built a
+    # second module for it; -W error turns that into a failure.
+    code = "import numpy, sys; sys.path.insert(0, 'src'); from rncurves import cli; sys.exit(cli.main(sys.argv[1:]))"
+    cmd = [sys.executable, "-W", "error", "-c", code, "classify", "-n", "4", "0,2,2"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"counts":[0,2,2],"n":4,"verdict":{"certificate":null,"status":"Unknown"}}\n'
+
+
 def unused_parameters(tree):
     """Sorted (line, function, parameter) for each parameter its body never reads.
 

@@ -344,3 +344,49 @@ def test_lift_checkpoints_solve_the_system_mod_p_powers(steps, checkpoints):
         seen.append(modulus)
         assert not np.any((exact_b @ x - exact_rhs) % modulus)
     assert seen == [P**s for s in checkpoints]
+
+
+SMALL = linalg._SMALL_CORE
+
+
+def sparse_product(rows, cols, inner, seed):
+    """``U V`` with rank at most ``inner``, many zero entries and some
+    entries that are multiples of P, so pivots swap rows and skip columns."""
+    rnd = random.Random(seed)
+
+    def entry():
+        return rnd.choice((0, 0, 0, 1, -1, P, rnd.randrange(-(2**40), 2**40)))
+
+    u = [[entry() for _ in range(inner)] for _ in range(rows)]
+    v = [[entry() for _ in range(cols)] for _ in range(inner)]
+    return [[sum(a * b for a, b in zip(r, c)) for c in zip(*v)] for r in u]
+
+
+# rows, cols and inner dimension near the bound, so the min side falls on both sides of it
+NEAR_SMALL = st.integers(SMALL - 4, SMALL + 4)
+SIZES = (NEAR_SMALL, NEAR_SMALL, st.integers(1, SMALL + 4), st.integers(0, 2**32))
+
+
+@given(*SIZES)
+@example(SMALL, SMALL + 3, SMALL - 2, 1)  # min side at the bound, rank-deficient
+@example(SMALL + 1, SMALL + 2, SMALL - 1, 2)  # min side past the bound, rank-deficient
+@example(SMALL + 2, SMALL + 1, SMALL + 1, 3)  # past the bound, full rank
+@settings(max_examples=60, deadline=None)
+def test_prescreen_kernels_return_the_same_pivots(rows, cols, inner, seed):
+    m = sparse_product(rows, cols, min(inner, rows, cols), seed)
+    found = []
+    for bound in (0, rows + cols):  # every core to numpy, then every core to plain Python
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_SMALL_CORE", bound)
+            found.append(linalg._rank_mod_int(m, P))
+    assert found[0] == found[1]
+
+
+@given(*SIZES)
+@example(SMALL, SMALL + 3, SMALL - 2, 1)
+@example(SMALL + 1, SMALL + 2, SMALL - 1, 2)
+@settings(max_examples=30, deadline=None)
+def test_rank_matches_sympy_on_both_sides_of_the_small_core_bound(rows, cols, inner, seed):
+    m = sparse_product(rows, cols, min(inner, rows, cols), seed)
+    want = DomainMatrix([[ZZ(x) for x in row] for row in m], (rows, cols), ZZ).convert_to(sympy.QQ).rank()
+    assert rank(m, cols) == want

@@ -233,6 +233,16 @@ def test_witness_curve_point_blocks_give_interpolation():
         assert passes_through(curve, p)
 
 
+@pytest.mark.parametrize("n, dims", [(5, (1, 2)), (4, (1, 1)), (3, (0, 0, 0))], ids=["line-plane", "two-lines", "three-points"])
+def test_witness_curve_with_no_points_meets_the_spaces(n, dims):
+    rng = Rng(103)
+    spaces = [sample_generic_subspace(n, d, rng.derive("space", i)) for i, d in enumerate(dims)]
+    curve = witness_curve(spaces, [])
+    cfg = rncurves.Configuration(n, tuple((space, 1) for space in spaces))
+    ok, report = rncurves.verify_witness(curve, cfg)
+    assert ok, report
+
+
 def test_witness_curve_checks_normality_once(monkeypatch):
     from rncurves import rnc
 
