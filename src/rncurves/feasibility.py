@@ -30,6 +30,11 @@ negative rules
 Sampled rules (bezout, projection) decide on three seeded samples and carry
 a ``generic-sample`` caveat in their certificates.  Bezout screens each
 (d, k) on sample 0 and draws samples 1 and 2 only for a (d, k) that passes.
+The screen is one elimination mod p per degree.  It bounds from below the
+rank of sample 0's condition matrix and the ranks with each candidate
+component left out.  A (d, k) whose bound already breaks the equation is
+skipped, and that skip is exact because ``rank >= rank_p`` over Z.  Every
+other (d, k) is decided by exact ranks; no modular value decides a pass.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .errors import (
 from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, sample_point_on, stable_mix
 from .rnc import RationalCurve, intersection_degree, is_rnc, rnc_through_points
 from .segre import SegreContext, witness_curve
-from . import serialize
+from . import linalg, serialize
 
 FEASIBLE = "Feasible"
 NON_FEASIBLE = "NonFeasible"
@@ -233,16 +238,39 @@ def _lines_table(n: int, l: int) -> Optional[tuple[str, Certificate]]:
 # sampled rules
 
 
+def _screened(head: ConditionMatrix, dims: Sequence[int], counts: Sequence[int]):
+    """Yield ``(k, idx, drop)`` for each k in ``dims`` whose first component,
+    block ``idx`` of ``head``, raises its exact rank by ``drop = C(d+k, k)``.
+
+    One elimination mod p (:func:`~rncurves.linalg.leave_one_out_ranks_mod_p`)
+    bounds every rank from below.  The full rank is that bound when it meets
+    the dimension cap, and is computed exactly otherwise.  A k whose bound
+    on the rank without ``idx`` plus ``drop`` already exceeds the full rank
+    is skipped: ``rank >= rank_p`` makes the equation false.  Every other k
+    is decided by the exact rank without ``idx``.
+    """
+    candidates = [sum(counts[:k]) for k in dims]  # components are listed by ascending dimension
+    full_p, without_p = linalg.leave_one_out_ranks_mod_p(head.blocks, candidates, head.ncols)
+    full = full_p if full_p == min(len(head.rows), head.ncols) else head.hilbert()
+    for k, idx, lower in zip(dims, candidates, without_p):
+        drop = comb(head.degree + k, k)
+        if lower + drop <= full and full == head.without(idx).hilbert() + drop:
+            yield k, idx, drop
+
+
 def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[Certificate]:
     """Remove one component; if its conditions on degree-d forms through the
     rest are independent while the contact count exceeds d*n, no curve exists.
 
-    Sample 0 screens each (d, k): only a (d, k) whose equation holds on it
-    draws samples 1 and 2 (once per call), and the three samples decide under
-    the policy of :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k)
-    whose samples disagree is skipped.  Agreement and the equation together
-    imply the equation on sample 0, so the screen skips only what the policy
-    would skip.
+    Sample 0 screens each (d, k) by :func:`_screened`: only a (d, k) whose
+    equation holds on it draws samples 1 and 2 (once per call), and the three
+    samples decide under the policy of
+    :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k) whose samples
+    disagree is skipped.  Agreement and the equation together imply the
+    equation on sample 0, so the screen skips only what the policy would
+    skip.  The screen shares one elimination mod p among all k of a degree
+    and proves each skip by ``rank >= rank_p``; a (d, k) it does not skip
+    goes through the exact ranks.
     """
     n = weights.n
     total = weights.total_intersection()
@@ -260,13 +288,8 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     rest = None
     for d in usable:
         head = ConditionMatrix.build(first, d)
-        head_full = head.hilbert()
         matrices = None
-        for k in dims_present:
-            drop = comb(d + k, k)
-            idx = sum(weights.counts[:k])  # components are listed by ascending dimension
-            if head_full != head.without(idx).hilbert() + drop:
-                continue
+        for k, idx, drop in _screened(head, dims_present, weights.counts):
             if matrices is None:
                 if rest is None:
                     try:

@@ -29,9 +29,16 @@ them exact:
 * the elimination :func:`_echelon`, when the certificate fails (a bad prime,
   or entries past its int64 guard).
 
+:func:`leave_one_out_ranks_mod_p` is the second use of ``rank_p <= rank``.
+It ranks a stack of row blocks mod p, whole and with each of a few blocks
+left out, in one elimination whose pivots come from the rows that are never
+left out.  Its values are lower bounds, exact only where they meet the
+dimension cap ``min(rows, cols)``: below it a value may rule an equation
+out, never accept one.
+
 numpy is bound lazily: it is imported on the first use by a large prescreen
-core or a kernel certificate, so a command that reaches neither never loads
-it.
+core, a large leave-one-out elimination or a kernel certificate, so a
+command that reaches none of them never loads it.
 """
 
 from __future__ import annotations
@@ -178,29 +185,40 @@ def _rank_mod_int(int_rows, p):
 
     Returns ``(rank, pivot_rows, pivot_cols)``: the rows (indices into
     ``int_rows``) and columns of a ``rank x rank`` block nonsingular mod p.
-    The pivot of each column is the first remaining row nonzero in it.  A
-    core with at most ``_SMALL_CORE`` rows or columns is eliminated in plain
-    Python, a larger one in numpy; both make the same swaps, so they return
-    the same triple.
+    The pivot of each column is the first remaining row nonzero in it.
     """
     data = [[x % p for x in r] for r in int_rows]
     live = [i for i, r in enumerate(data) if any(r)]
     if not live:
         return 0, [], []
-    rows = [data[i] for i in live]
-    small = min(len(rows), len(rows[0])) <= _SMALL_CORE
-    pivots = (_pivots_mod_python if small else _pivots_mod_numpy)(rows, live, p)
+    pivots, _ = _echelon_mod([data[i] for i in live], live, p, len(live))
     return len(pivots), live[: len(pivots)], pivots
 
 
-def _pivots_mod_python(a, order, p):
+def _echelon_mod(rows, order, p, m):
+    """Pivot columns mod p of the nonempty rows ``rows``, pivots taken from the first ``m``.
+
+    Returns ``(pivot_cols, rest)``: ``rest`` is rows ``m:`` as lists,
+    reduced against the echelon form of the first ``m`` rows.  With at most
+    ``_SMALL_CORE`` pivot rows or columns the elimination runs in plain
+    Python, otherwise in numpy; both make the same swaps, so they return the
+    same pivots and reorder ``order`` alike.
+    """
+    if min(m, len(rows[0])) <= _SMALL_CORE:
+        return _pivots_mod_python(rows, order, p, m), rows[m:]
+    a = np.array(rows, dtype=np.int64)
+    return _pivots_mod_numpy(a, order, p, m), a[m:].tolist()
+
+
+def _pivots_mod_python(a, order, p, m):
     """Pivot columns of the row echelon form mod p of the list rows ``a``.
 
-    ``a`` is reduced in place, and ``order`` is swapped along with its rows.
-    The pivot row is not scaled to 1; the rows below lose the same multiple
-    of it either way.
+    Only the first ``m`` rows may be pivots, and every row below a pivot
+    is reduced by it.  ``a`` is reduced in place, and ``order`` is swapped
+    along with its rows.  The pivot row is not scaled to 1; the rows below
+    lose the same multiple of it either way.
     """
-    m, r, pivots = len(a), 0, []
+    r, pivots = 0, []
     for col in range(len(a[0])):
         for i in range(r, m):
             if a[i][col]:
@@ -212,7 +230,7 @@ def _pivots_mod_python(a, order, p):
             order[r], order[i] = order[i], order[r]
         pivot = a[r]
         inv = pow(pivot[col], -1, p)
-        for k in range(r + 1, m):
+        for k in range(r + 1, len(a)):
             f = a[k][col]
             if f:
                 c = f * inv % p
@@ -224,13 +242,11 @@ def _pivots_mod_python(a, order, p):
     return pivots
 
 
-def _pivots_mod_numpy(rows, order, p):
+def _pivots_mod_numpy(a, order, p, m):
     """:func:`_pivots_mod_python` on an int64 array, one vector step per pivot."""
-    a = np.array(rows, dtype=np.int64)
-    m, n = a.shape
     r, pivots = 0, []
-    for col in range(n):
-        nz = np.nonzero(a[r:, col])[0]
+    for col in range(a.shape[1]):
+        nz = np.nonzero(a[r:m, col])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -248,6 +264,35 @@ def _pivots_mod_numpy(rows, order, p):
         if r == m:
             break
     return pivots
+
+
+def leave_one_out_ranks_mod_p(blocks, indices, ncols):
+    """Ranks mod p of the stacked row ``blocks``, whole and without each ``blocks[i]``, i in ``indices``.
+
+    Returns ``(full, without)`` with ``without[j]`` the rank of the stack
+    without ``blocks[indices[j]]``.  One elimination takes its pivots from
+    the rows of the other blocks alone and reduces the rows of the indexed
+    blocks against them on the way, so each rank is that of the other blocks
+    plus the rank of a few reduced rows on the free columns.  Every value is
+    a lower bound on the exact rank, ``rank_p <= rank``, as in :func:`rank`'s
+    prescreen, and it is known to be the rank when it meets
+    ``min(rows, ncols)``.
+    """
+    p = _PRESCREEN_PRIME
+    reduced = [[[x % p for x in row] for row in block] for block in blocks]
+    kept = [row for i, block in enumerate(reduced) if i not in indices for row in block if any(row)]
+    rows = kept + [row for i in indices for row in reduced[i]]
+    pivots, rest = _echelon_mod(rows, list(range(len(rows))), p, len(kept))
+    free = sorted(set(range(ncols)) - set(pivots))
+    parts, start = [], 0
+    for i in indices:
+        parts.append([[row[j] for j in free] for row in rest[start : start + len(blocks[i])]])
+        start += len(blocks[i])
+
+    def rank_with(chosen):
+        return len(pivots) + _rank_mod_int([row for part in chosen for row in part], p)[0]
+
+    return rank_with(parts), [rank_with(parts[:j] + parts[j + 1 :]) for j in range(len(parts))]
 
 
 def _inverse_mod(b, p):

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+from math import comb
 
 import pytest
 
-from rncurves import feasibility
-from rncurves.arrangements import WeightVector, sample_configuration
+from rncurves import feasibility, linalg
+from rncurves.arrangements import ConditionMatrix, WeightVector, sample_configuration
 from rncurves.cli import EXIT_VERIFY, main
 from rncurves.errors import (
     CoincidentParameters,
@@ -271,6 +272,40 @@ def test_bezout_genericity_failure_on_a_later_sample_is_silent(monkeypatch):
     calls = _counting_sampler(monkeypatch, fail_on=2)
     assert check_bezout(five_lines, DEFAULTS) is None
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, screened, passed", [(3, 50, 2), (4, 258, 5), (5, 1048, 22)])
+def test_bezout_screen_decides_as_the_exact_ranks(n, screened, passed):
+    # every (d, k) that check_bezout screens on sample 0 of an atlas vector
+    # passes the screen exactly when the exact ranks satisfy the equation
+    seen = hits = 0
+    for weights in enumerate_weights(n):
+        usable = [d for d in (1, 2, 3) if weights.total_intersection() - 1 > d * n]
+        if not usable:
+            continue
+        dims = sorted({i for i, c in enumerate(weights.counts) if c})
+        cfg = sample_configuration(weights, Rng(stable_mix(0, "bezout", n, weights.counts, 0)))
+        for d in usable:
+            head = ConditionMatrix.build(cfg, d)
+            full = head.hilbert()
+            want = []
+            for k in dims:
+                idx, drop = sum(weights.counts[:k]), comb(d + k, k)
+                if full == head.without(idx).hilbert() + drop:
+                    want.append((k, idx, drop))
+            assert list(feasibility._screened(head, dims, weights.counts)) == want, (weights, d)
+            seen += len(dims)
+            hits += len(want)
+    assert (seen, hits) == (screened, passed)
+
+
+def test_bezout_screen_ranks_exactly_below_the_cap():
+    # the kept row is 0 mod p, so the modular bound on the full rank (1) is
+    # below the cap (2): the screen must take the exact rank, 2 = 1 + 1
+    p = linalg._PRESCREEN_PRIME
+    head = ConditionMatrix(2, 1, (((0, 0, 1),), ((p, 0, 0),)))
+    assert linalg.leave_one_out_ranks_mod_p(head.blocks, [0], 3) == (1, [0])
+    assert list(feasibility._screened(head, [0], (2,))) == [(0, 0, 1)]
 
 
 def test_projection_rule_frozen_chain():

@@ -287,9 +287,10 @@ print(json.dumps({"code": code, "numpy": "numpy._core" in sys.modules}))
         ([], False),
         (["classify", "-n", "5", "0,1,1,1"], False),
         (["witness", "-n", "6", "9,0,0,0,0"], False),
-        (["classify", "-n", "4", "0,2,2"], True),  # ranks cores past the small-core bound
+        (["atlas", "-n", "3"], False),  # the Bezout screen runs on every row
+        (["classify", "-n", "4", "4,0,2"], True),  # certifies the rank of four cores
     ],
-    ids=["import", "classify-small", "witness", "classify-certificate"],
+    ids=["import", "classify-small", "witness", "atlas-small", "classify-certificate"],
 )
 def test_numpy_loads_only_when_a_command_needs_it(argv, loads_numpy):
     cmd = [sys.executable, "-c", NUMPY_PROBE, *argv]
@@ -302,10 +303,15 @@ def test_numpy_imported_first_is_reused_not_reloaded():
     # numpy warns "The NumPy module was reloaded" if the lazy binding built a
     # second module for it; -W error turns that into a failure.
     code = "import numpy, sys; sys.path.insert(0, 'src'); from rncurves import cli; sys.exit(cli.main(sys.argv[1:]))"
-    cmd = [sys.executable, "-W", "error", "-c", code, "classify", "-n", "4", "0,2,2"]
+    cmd = [sys.executable, "-W", "error", "-c", code, "classify", "-n", "4", "4,0,2"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == '{"counts":[0,2,2],"n":4,"verdict":{"certificate":null,"status":"Unknown"}}\n'
+    assert proc.stdout == (
+        '{"counts":[4,0,2],"n":4,"verdict":{"certificate":{"caveats":["generic-sample"],"params":'
+        '{"component_dim":0,"component_index":0,"contact_count":10,"counts":[4,0,2],"degree":2,'
+        '"hilbert_full":15,"hilbert_reduced":14,"independent_conditions":1,"n":4},"rule":"bezout",'
+        '"seeds":[1177014480880737946,7367213134593501780,931926415839828061]},"status":"NonFeasible"}}\n'
+    )
 
 
 def unused_parameters(tree):

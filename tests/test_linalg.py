@@ -390,3 +390,29 @@ def test_rank_matches_sympy_on_both_sides_of_the_small_core_bound(rows, cols, in
     m = sparse_product(rows, cols, min(inner, rows, cols), seed)
     want = DomainMatrix([[ZZ(x) for x in row] for row in m], (rows, cols), ZZ).convert_to(sympy.QQ).rank()
     assert rank(m, cols) == want
+
+
+@given(NEAR_SMALL, NEAR_SMALL, st.integers(1, SMALL + 4), st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 2**32))
+@example(SMALL, SMALL + 3, SMALL - 2, [3, 2], 1)  # kept rows at the bound, rank-deficient
+@example(SMALL + 1, SMALL + 2, SMALL - 1, [1, 5, 2], 2)  # kept rows past the bound, rank-deficient
+@example(SMALL + 2, SMALL + 1, SMALL + 1, [4], 3)  # past the bound, full rank
+@settings(max_examples=40, deadline=None)
+def test_leave_one_out_ranks_are_the_modular_ranks_of_each_stack(kept_rows, cols, inner, sizes, seed):
+    # one low-rank product for the whole stack, so the blocks depend on the kept rows and on each other
+    m = sparse_product(kept_rows + sum(sizes), cols, min(inner, cols), seed)
+    blocks, rest = [m[:kept_rows]], m[kept_rows:]
+    for size in sizes:
+        blocks.append(rest[:size])
+        rest = rest[size:]
+    order = random.Random(seed).sample(range(len(blocks)), len(blocks))
+    blocks = [blocks[i] for i in order]
+    indices = [j for j, i in enumerate(order) if i]  # the kept rows are never left out
+    stacks = [m] + [[row for b in blocks[:i] + blocks[i + 1 :] for row in b] for i in indices]
+    want = [linalg._rank_mod_int(s, P)[0] for s in stacks]
+    for bound in (0, kept_rows + cols):  # the kept rows eliminated in numpy, then in plain Python
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_SMALL_CORE", bound)
+            full, without = linalg.leave_one_out_ranks_mod_p(blocks, indices, cols)
+        assert [full, *without] == want
+    for s, value in zip(stacks, want):
+        assert value <= DomainMatrix([[ZZ(x) for x in row] for row in s], (len(s), cols), ZZ).convert_to(sympy.QQ).rank()
