@@ -214,6 +214,16 @@ def test_atlas_5_is_byte_identical_to_its_pinned_digest(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == "be084713d585ce9ae6b17dce6a6d68a093646c979f7366d7d0ca2f4cd534eb23"
 
 
+def test_atlas_6_is_byte_identical_to_its_pinned_digest(capsys, monkeypatch):
+    # 544 rows, the largest rank workload of the suite: the Bézout screen,
+    # the unit-row strip and both prescreen kernels on matrices up to 84
+    # columns.  Recorded before any of them was changed.
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    code, out = run(capsys, ["atlas", "-n", "6", "--format", "csv"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == "27c5ec6b37f77276ef37710db0e4a008ba230b22b7e4e025e4a9aa5d435b693e"
+
+
 def test_bad_weights_exit_usage(capsys):
     code = main(["classify", "-n", "3", "1,2,3,4"])
     assert code == EXIT_USAGE

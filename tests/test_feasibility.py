@@ -27,6 +27,7 @@ from rncurves.feasibility import (
     RunConfig,
     _first_verdict,
     _pattern_choices,
+    _reductions,
     _rule_table,
     all_rule_verdicts,
     atlas,
@@ -604,3 +605,52 @@ def test_witness_audit_catches_an_unsound_rule(monkeypatch):
     monkeypatch.setattr(feasibility, "check_bezout", lambda weights, opts: Certificate("planted", {}))
     *_, violations = witness_audit(3)
     assert violations == [("NonFeasible, built", (1, 3)), ("NonFeasible, built", (3, 2))]
+
+
+# ---------------------------------------------------------------- atlas audit
+
+
+def atlas_audit(dims):
+    """Check the atlas rows of P^n, n in ``dims``, against each other.
+
+    Whatever rule decided a row, two implications hold.  A curve meeting a
+    generic configuration meets every part of it, so Feasible(w) implies
+    Feasible(w - e_i).  A NonFeasible projection child makes its source
+    NonFeasible, the argument of check_projection.  Returns the numbers of
+    removal pairs and projection pairs (a Feasible row and such a child that
+    is a row of these atlases) and the pairs whose child is NonFeasible,
+    each of which proves some rule unsound.
+    """
+    status = {(n, row.counts): row.status for n in dims for row in atlas(n)}
+    pairs = {"removal": set(), "projection": set()}
+    violations = []
+    for (n, counts), s in sorted(status.items()):
+        if s != FEASIBLE:
+            continue
+        removals = [(n, counts[:i] + (c - 1,) + counts[i + 1 :]) for i, c in enumerate(counts) if c]
+        projections = [(child.n, child.counts) for _, child in _reductions(WeightVector(n, counts))]
+        for kind, children in (("removal", removals), ("projection", projections)):
+            for child in children:
+                if child in status:
+                    pairs[kind].add(((n, counts), child))
+                    if status[child] == NON_FEASIBLE:
+                        violations.append((kind, (n, counts), child))
+    return len(pairs["removal"]), len(pairs["projection"]), violations
+
+
+def test_atlas_audit():
+    assert atlas_audit(range(2, 6)) == (219, 214, [])
+
+
+def test_atlas_audit_catches_an_unsound_rule(monkeypatch):
+    monkeypatch.setattr(feasibility, "check_bezout", lambda weights, opts: Certificate("planted", {}))
+    # every row that reaches the Bézout rule is now NonFeasible: the Unknown
+    # rows below a Feasible row, and one projection child
+    *_, violations = atlas_audit((3, 4))
+    removals = {
+        (3, (1, 5)): [(1, 4)], (3, (2, 4)): [(1, 4), (2, 3)], (3, (3, 3)): [(2, 3), (3, 2)],
+        (4, (1, 0, 6)): [(0, 0, 6), (1, 0, 5)], (4, (2, 0, 5)): [(1, 0, 5), (2, 0, 4)],
+        (4, (3, 0, 4)): [(2, 0, 4), (3, 0, 3)],
+    }
+    want = [("removal", row, (row[0], child)) for row, children in removals.items() for child in children]
+    assert violations == want + [("projection", (4, (4, 2, 0)), (3, (3, 2)))]

@@ -416,3 +416,38 @@ def test_leave_one_out_ranks_are_the_modular_ranks_of_each_stack(kept_rows, cols
         assert [full, *without] == want
     for s, value in zip(stacks, want):
         assert value <= DomainMatrix([[ZZ(x) for x in row] for row in s], (len(s), cols), ZZ).convert_to(sympy.QQ).rank()
+
+
+@st.composite
+def unit_row_matrices(draw):
+    """Sparse integer matrices with unit rows, several unit rows on one
+    column, zero rows, and rows that turn into unit rows once a column goes."""
+    rows = draw(st.integers(0, 10))
+    cols = draw(st.integers(1, 7))
+    m = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("unit", "zero", "sparse", "sparse")))
+        r = [0] * cols
+        if kind == "unit":  # few columns, so units repeat on a column
+            r[draw(st.integers(0, min(cols, 3) - 1))] = draw(st.integers(-5, 5).filter(bool))
+        elif kind == "sparse":
+            r = [draw(st.sampled_from((0, 0, 0, 1, -1, 2, 3 * BIG))) for _ in range(cols)]
+        m.append(r)
+    return m, cols
+
+
+@given(unit_row_matrices())
+@example(([], 3))  # no rows
+@example(([[0, 0, 0], [0, 0, 0]], 3))  # zero rows only
+@example(([[2, 0, 0], [-1, 0, 0], [0, 0, 5]], 3))  # one column with two unit rows
+@example(([[1, 0, 0, 0], [3, 4, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 4))  # a cascade down to nothing
+@example(([[1, 0, 0], [1, 1, 1], [0, 2, 3]], 3))  # one round, a 2 x 2 core left
+@settings(max_examples=80, deadline=None)
+def test_strip_unit_rows_keeps_the_rank_and_leaves_no_unit_row(case):
+    m, cols = case
+    gained, core, core_cols = linalg._strip_unit_rows(m, cols)
+    assert core_cols == cols - gained
+    assert all(len(r) == core_cols and sum(map(bool, r)) >= 2 for r in core)
+    core_rank = DomainMatrix([[ZZ(x) for x in r] for r in core], (len(core), core_cols), ZZ).convert_to(sympy.QQ).rank()
+    want = DomainMatrix([[ZZ(x) for x in r] for r in m], (len(m), cols), ZZ).convert_to(sympy.QQ).rank()
+    assert gained + core_rank == want
