@@ -358,30 +358,13 @@ def agreed_hilbert(
     return GenericValue(hf, seeds, agreed), GenericValue(total - hf, seeds, agreed)
 
 
-# Accepted backend names.  Both select the one exact rank path; "modular"
-# stays valid so that existing callers and command lines keep working.
-BACKENDS = ("exact", "modular")
-
-
-def check_backend(backend: str) -> None:
-    """Reject a backend name outside :data:`BACKENDS` with ``ValueError``."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown rank backend {backend!r}")
-
-
 def generic_hilbert(
-    n: int,
-    spec: Sequence[tuple[int, int]],
-    d: int,
-    seed: int,
-    backend: str = "exact",
+    n: int, spec: Sequence[tuple[int, int]], d: int, seed: int
 ) -> tuple[GenericValue, GenericValue]:
     """Triple-seeded Hilbert function and ideal dimension for (dim, mult) specs.
 
     Returns ``(hilbert, ideal_dim)`` under the policy of :func:`agreed_hilbert`.
-    ``backend`` must name one of :data:`BACKENDS`; every value is exact.
     """
-    check_backend(backend)
     seeds = tuple(stable_mix(seed, "sample", t) for t in range(3))
     samples = [sample_fat_configuration(n, spec, Rng(s)) for s in seeds]
     return agreed_hilbert([ConditionMatrix.build(cfg, d) for cfg in samples], seeds)

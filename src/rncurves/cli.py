@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .arrangements import BACKENDS, WeightVector, generic_hilbert
+from .arrangements import WeightVector, generic_hilbert
 from .defectivity import DefectQuery, defect_check, defect_sweep
 from .errors import NoConstructivePath, RncError
 from .feasibility import DEFAULTS, RunConfig, atlas, atlas_summary, build_witness, classify, verify_witness
@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: ``parse_args`` leaves it unchanged."""
     p = argparse.ArgumentParser(prog="rncurves")
     p.add_argument("--seed", type=int, default=None, help=f"sampling seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--backend", choices=BACKENDS, default="exact", help="rank backend; every value is exact")
     p.add_argument("--d-max", type=int, default=DEFAULTS.d_max, help="max degree for the Bezout-style rule")
     p.add_argument("--depth", type=int, default=DEFAULTS.projection_depth, help="max projection chain length")
     p.add_argument("--budget", type=int, default=DEFAULTS.resample_budget, help="resampling budget for constructions")
@@ -173,7 +172,7 @@ def cmd_hilbert(args, opts: RunConfig) -> int:
         d = serialize.dec_int(data["d"])
         spec = [(serialize.dec_int(c["dim"]), serialize.dec_int(c.get("mult", 1))) for c in data["components"]]
         seed = serialize.dec_int(data.get("seed", opts.seed))
-        hf, ideal = generic_hilbert(n, spec, d, seed, backend=args.backend)
+        hf, ideal = generic_hilbert(n, spec, d, seed)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise SystemExit(f"bad hilbert input: {e}")
     _emit(
@@ -206,10 +205,10 @@ def cmd_defect(args, opts: RunConfig) -> int:
 
     try:
         if args.s is None:
-            reports = defect_sweep(args.m, seed=opts.seed, backend=args.backend)
+            reports = defect_sweep(args.m, seed=opts.seed)
             _emit({"m": args.m, "reports": [enc(r) for r in reports]})
         else:
-            report = defect_check(DefectQuery(args.m, args.s), seed=opts.seed, backend=args.backend)
+            report = defect_check(DefectQuery(args.m, args.s), seed=opts.seed)
             _emit(enc(report))
     except RncError as e:
         raise SystemExit(str(e))

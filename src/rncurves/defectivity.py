@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangements import ConditionMatrix, Configuration, _pairwise_generic, agreed_hilbert, check_backend
+from .arrangements import ConditionMatrix, Configuration, _pairwise_generic, agreed_hilbert
 from .errors import BoundViolated, GenericityExhausted
 from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, span, stable_mix, standard_point
 
@@ -100,23 +100,21 @@ def _instance(m: int, s: int, seed: int) -> Configuration:
     raise GenericityExhausted("could not sample generic double points")
 
 
-def defect_check(query: DefectQuery, seed: int = 0, backend: str = "exact") -> DefectReport:
+def defect_check(query: DefectQuery, seed: int = 0) -> DefectReport:
     """Triple-seeded exact dimension of the quartic ideal piece.
 
     Under the policy of :func:`~rncurves.arrangements.agreed_hilbert`, a
     disagreement reports the minimal ideal dimension, that of the most
-    generic sample.  ``backend`` must name one of the accepted backends;
-    every value is exact.
+    generic sample.
     """
-    check_backend(backend)
     seeds = tuple(stable_mix(seed, "sample", ("defect", query.m, query.s, t)) for t in range(3))
     samples = [_instance(query.m, query.s, s) for s in seeds]
     _, ideal = agreed_hilbert([ConditionMatrix.build(cfg, DEGREE) for cfg in samples], seeds)
     return DefectReport(query, ideal.value, seeds, ideal.agreed)
 
 
-def defect_sweep(m: int, seed: int = 0, backend: str = "exact") -> list[DefectReport]:
+def defect_sweep(m: int, seed: int = 0) -> list[DefectReport]:
     """Reports for s = 1 .. 2m+2 (one past the last defective value)."""
     if m < 1:
         raise BoundViolated("m must be at least 1")
-    return [defect_check(DefectQuery(m, s), seed=seed, backend=backend) for s in range(1, 2 * m + 3)]
+    return [defect_check(DefectQuery(m, s), seed=seed) for s in range(1, 2 * m + 3)]

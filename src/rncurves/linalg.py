@@ -110,34 +110,20 @@ def _strip_unit_rows(rows, ncols):
 
     Returns ``(gained, reduced_rows, reduced_ncols)`` where *gained* counts
     the pivots recovered.  Sound because a unit row eliminates its column
-    from every other row without touching the rest of the matrix.
+    from every other row without touching the rest of the matrix.  A unit
+    row is zero once its column is dropped, so the zero-row filter removes
+    it; rows come back unchanged (tuples stay tuples) when none is a unit.
     """
-    rows = [list(r) for r in rows if any(r)]
+    rows = [r for r in rows if any(r)]
     gained = 0
-    alive = list(range(ncols))
     while True:
-        dead_cols = set()
-        unit_rows = []
-        for i, r in enumerate(rows):
-            nz = [j for j, x in enumerate(r) if x]
-            if len(nz) == 1:
-                unit_rows.append(i)
-                dead_cols.add(nz[0])
-        if not dead_cols:
-            break
-        gained += len(dead_cols)
-        keep = [j for j in range(len(alive)) if j not in dead_cols]
-        alive = [alive[j] for j in keep]
-        next_rows = []
-        unit_set = set(unit_rows)
-        for i, r in enumerate(rows):
-            if i in unit_set:
-                continue
-            rr = [r[j] for j in keep]
-            if any(rr):
-                next_rows.append(rr)
-        rows = next_rows
-    return gained, rows, len(alive)
+        dead = {next(j for j, x in enumerate(r) if x) for r in rows if r.count(0) == ncols - 1}
+        if not dead:
+            return gained, rows, ncols
+        gained += len(dead)
+        keep = [j for j in range(ncols) if j not in dead]
+        ncols = len(keep)
+        rows = [s for r in rows if any(s := [r[j] for j in keep])]
 
 
 def _eliminate(row, pivot, col):

@@ -218,15 +218,16 @@ def test_criterion_8_defectivity():
             assert report.defective, (m, s)
 
 
-@criterion(9, "modular ranks, invariance, restriction degree, rule soundness", 120.0)
+@criterion(9, "exact ranks against closed forms, invariance, restriction degree, rule soundness", 120.0)
 def test_criterion_9_property_suites():
-    # modular rank agreement on the Hilbert and defect values above
+    # the quadrics through two general codim-3 spaces are spanned by the 9
+    # products of their linear equations: hf = C(n+2, 2) - 9 = (n^2 + 3n - 16) / 2
     for n in range(4, 9):
-        exact = generic_hilbert(n, [(n - 3, 1), (n - 3, 1)], 2, 0, backend="exact")
-        modular = generic_hilbert(n, [(n - 3, 1), (n - 3, 1)], 2, 0, backend="modular")
-        assert (modular[0].value, modular[1].value) == (exact[0].value, exact[1].value)
-    assert defect_check(DefectQuery(1, 3), backend="modular").actual == 1
-    assert defect_check(DefectQuery(2, 4), backend="modular").actual == 4
+        hf, ideal = generic_hilbert(n, [(n - 3, 1), (n - 3, 1)], 2, 0)
+        assert hf.value == (n * n + 3 * n - 16) // 2
+        assert ideal.value == comb(n + 2, 2) - hf.value == 9
+    assert defect_check(DefectQuery(1, 3)).actual == 1
+    assert defect_check(DefectQuery(2, 4)).actual == 4
 
     # projectivity invariance of contact degrees and Hilbert values
     rng = Rng(0).derive("acceptance-invariance")

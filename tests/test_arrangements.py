@@ -402,16 +402,6 @@ def test_hilbert_function_is_projectively_invariant():
         assert hilbert_function(cfg.transformed(g), 2) == base
 
 
-def test_modular_backend_matches_exact_hilbert():
-    # "modular" is a name accepted at the public edge; it selects the exact path
-    spec = ((2, 1), (1, 2))
-    for d in (1, 2):
-        exact = generic_hilbert(5, spec, d, seed=51)
-        assert generic_hilbert(5, spec, d, seed=51, backend="modular") == exact
-    with pytest.raises(ValueError):
-        generic_hilbert(5, spec, 2, seed=51, backend="sparse")
-
-
 def _second_sample_loses_a_component(monkeypatch, module, name):
     """Wrap module.name so that its second call drops component 0."""
     real = getattr(module, name)

@@ -197,11 +197,12 @@ def test_outputs_are_byte_identical_to_pinned_digests(capsys, monkeypatch):
 
     for argv, want in PINNED_OUTPUTS.items():
         assert digest(list(argv)) == want, argv
-    # "modular" names the same exact rank path
-    for argv in (("hilbert",), ("defect", "--m", "2", "--s", "4")):
-        assert digest(["--backend", "modular", *argv]) == PINNED_OUTPUTS[argv], argv
     with pytest.raises(SystemExit) as exc:
         main(["--backend", "sparse", "hilbert"])
+    assert exc.value.code == EXIT_USAGE
+    # no rank option is left: its former default is rejected too
+    with pytest.raises(SystemExit) as exc:
+        main(["--backend", "exact", "hilbert"])
     assert exc.value.code == EXIT_USAGE
 
 

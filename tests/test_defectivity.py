@@ -96,15 +96,6 @@ def test_reports_are_deterministic():
     assert r3.actual == r1.actual
 
 
-def test_modular_backend_agrees_with_exact():
-    exact = defect_check(DefectQuery(1, 3), seed=0, backend="exact")
-    modular = defect_check(DefectQuery(1, 3), seed=0, backend="modular")
-    assert modular == exact
-    assert modular.actual == 1 and modular.agreed
-    with pytest.raises(ValueError):
-        defect_check(DefectQuery(1, 3), backend="sparse")
-
-
 # sha256 of the sampled instances below, recorded while the points had a
 # distinct-and-off-both-spaces test of their own: the shared pairwise test
 # draws and accepts the same points.
