@@ -624,7 +624,7 @@ def atlas_audit(dims):
     status = {(n, row.counts): row.status for n in dims for row in atlas(n)}
     pairs = {"removal": set(), "projection": set()}
     violations = []
-    for (n, counts), s in sorted(status.items()):
+    for (n, counts), s in status.items():
         if s != FEASIBLE:
             continue
         removals = [(n, counts[:i] + (c - 1,) + counts[i + 1 :]) for i, c in enumerate(counts) if c]
