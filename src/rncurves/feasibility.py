@@ -29,12 +29,11 @@ negative rules
 
 Sampled rules (bezout, projection) decide on three seeded samples and carry
 a ``generic-sample`` caveat in their certificates.  Bezout screens each
-(d, k) on sample 0 and draws samples 1 and 2 only for a (d, k) that passes.
-The screen is one elimination mod p per degree.  It bounds from below the
-rank of sample 0's condition matrix and the ranks with each candidate
-component left out.  A (d, k) whose bound already breaks the equation is
-skipped, and that skip is exact because ``rank >= rank_p`` over Z.  Every
-other (d, k) is decided by exact ranks; no modular value decides a pass.
+(d, k) on sample 0 by one elimination mod p per degree, which bounds from
+below the ranks with each candidate component left out.  A (d, k) whose
+bound already breaks the equation is skipped, and that skip is exact
+because ``rank >= rank_p`` over Z.  Every other (d, k) is decided by exact
+ranks of the three samples; no modular value decides a pass.
 """
 
 from __future__ import annotations
@@ -240,21 +239,20 @@ def _lines_table(n: int, l: int) -> Optional[tuple[str, Certificate]]:
 
 def _screened(head: ConditionMatrix, dims: Sequence[int], counts: Sequence[int]):
     """Yield ``(k, idx, drop)`` for each k in ``dims`` whose first component,
-    block ``idx`` of ``head``, raises its exact rank by ``drop = C(d+k, k)``.
+    block ``idx`` of ``head``, may raise its rank by ``drop = C(d+k, k)``.
 
     One elimination mod p (:func:`~rncurves.linalg.leave_one_out_ranks_mod_p`)
     bounds every rank from below.  The full rank is that bound when it meets
     the dimension cap, and is computed exactly otherwise.  A k whose bound
     on the rank without ``idx`` plus ``drop`` already exceeds the full rank
-    is skipped: ``rank >= rank_p`` makes the equation false.  Every other k
-    is decided by the exact rank without ``idx``.
+    is skipped: ``rank >= rank_p`` makes the equation false.
     """
     candidates = [sum(counts[:k]) for k in dims]  # components are listed by ascending dimension
     full_p, without_p = linalg.leave_one_out_ranks_mod_p(head.blocks, candidates, head.ncols)
     full = full_p if full_p == min(len(head.rows), head.ncols) else head.hilbert()
     for k, idx, lower in zip(dims, candidates, without_p):
         drop = comb(head.degree + k, k)
-        if lower + drop <= full and full == head.without(idx).hilbert() + drop:
+        if lower + drop <= full:
             yield k, idx, drop
 
 
@@ -262,15 +260,11 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     """Remove one component; if its conditions on degree-d forms through the
     rest are independent while the contact count exceeds d*n, no curve exists.
 
-    Sample 0 screens each (d, k) by :func:`_screened`: only a (d, k) whose
-    equation holds on it draws samples 1 and 2 (once per call), and the three
-    samples decide under the policy of
-    :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k) whose samples
-    disagree is skipped.  Agreement and the equation together imply the
-    equation on sample 0, so the screen skips only what the policy would
-    skip.  The screen shares one elimination mod p among all k of a degree
-    and proves each skip by ``rank >= rank_p``; a (d, k) it does not skip
-    goes through the exact ranks.
+    Sample 0 screens each (d, k) by :func:`_screened`, which proves each
+    skip by ``rank >= rank_p``.  The first (d, k) it lets through draws
+    samples 1 and 2 (once per call), and the three samples decide under the
+    policy of :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k) whose
+    samples disagree, or whose agreed ranks break the equation, is skipped.
     """
     n = weights.n
     total = weights.total_intersection()

@@ -36,36 +36,15 @@ left out.  Its values are lower bounds, exact only where they meet the
 dimension cap ``min(rows, cols)``: below it a value may rule an equation
 out, never accept one.
 
-numpy is bound lazily: it is imported on the first use by a large prescreen
-core, a large leave-one-out elimination or a kernel certificate, so a
-command that reaches none of them never loads it.
+numpy is imported inside the functions that use it: a large prescreen core,
+a large leave-one-out elimination and a kernel certificate, so a command
+that reaches none of them never loads it.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-
-
-def _lazy_module(name):
-    """The module *name*, loaded on its first attribute access.
-
-    A module already in ``sys.modules`` is returned as it is: building a
-    second, lazy copy would execute it again on first use.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_module("numpy")
 
 # The one prime of rank(): its prescreen and its kernel certificate.  A "bad"
 # prime can only underestimate the rank, and then the certificate fails and
@@ -192,6 +171,8 @@ def _echelon_mod(rows, order, p, m):
     """
     if min(m, len(rows[0])) <= _SMALL_CORE:
         return _pivots_mod_python(rows, order, p, m), rows[m:]
+    import numpy as np
+
     a = np.array(rows, dtype=np.int64)
     return _pivots_mod_numpy(a, order, p, m), a[m:].tolist()
 
@@ -230,6 +211,8 @@ def _pivots_mod_python(a, order, p, m):
 
 def _pivots_mod_numpy(a, order, p, m):
     """:func:`_pivots_mod_python` on an int64 array, one vector step per pivot."""
+    import numpy as np
+
     r, pivots = 0, []
     for col in range(a.shape[1]):
         nz = np.nonzero(a[r:m, col])[0]
@@ -283,6 +266,8 @@ def leave_one_out_ranks_mod_p(blocks, indices, ncols):
 
 def _inverse_mod(b, p):
     """Inverse mod ``p`` of a square int64 array that is nonsingular mod p."""
+    import numpy as np
+
     n = len(b)
     a = np.concatenate([b % p, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
@@ -306,6 +291,8 @@ def _lift(b, rhs, p, steps):
     is below 2**62, and the numerator may wrap in uint64: multiplying by
     ``p^-1 mod 2**64`` recovers the quotient.
     """
+    import numpy as np
+
     c = _inverse_mod(b, p)
     bu = b.view(np.uint64)
     p_inv = np.uint64(pow(p, -1, 2**64))
@@ -326,6 +313,8 @@ def _reconstruct(x, modulus):
     Gathen--Gerhard, Modern Computer Algebra, 5.10) at each entry it does not
     yet clear, up to sqrt(modulus/2); numerators are the symmetric residues.
     """
+    import numpy as np
+
     bound = isqrt(modulus // 2)
     den = 1
     for u in x.flat:
@@ -361,6 +350,8 @@ def _kernel_certified(core, ncols, prows, pcols):
     top = max(max(map(abs, row)) for row in core)
     if not 0 < r <= _KERNEL_MAX_RANK or (r + 1) * top >= 2**62:
         return False
+    import numpy as np
+
     p = _PRESCREEN_PRIME
     a = np.array(core, dtype=np.int64)
     free = sorted(set(range(ncols)) - set(pcols))

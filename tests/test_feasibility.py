@@ -654,3 +654,59 @@ def test_atlas_audit_catches_an_unsound_rule(monkeypatch):
     }
     want = [("removal", row, (row[0], child)) for row, children in removals.items() for child in children]
     assert violations == want + [("projection", (4, (4, 2, 0)), (3, (3, 2)))]
+
+
+# ---------------------------------------------------------------- Bézout replay
+
+
+def bezout_certificates(dims):
+    """Every ``bezout`` certificate that classify emits over the atlases of
+    P^n, n in ``dims``, the children of projection chains included."""
+    found = []
+    for n in dims:
+        for v in enumerate_weights(n):
+            cert = classify(v, DEFAULTS).certificate
+            while cert is not None:
+                if cert.rule == "bezout":
+                    found.append(cert)
+                cert = cert.child
+    return found
+
+
+def replay_faults(cert):
+    """The claims of a ``bezout`` certificate that its own seeds refute.
+
+    Each of the three samples is rebuilt from the certificate's seeds,
+    counts, n and degree, and its condition matrix is ranked, whole and
+    without the component, by the fraction-free elimination alone: no
+    prescreen and no kernel certificate.
+    """
+    p = cert.params
+    weights = WeightVector(p["n"], tuple(p["counts"]))
+    faults = []
+    for seed in cert.seeds:
+        head = ConditionMatrix.build(sample_configuration(weights, Rng(seed)), p["degree"])
+        reduced = head.without(p["component_index"])
+        ranks = tuple(linalg._rank_bareiss(cm.rows, cm.ncols) for cm in (head, reduced))
+        if ranks != (p["hilbert_full"], p["hilbert_reduced"]):
+            faults.append(("ranks", seed, ranks))
+    if p["hilbert_full"] != p["hilbert_reduced"] + p["independent_conditions"]:
+        faults.append(("equation", p["hilbert_full"], p["hilbert_reduced"], p["independent_conditions"]))
+    if not p["contact_count"] - 1 > p["degree"] * p["n"]:
+        faults.append(("contact", p["contact_count"], p["degree"], p["n"]))
+    return faults
+
+
+def test_bezout_certificates_replay():
+    certs = bezout_certificates(range(3, 6))
+    assert (len(certs), len({tuple(c.params["counts"]) + (c.params["n"],) for c in certs})) == (15, 14)
+    assert [replay_faults(cert) for cert in certs] == [[]] * len(certs)
+
+
+def test_bezout_replay_catches_a_wrong_certificate():
+    cert = check_bezout(w(4, 0, 5, 0), DEFAULTS)
+    assert replay_faults(cert) == []
+    p = cert.params
+    planted = Certificate(cert.rule, {**p, "hilbert_reduced": p["hilbert_reduced"] + 1}, cert.seeds, cert.caveats)
+    faults = replay_faults(planted)
+    assert [f[0] for f in faults] == ["ranks", "ranks", "ranks", "equation"]
