@@ -23,10 +23,11 @@ the one pairwise genericity test :func:`_pairwise_generic`.
 
 Hilbert function values on sampled configurations are reported together
 with the seeds used.  One policy, in :func:`agreed_hilbert`, serves every
-caller: the caller derives three seeds and samples one configuration from
-each; the value is generic (``agreed``) only when all three Hilbert values
-are equal, and on disagreement the reported value is that of the most
-generic sample, the maximal Hilbert value (the minimal ideal dimension).
+caller: the caller derives three seeds, samples one configuration from each
+and ranks each sample itself; the policy only weighs the three Hilbert
+values.  The value is generic (``agreed``) only when all three are equal,
+and on disagreement the reported value is that of the most generic sample,
+the maximal Hilbert value (the minimal ideal dimension).
 """
 
 from __future__ import annotations
@@ -340,22 +341,15 @@ class GenericValue:
     caveats: tuple[str, ...] = ("generic-sample",)
 
 
-def agreed_hilbert(
-    matrices: Sequence[ConditionMatrix], seeds: tuple[int, ...]
-) -> tuple[GenericValue, GenericValue]:
-    """Hilbert function and ideal dimension of seeded samples, by the one policy.
+def agreed_hilbert(values: Sequence[int], seeds: tuple[int, ...]) -> GenericValue:
+    """The Hilbert value of seeded samples, by the one policy.
 
-    ``matrices[i]`` is the condition matrix of the configuration drawn from
-    ``seeds[i]``, all in one degree.  ``agreed`` is True when every sample has
-    the same Hilbert value; otherwise the reported value is that of the most
-    generic sample, the maximal Hilbert value and so the minimal ideal
-    dimension.
+    ``values[i]`` is the Hilbert value of the sample drawn from ``seeds[i]``,
+    ranked by the caller.  ``agreed`` is True when every value is the same;
+    otherwise the reported value is that of the most generic sample, the
+    maximal Hilbert value and so the minimal ideal dimension.
     """
-    values = [cm.hilbert() for cm in matrices]
-    agreed = len(set(values)) == 1
-    hf = max(values)
-    total = matrices[0].ncols
-    return GenericValue(hf, seeds, agreed), GenericValue(total - hf, seeds, agreed)
+    return GenericValue(max(values), seeds, len(set(values)) == 1)
 
 
 def generic_hilbert(
@@ -367,4 +361,5 @@ def generic_hilbert(
     """
     seeds = tuple(stable_mix(seed, "sample", t) for t in range(3))
     samples = [sample_fat_configuration(n, spec, Rng(s)) for s in seeds]
-    return agreed_hilbert([ConditionMatrix.build(cfg, d) for cfg in samples], seeds)
+    hf = agreed_hilbert([hilbert_function(cfg, d) for cfg in samples], seeds)
+    return hf, GenericValue(comb(n + d, d) - hf.value, seeds, hf.agreed)

@@ -146,14 +146,6 @@ def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
     return g, s_pow
 
 
-def gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Greatest common divisor, normalized so its first nonzero coeff is 1:
-    ``gcd_many([f, g])``, and ``g`` when both forms are zero."""
-    if f.is_zero() and g.is_zero():
-        return g
-    return gcd_many([f, g])
-
-
 def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Gcd of a family, zero forms ignored, first nonzero coefficient 1.
 

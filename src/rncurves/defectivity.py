@@ -18,8 +18,9 @@ the condition matrix nearly monomial and the exact rank cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .arrangements import ConditionMatrix, Configuration, _pairwise_generic, agreed_hilbert
+from .arrangements import Configuration, _pairwise_generic, agreed_hilbert, hilbert_function
 from .errors import BoundViolated, GenericityExhausted
 from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, span, stable_mix, standard_point
 
@@ -103,14 +104,14 @@ def _instance(m: int, s: int, seed: int) -> Configuration:
 def defect_check(query: DefectQuery, seed: int = 0) -> DefectReport:
     """Triple-seeded exact dimension of the quartic ideal piece.
 
-    Under the policy of :func:`~rncurves.arrangements.agreed_hilbert`, a
-    disagreement reports the minimal ideal dimension, that of the most
-    generic sample.
+    Each sample is ranked here; under the policy of
+    :func:`~rncurves.arrangements.agreed_hilbert`, a disagreement reports
+    the minimal ideal dimension, that of the most generic sample.
     """
     seeds = tuple(stable_mix(seed, "sample", ("defect", query.m, query.s, t)) for t in range(3))
     samples = [_instance(query.m, query.s, s) for s in seeds]
-    _, ideal = agreed_hilbert([ConditionMatrix.build(cfg, DEGREE) for cfg in samples], seeds)
-    return DefectReport(query, ideal.value, seeds, ideal.agreed)
+    hf = agreed_hilbert([hilbert_function(cfg, DEGREE) for cfg in samples], seeds)
+    return DefectReport(query, comb(query.n + DEGREE, DEGREE) - hf.value, seeds, hf.agreed)
 
 
 def defect_sweep(m: int, seed: int = 0) -> list[DefectReport]:

@@ -33,7 +33,8 @@ a ``generic-sample`` caveat in their certificates.  Bezout screens each
 below the ranks with each candidate component left out.  A (d, k) whose
 bound already breaks the equation is skipped, and that skip is exact
 because ``rank >= rank_p`` over Z.  Every other (d, k) is decided by exact
-ranks of the three samples; no modular value decides a pass.
+ranks of the three samples, each matrix ranked once (sample 0's full rank
+comes from the screen, exact at the cap); no modular value decides a pass.
 """
 
 from __future__ import annotations
@@ -238,22 +239,22 @@ def _lines_table(n: int, l: int) -> Optional[tuple[str, Certificate]]:
 
 
 def _screened(head: ConditionMatrix, dims: Sequence[int], counts: Sequence[int]):
-    """Yield ``(k, idx, drop)`` for each k in ``dims`` whose first component,
-    block ``idx`` of ``head``, may raise its rank by ``drop = C(d+k, k)``.
+    """Sample 0's Hilbert value, and ``(k, idx, drop)`` for each k in
+    ``dims`` whose first component, block ``idx`` of ``head``, may raise its
+    rank by ``drop = C(d+k, k)``.
 
     One elimination mod p (:func:`~rncurves.linalg.leave_one_out_ranks_mod_p`)
-    bounds every rank from below.  The full rank is that bound when it meets
-    the dimension cap, and is computed exactly otherwise.  A k whose bound
-    on the rank without ``idx`` plus ``drop`` already exceeds the full rank
-    is skipped: ``rank >= rank_p`` makes the equation false.
+    bounds every rank from below.  The Hilbert value is that bound when it
+    meets the dimension cap, and is computed exactly otherwise.  A k whose
+    bound on the rank without ``idx`` plus ``drop`` already exceeds the
+    Hilbert value is left out: ``rank >= rank_p`` makes the equation false.
     """
     candidates = [sum(counts[:k]) for k in dims]  # components are listed by ascending dimension
     full_p, without_p = linalg.leave_one_out_ranks_mod_p(head.blocks, candidates, head.ncols)
     full = full_p if full_p == min(len(head.rows), head.ncols) else head.hilbert()
-    for k, idx, lower in zip(dims, candidates, without_p):
-        drop = comb(head.degree + k, k)
-        if lower + drop <= full:
-            yield k, idx, drop
+    drops = [comb(head.degree + k, k) for k in dims]
+    screens = zip(dims, candidates, without_p, drops)
+    return full, [(k, idx, drop) for k, idx, lower, drop in screens if lower + drop <= full]
 
 
 def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[Certificate]:
@@ -261,10 +262,13 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     rest are independent while the contact count exceeds d*n, no curve exists.
 
     Sample 0 screens each (d, k) by :func:`_screened`, which proves each
-    skip by ``rank >= rank_p``.  The first (d, k) it lets through draws
-    samples 1 and 2 (once per call), and the three samples decide under the
-    policy of :func:`~rncurves.arrangements.agreed_hilbert`; a (d, k) whose
-    samples disagree, or whose agreed ranks break the equation, is skipped.
+    skip by ``rank >= rank_p`` and returns sample 0's full Hilbert value.
+    The first (d, k) it lets through draws samples 1 and 2 (once per call);
+    samples 1 and 2 and each sample without the component are ranked here,
+    so no matrix is ranked twice, and the three values decide under the
+    policy of :func:`~rncurves.arrangements.agreed_hilbert`.  A (d, k)
+    whose samples disagree, or whose agreed ranks break the equation, is
+    skipped.
     """
     n = weights.n
     total = weights.total_intersection()
@@ -282,8 +286,9 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     rest = None
     for d in usable:
         head = ConditionMatrix.build(first, d)
+        value, passing = _screened(head, dims_present, weights.counts)
         matrices = None
-        for k, idx, drop in _screened(head, dims_present, weights.counts):
+        for k, idx, drop in passing:
             if matrices is None:
                 if rest is None:
                     try:
@@ -291,8 +296,8 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
                     except GenericityExhausted:
                         return None
                 matrices = [head, *(ConditionMatrix.build(cfg, d) for cfg in rest)]
-                full, _ = agreed_hilbert(matrices, seeds)
-            reduced, _ = agreed_hilbert([cm.without(idx) for cm in matrices], seeds)
+                full = agreed_hilbert([value, *(cm.hilbert() for cm in matrices[1:])], seeds)
+            reduced = agreed_hilbert([cm.without(idx).hilbert() for cm in matrices], seeds)
             if not (full.agreed and reduced.agreed) or full.value != reduced.value + drop:
                 continue
             return Certificate(

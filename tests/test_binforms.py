@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rncurves.binforms import (
@@ -13,7 +13,6 @@ from rncurves.binforms import (
     ParamPoint,
     distinct_parameters,
     divide_exact,
-    gcd,
     gcd_degree,
     gcd_many,
     product,
@@ -97,7 +96,7 @@ def test_product_of_linear_factors_vanishes_at_each():
 def test_gcd_degree_matches_sympy(f0, g0, h):
     f = f0.mul(h)
     g = g0.mul(h)
-    ours = gcd(f, g)
+    ours = gcd_many([f, g])
     assert ours == sympy_gcd([f, g])
     # the gcd divides both inputs exactly
     divide_exact(f, ours)
@@ -107,7 +106,7 @@ def test_gcd_degree_matches_sympy(f0, g0, h):
 def test_gcd_handles_powers_of_both_variables_frozen():
     s2t = BinaryForm(3, (F(0), F(1), F(0), F(0)))  # s^2 t
     st2 = BinaryForm(3, (F(0), F(0), F(1), F(0)))  # s t^2
-    g = gcd(s2t, st2)
+    g = gcd_many([s2t, st2])
     assert g.degree == 2  # s t
     assert g.evaluate(1, 0) == 0 and g.evaluate(0, 1) == 0
     assert g.evaluate(1, 1) != 0
@@ -115,19 +114,9 @@ def test_gcd_handles_powers_of_both_variables_frozen():
 
 def test_gcd_with_zero_and_constants():
     f = BinaryForm(2, (F(1), F(0), F(-1)))
-    assert gcd(f, BinaryForm.zero(5)).monic().coeffs == f.monic().coeffs
+    assert gcd_many([f, BinaryForm.zero(5)]).monic().coeffs == f.monic().coeffs
     c = BinaryForm.constant(7)
-    assert gcd(f, c).degree == 0
-
-
-@given(forms(allow_zero=True), forms(allow_zero=True))
-@example(BinaryForm.zero(3), BinaryForm.zero(5))
-@settings(max_examples=60, deadline=None)
-def test_gcd_is_gcd_many_of_the_pair(f, g):
-    if f.is_zero() and g.is_zero():
-        assert gcd(f, g) == g
-    else:
-        assert gcd(f, g) == gcd_many([f, g])
+    assert gcd_many([f, c]).degree == 0
 
 
 def test_gcd_many_accumulates():
@@ -171,7 +160,7 @@ def test_gcd_of_large_coefficient_family_matches_sympy():
     assert min(len(str(c.numerator)) for f in family for c in f.coeffs) > 100
     expected = sympy_gcd(family)
     assert expected.degree == 2
-    assert gcd(family[0], family[1]) == sympy_gcd(family[:2])
+    assert gcd_many(family[:2]) == sympy_gcd(family[:2])
     assert gcd_many(family) == expected == common.monic()
     for f in family:
         divide_exact(f, expected)
@@ -184,7 +173,7 @@ def test_gcd_with_leading_coefficients_divisible_by_a_large_prime():
     g = common.mul(BinaryForm(1, (F(-2), F(p))))
     h = common.mul(BinaryForm(2, (F(4), F(0), F(1))))
     assert f.coeffs[-1] % p == 0 and g.coeffs[-1] % p == 0
-    assert gcd(f, g).coeffs == (F(1), F(p, 3))
+    assert gcd_many([f, g]).coeffs == (F(1), F(p, 3))
     assert gcd_many([f, g, h]) == sympy_gcd([f, g, h]) == common.monic()
 
 
@@ -194,13 +183,13 @@ def test_gcd_of_forms_congruent_modulo_a_large_prime():
     lin = BinaryForm(1, (F(1), F(1)))
     f = lin.mul(BinaryForm(1, (F(1 + p), F(1))))
     g = lin.mul(BinaryForm(1, (F(1 - p), F(1))))
-    assert gcd(f, g) == sympy_gcd([f, g]) == lin
+    assert gcd_many([f, g]) == sympy_gcd([f, g]) == lin
 
 
 def test_coprime_forms_have_gcd_degree_zero():
     rng = random.Random(99)
     family = [big_form(rng, 4, 110) for _ in range(3)]
-    assert gcd(family[0], family[1]).degree == 0
+    assert gcd_many(family[:2]).degree == 0
     assert gcd_many(family) == BinaryForm.constant(1) == sympy_gcd(family)
 
 

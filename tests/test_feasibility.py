@@ -294,7 +294,7 @@ def test_bezout_screen_decides_as_the_exact_ranks(n, screened, passed):
                 idx, drop = sum(weights.counts[:k]), comb(d + k, k)
                 if full == head.without(idx).hilbert() + drop:
                     want.append((k, idx, drop))
-            assert list(feasibility._screened(head, dims, weights.counts)) == want, (weights, d)
+            assert feasibility._screened(head, dims, weights.counts) == (full, want), (weights, d)
             seen += len(dims)
             hits += len(want)
     assert (seen, hits) == (screened, passed)
@@ -306,7 +306,31 @@ def test_bezout_screen_ranks_exactly_below_the_cap():
     p = linalg._PRESCREEN_PRIME
     head = ConditionMatrix(2, 1, (((0, 0, 1),), ((p, 0, 0),)))
     assert linalg.leave_one_out_ranks_mod_p(head.blocks, [0], 3) == (1, [0])
-    assert list(feasibility._screened(head, [0], (2,))) == [(0, 0, 1)]
+    assert feasibility._screened(head, [0], (2,)) == (2, [(0, 0, 1)])
+
+
+# Vectors whose classify ranked sample 0's full Bézout matrix twice while the
+# three-sample policy ranked the matrices it was given: once in the screen
+# (its mod-p bound below the cap) and again under the policy.
+RANKED_TWICE_BEFORE = [
+    (3, 0, 2, 2), (3, 1, 0, 3), (5, 0, 1, 1),
+    (2, 2, 0, 1, 2), (2, 2, 0, 2, 0), (3, 0, 0, 3, 1), (3, 0, 1, 1, 2), (3, 1, 0, 0, 3),
+    (4, 1, 0, 2, 0), (4, 1, 1, 0, 1), (5, 0, 0, 0, 3), (5, 0, 0, 1, 1), (6, 0, 1, 0, 1),
+]
+
+
+@pytest.mark.parametrize("counts", RANKED_TWICE_BEFORE, ids=lambda c: "-".join(map(str, c)))
+def test_classify_ranks_no_matrix_twice(monkeypatch, counts):
+    seen = []
+    rank = linalg.rank
+
+    def recording(rows, ncols):
+        seen.append((tuple(map(tuple, rows)), ncols))
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rank", recording)
+    assert classify(w(len(counts) + 1, *counts), DEFAULTS).certificate.rule == "bezout"
+    assert len(seen) == len(set(seen))
 
 
 def test_projection_rule_frozen_chain():
@@ -543,10 +567,26 @@ def test_no_rule_contradicts_another():
         assert not ({FEASIBLE, NON_FEASIBLE} <= statuses), v
 
 
-# ---------------------------------------------------------------- witness audit
+# ---------------------------------------------------------------- audits
 
 
-def witness_audit(n):
+# classify(v, DEFAULTS) by (n, counts), shared by the witness audit, the atlas
+# audit and the Bézout replay, so that tier-1 classifies each atlas vector
+# once.  A test that plants a fault asks for fresh verdicts instead, so this
+# map can never hide the planted rule.
+VERDICTS = {}
+
+
+def verdict(v, fresh=False):
+    if fresh:
+        return classify(v, DEFAULTS)
+    key = (v.n, v.counts)
+    if key not in VERDICTS:
+        VERDICTS[key] = classify(v, DEFAULTS)
+    return VERDICTS[key]
+
+
+def witness_audit(n, fresh=False):
     """Check the rule set against the construction on every vector of P^n.
 
     A vector that builds a verified witness must not be NonFeasible.  A
@@ -569,7 +609,7 @@ def witness_audit(n):
             else:
                 no_path += 1
             continue
-        status = classify(v, DEFAULTS).status
+        status = verdict(v, fresh).status
         if status == NON_FEASIBLE:
             violations.append(("NonFeasible, built", v.counts))
         elif status == UNKNOWN:
@@ -603,14 +643,11 @@ def test_witness_audit(n, built, no_path):
 
 def test_witness_audit_catches_an_unsound_rule(monkeypatch):
     monkeypatch.setattr(feasibility, "check_bezout", lambda weights, opts: Certificate("planted", {}))
-    *_, violations = witness_audit(3)
+    *_, violations = witness_audit(3, fresh=True)
     assert violations == [("NonFeasible, built", (1, 3)), ("NonFeasible, built", (3, 2))]
 
 
-# ---------------------------------------------------------------- atlas audit
-
-
-def atlas_audit(dims):
+def atlas_audit(dims, fresh=False):
     """Check the atlas rows of P^n, n in ``dims``, against each other.
 
     Whatever rule decided a row, two implications hold.  A curve meeting a
@@ -621,7 +658,7 @@ def atlas_audit(dims):
     is a row of these atlases) and the pairs whose child is NonFeasible,
     each of which proves some rule unsound.
     """
-    status = {(n, row.counts): row.status for n in dims for row in atlas(n)}
+    status = {(n, v.counts): verdict(v, fresh).status for n in dims for v in enumerate_weights(n)}
     pairs = {"removal": set(), "projection": set()}
     violations = []
     for (n, counts), s in status.items():
@@ -646,7 +683,7 @@ def test_atlas_audit_catches_an_unsound_rule(monkeypatch):
     monkeypatch.setattr(feasibility, "check_bezout", lambda weights, opts: Certificate("planted", {}))
     # every row that reaches the Bézout rule is now NonFeasible: the Unknown
     # rows below a Feasible row, and one projection child
-    *_, violations = atlas_audit((3, 4))
+    *_, violations = atlas_audit((3, 4), fresh=True)
     removals = {
         (3, (1, 5)): [(1, 4)], (3, (2, 4)): [(1, 4), (2, 3)], (3, (3, 3)): [(2, 3), (3, 2)],
         (4, (1, 0, 6)): [(0, 0, 6), (1, 0, 5)], (4, (2, 0, 5)): [(1, 0, 5), (2, 0, 4)],
@@ -665,7 +702,7 @@ def bezout_certificates(dims):
     found = []
     for n in dims:
         for v in enumerate_weights(n):
-            cert = classify(v, DEFAULTS).certificate
+            cert = verdict(v).certificate
             while cert is not None:
                 if cert.rule == "bezout":
                     found.append(cert)

@@ -288,9 +288,10 @@ def test_witness_curve_builds_no_gcd(monkeypatch):
     plane = sample_generic_subspace(n, 2, rng.derive("plane"))
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(5)]
     calls = []
-    gcd = binforms.gcd
-    for mod in [m for m in vars(rncurves).values() if getattr(m, "gcd", None) is gcd]:
-        monkeypatch.setattr(mod, "gcd", lambda f, g: calls.append((f, g)) or gcd(f, g))
+    for name in ("gcd_many", "gcd_degree"):
+        fn = getattr(binforms, name)
+        for mod in [m for m in vars(rncurves).values() if getattr(m, name, None) is fn]:
+            monkeypatch.setattr(mod, name, lambda arg, fn=fn: calls.append(arg) or fn(arg))
     witness_curve([line, plane], pts)
     assert calls == []
 
