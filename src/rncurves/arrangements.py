@@ -18,8 +18,8 @@ any other choice of tangential rows changes the coordinates only within
 each normal degree and gives the same row space, so ranks and Hilbert
 values do not depend on it.
 
-Every sampler, here and in :mod:`rncurves.defectivity`, accepts a draw by
-the one pairwise genericity test :func:`_pairwise_generic`.
+Every sampler, here and in :mod:`rncurves.defectivity`, draws through one
+loop, :func:`resample_configuration`, and one test, :func:`_pairwise_generic`.
 
 Hilbert function values on sampled configurations are reported together
 with the seeds used.  One policy, in :func:`agreed_hilbert`, serves every
@@ -126,26 +126,32 @@ def sample_configuration(weights: WeightVector, rng: Rng) -> Configuration:
     configurations up to the package budget; pairwise generality means every
     two components meet in the expected dimension ``k_a + k_b - n``.
     """
-    spec = [(k, 1) for k in weights.component_dims()]
-    return _resample_configuration(weights.n, spec, rng, "config", f"configuration of weight {weights.counts}")
+    draw = _spec_draw(weights.n, [(k, 1) for k in weights.component_dims()])
+    return resample_configuration(weights.n, draw, rng, "config", f"configuration of weight {weights.counts}")
 
 
 def sample_fat_configuration(n: int, spec: Sequence[tuple[int, int]], rng: Rng) -> Configuration:
     """Sample components with multiplicities given as (dim, mult) pairs."""
-    return _resample_configuration(n, spec, rng, "fat-config", f"fat configuration {spec}")
+    return resample_configuration(n, _spec_draw(n, spec), rng, "fat-config", f"fat configuration {spec}")
 
 
-def _resample_configuration(n: int, spec: Sequence[tuple[int, int]], rng: Rng, tag: str, what: str) -> Configuration:
-    """Draw (dim, mult) components from ``rng.derive(tag, attempt)`` until they
-    are pairwise generic, or raise that there is no generic ``what``."""
+def _spec_draw(n: int, spec: Sequence[tuple[int, int]]):
+    """A draw of one generic subspace per (dim, mult) entry, entry i from ``sub.derive(i)``."""
+    return lambda sub: [(sample_generic_subspace(n, k, sub.derive(i)), m) for i, (k, m) in enumerate(spec)]
+
+
+def resample_configuration(n: int, draw, rng: Rng, tag: str, what: str) -> Configuration:
+    """The one resampling loop: attempt a takes the (space, mult) components
+    of ``draw(rng.derive(tag, a))`` once their spaces are pairwise generic.
+    A draw that raises GenericityExhausted fails its attempt; after
+    ``RESAMPLE_BUDGET`` attempts, this raises that no ``what`` is generic."""
     for attempt in range(RESAMPLE_BUDGET):
-        sub = rng.derive(tag, attempt)
         try:
-            spaces = [sample_generic_subspace(n, k, sub.derive(i)) for i, (k, _) in enumerate(spec)]
+            components = draw(rng.derive(tag, attempt))
         except GenericityExhausted:
             continue
-        if _pairwise_generic(spaces, n):
-            return Configuration(n, tuple((s, m) for s, (_, m) in zip(spaces, spec)))
+        if _pairwise_generic([s for s, _ in components], n):
+            return Configuration(n, tuple(components))
     raise GenericityExhausted(f"no generic {what} in P^{n}")
 
 

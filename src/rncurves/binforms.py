@@ -124,13 +124,15 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
-    """Gcd ``(core, s_pow)`` of two or more nonzero coefficient rows (ints or
+    """Gcd ``(core, s_pow)`` of one or more nonzero coefficient rows (ints or
     Fractions, ``s^d`` first): the common power of ``s``, and the gcd in Z[u],
     up to sign and ascending in u = t/s, of the rest.  Those are folded
     pairwise, shortest first, each pair by a primitive pseudo-remainder
     sequence (Collins, J. ACM 14, 1967): every remainder is divided by its
     content, which bounds coefficient growth, and the sequence is exact in
     Z[u] and always ends.  The fold stops once the running gcd is a constant.
+    A single row folds nothing and comes back primitive with its own power
+    of ``s``, so it keeps its formal degree.  Every gcd here runs through it.
     """
     tops = [max(i for i, c in enumerate(r) if c) for r in rows]
     s_pow = min(len(r) - 1 - top for r, top in zip(rows, tops))
@@ -157,8 +159,6 @@ def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
     nonzero = [f for f in forms if not f.is_zero()]
     if not nonzero:
         raise ValueError("gcd of all-zero family")
-    if len(nonzero) == 1:
-        return nonzero[0].monic()
     core, s_pow = _gcd_nonzero([f.coeffs for f in nonzero])
     return BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic()
 
@@ -169,8 +169,6 @@ def gcd_degree(rows: Sequence[Sequence]) -> int:
     nonzero = [r for r in rows if any(r)]
     if not nonzero:
         raise ValueError("gcd of all-zero family")
-    if len(nonzero) == 1:
-        return len(nonzero[0]) - 1
     core, s_pow = _gcd_nonzero(nonzero)
     return len(core) - 1 + s_pow
 

@@ -10,9 +10,10 @@ secant variety is defective, which happens here for every
 
 Two disjoint (m-1)-spaces form a single dense orbit under projectivities,
 and the ideal dimension is a projective invariant, so the pair is pinned to
-coordinate subspaces; only the points are sampled, and a draw is accepted by
-the pairwise genericity test every sampled configuration shares.  This keeps
-the condition matrix nearly monomial and the exact rank cheap.
+coordinate subspaces, which keeps the condition matrix nearly monomial and
+the exact rank cheap.  Only the points are sampled, through the resampling
+loop every sampled configuration shares,
+:func:`~rncurves.arrangements.resample_configuration`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arrangements import Configuration, _pairwise_generic, agreed_hilbert, hilbert_function
-from .errors import BoundViolated, GenericityExhausted
-from .exactgeom import RESAMPLE_BUDGET, LinearSubspace, Rng, sample_point, span, stable_mix, standard_point
+from .arrangements import Configuration, agreed_hilbert, hilbert_function, resample_configuration
+from .errors import BoundViolated
+from .exactgeom import LinearSubspace, Rng, sample_point, span, stable_mix, standard_point
 
 DEGREE = 4
 
@@ -88,17 +89,16 @@ def canonical_spaces(m: int) -> tuple[LinearSubspace, LinearSubspace]:
 
 
 def _instance(m: int, s: int, seed: int) -> Configuration:
-    """The pinned spaces and s+1 double points, drawn until the shared
-    pairwise test accepts them: the points distinct and off both spaces."""
+    """The pinned spaces and s+1 double points, the points drawn by the
+    shared resampling loop until they are distinct and off both spaces."""
     n = ambient_dim(m)
     a, b = canonical_spaces(m)
-    rng = Rng(seed)
-    for attempt in range(RESAMPLE_BUDGET):
-        sub = rng.derive("defect-points", attempt)
+
+    def draw(sub: Rng):
         pts = [LinearSubspace.from_points([sample_point(n, sub.derive(i))]) for i in range(s + 1)]
-        if _pairwise_generic([a, b, *pts], n):
-            return Configuration(n, ((pts[0], 2), (a, 3), (b, 3), *((p, 2) for p in pts[1:])))
-    raise GenericityExhausted("could not sample generic double points")
+        return [(pts[0], 2), (a, 3), (b, 3), *((p, 2) for p in pts[1:])]
+
+    return resample_configuration(n, draw, Rng(seed), "defect-points", "set of double points")
 
 
 def defect_check(query: DefectQuery, seed: int = 0) -> DefectReport:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 from .arrangements import (
@@ -263,12 +264,12 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
 
     Sample 0 screens each (d, k) by :func:`_screened`, which proves each
     skip by ``rank >= rank_p`` and returns sample 0's full Hilbert value.
-    The first (d, k) it lets through draws samples 1 and 2 (once per call);
-    samples 1 and 2 and each sample without the component are ranked here,
-    so no matrix is ranked twice, and the three values decide under the
-    policy of :func:`~rncurves.arrangements.agreed_hilbert`.  A (d, k)
-    whose samples disagree, or whose agreed ranks break the equation, is
-    skipped.
+    The first degree with a k let through draws samples 1 and 2 (once per
+    call); samples 1 and 2 and each sample without the component are ranked
+    here, so no matrix is ranked twice, and the three values decide under
+    the policy of :func:`~rncurves.arrangements.agreed_hilbert`.  A degree
+    whose full values disagree is skipped, as is a (d, k) whose reduced
+    values disagree or whose agreed ranks break the equation.
     """
     n = weights.n
     total = weights.total_intersection()
@@ -276,9 +277,7 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     if not usable:
         return None
     dims_present = sorted({i for i, c in enumerate(weights.counts) if c})
-    seeds = tuple(
-        stable_mix(opts.seed, "bezout", n, weights.counts, t) for t in range(3)
-    )
+    seeds = tuple(stable_mix(opts.seed, "bezout", n, weights.counts, t) for t in range(3))
     try:
         first = sample_configuration(weights, Rng(seeds[0]))
     except GenericityExhausted:
@@ -287,18 +286,20 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     for d in usable:
         head = ConditionMatrix.build(first, d)
         value, passing = _screened(head, dims_present, weights.counts)
-        matrices = None
+        if not passing:
+            continue
+        if rest is None:
+            try:
+                rest = [sample_configuration(weights, Rng(s)) for s in seeds[1:]]
+            except GenericityExhausted:
+                return None
+        matrices = [head, *(ConditionMatrix.build(cfg, d) for cfg in rest)]
+        full = agreed_hilbert([value, *(cm.hilbert() for cm in matrices[1:])], seeds)
+        if not full.agreed:
+            continue
         for k, idx, drop in passing:
-            if matrices is None:
-                if rest is None:
-                    try:
-                        rest = [sample_configuration(weights, Rng(s)) for s in seeds[1:]]
-                    except GenericityExhausted:
-                        return None
-                matrices = [head, *(ConditionMatrix.build(cfg, d) for cfg in rest)]
-                full = agreed_hilbert([value, *(cm.hilbert() for cm in matrices[1:])], seeds)
             reduced = agreed_hilbert([cm.without(idx).hilbert() for cm in matrices], seeds)
-            if not (full.agreed and reduced.agreed) or full.value != reduced.value + drop:
+            if not reduced.agreed or full.value != reduced.value + drop:
                 continue
             return Certificate(
                 "bezout",
@@ -319,24 +320,25 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     return None
 
 
+def _selections(counts: Sequence[int], cap: int):
+    """``(sel, t)`` for each nonzero ``sel <= counts`` whose total
+    ``t = sum (i+1) sel_i`` is at most ``cap``, in ``itertools.product``
+    order; such a total takes at most ``cap // (i+1)`` of dimension i."""
+    for sel in itertools.product(*(range(min(c, cap // (i + 1)) + 1) for i, c in enumerate(counts))):
+        t = sum(map(mul, sel, itertools.count(1)))
+        if 0 < t <= cap:
+            yield sel, t
+
+
 def _reductions(weights: WeightVector):
-    """Sound projections: remove a sub-configuration as center, carry the
-    components small enough to stay disjoint from it, drop the rest."""
-    n = weights.n
-    counts = weights.counts
-    # a center of total t <= n-2 takes at most (n-2)//(i+1) components of dimension i
-    for sel in itertools.product(*(range(min(c, (n - 2) // (i + 1)) + 1) for i, c in enumerate(counts))):
-        if not any(sel):
-            continue
-        t = sum((i + 1) * s for i, s in enumerate(sel))
-        if t > n - 2:
-            continue
-        n_child = n - t
-        child_counts = tuple(counts[j] - sel[j] for j in range(n_child - 1))
-        child = WeightVector(n_child, child_counts)
-        if child.is_zero():
-            continue
-        yield sel, child
+    """Sound projections: remove a sub-configuration of total t <= n-2 as
+    center, carry into P^(n-t) the components small enough to stay disjoint
+    from it, drop the rest."""
+    n, counts = weights.n, weights.counts
+    for sel, t in _selections(counts, n - 2):
+        child = WeightVector(n - t, tuple(counts[j] - sel[j] for j in range(n - t - 1)))
+        if not child.is_zero():
+            yield sel, child
 
 
 def check_projection(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[Certificate]:
@@ -489,18 +491,12 @@ def _pattern_choices(weights: WeightVector) -> list[tuple[int, ...]]:
     leftover total by the block profile's point bound.
     """
     n = weights.n
-    choices = []
     s_req = weights.total_intersection() - n
-    # blocks filling a hyperplane take at most n//(i+1) components of dimension i
-    for sel in itertools.product(*(range(min(c, n // (i + 1)) + 1) for i, c in enumerate(weights.counts))):
-        if sum((i + 1) * c for i, c in enumerate(sel)) != n:
-            continue
-        if sum(sel) < 2:
-            continue
-        if s_req > SegreContext(tuple(_blocks(sel))).point_bound():
-            continue
-        choices.append(sel)
-    return choices
+    return [
+        sel
+        for sel, t in _selections(weights.counts, n)
+        if t == n and sum(sel) >= 2 and s_req <= SegreContext(tuple(_blocks(sel))).point_bound()
+    ]
 
 
 def build_witness(
@@ -623,8 +619,7 @@ def enumerate_weights(n: int) -> list[WeightVector]:
             rec(i + 1, counts + [c], remaining - c * costs[i])
             c += 1
 
-    rec(0, [], bound)
-    out.sort(key=lambda w: w.counts)
+    rec(0, [], bound)  # c ascends at every level, so rows come out in lexicographic order
     return out
 
 

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rncurves import binforms
 from rncurves.binforms import (
     BinaryForm,
     ParamPoint,
@@ -239,6 +240,21 @@ def test_gcd_degree_single_nonzero_row_keeps_its_formal_degree():
     assert gcd_degree(rows) == 3 == gcd_many([BinaryForm(3, r) for r in rows]).degree
     with pytest.raises(ValueError):
         gcd_degree([(0, 0), (0, 0)])
+
+
+def test_a_single_nonzero_member_runs_through_the_gcd_core(monkeypatch):
+    # one nonzero row folds nothing in the core and keeps its formal degree
+    calls = []
+    real = binforms._gcd_nonzero
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(binforms, "_gcd_nonzero", spy)
+    assert gcd_many([BinaryForm(3, (0, 6, 4, 0)), BinaryForm.zero(3)]) == BinaryForm(3, (0, 1, F(2, 3), 0))
+    assert gcd_degree([(0, 0, 10**33 + 7, 0), (0, 0, 0, 0)]) == 3
+    assert calls == [1, 1]
 
 
 @given(forms(max_degree=3), forms(min_degree=1, max_degree=3))

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from rncurves import arrangements
 from rncurves.defectivity import (
     DEGREE,
     DefectQuery,
@@ -15,7 +16,7 @@ from rncurves.defectivity import (
     defect_sweep,
     point_drop,
 )
-from rncurves.errors import BoundViolated
+from rncurves.errors import BoundViolated, GenericityExhausted
 from rncurves.exactgeom import meet
 from rncurves.serialize import enc_config
 
@@ -94,6 +95,13 @@ def test_reports_are_deterministic():
     r3 = defect_check(DefectQuery(2, 4), seed=8)
     assert r3.seeds != r1.seeds
     assert r3.actual == r1.actual
+
+
+def test_defect_points_resample_through_the_shared_loop(monkeypatch):
+    # a pairwise test that accepts no draw exhausts the one resampling loop
+    monkeypatch.setattr(arrangements, "_pairwise_generic", lambda spaces, n: False)
+    with pytest.raises(GenericityExhausted, match=r"^no generic set of double points in P\^3$"):
+        defect_check(DefectQuery(1, 2))
 
 
 # sha256 of the sampled instances below, recorded while the points had a

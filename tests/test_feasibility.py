@@ -561,8 +561,9 @@ def test_atlas_is_deterministic():
     assert a == b
 
 
-def test_no_rule_contradicts_another():
-    for v in enumerate_weights(3):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_no_rule_contradicts_another(n):
+    for v in enumerate_weights(n):
         statuses = {verdict.status for verdict in all_rule_verdicts(v, DEFAULTS)}
         assert not ({FEASIBLE, NON_FEASIBLE} <= statuses), v
 

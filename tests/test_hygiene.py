@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
 module-level public name is referenced in the package, the tests or the
-benchmark, every error type is raised or caught in the package, every
-function reads each of its parameters, frozen objects change only while
-they are built, and the benchmark's tracer still finds the names it wraps."""
+benchmark, no module imports a private name of another, every error type
+is raised or caught in the package, every function reads each of its
+parameters, frozen objects change only while they are built, and the
+benchmark's tracer still finds the names it wraps."""
 
 import ast
 import json
@@ -188,6 +189,43 @@ def test_scan_sees_an_orphan_error_type():
         ast.parse("def k():\n    raise\n"),
     ]
     assert orphan_errors(errors, trees) == ["Base", "Imported"]
+
+
+def private_imports(tree):
+    """Sorted (line, name) of each ``_``-prefixed name a module takes from a
+    sibling module: by a relative ``from`` import, or as an attribute of a
+    sibling bound by ``from . import``.  What one module keeps private, no
+    other module of the package reaches into."""
+    siblings, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    found.add((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in siblings:
+            if node.attr.startswith("_"):
+                found.add((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [
+        f"{module}: {name} (line {line})"
+        for module, tree in package_trees().items()
+        for line, name in private_imports(tree)
+    ]
+    assert not found, f"private names imported across modules: {', '.join(found)}"
+
+
+def test_scan_sees_a_private_import():
+    tree = ast.parse(
+        "from . import linalg as la, serialize\nfrom .a import _x, y\nfrom math import _private\n"
+        "def f():\n    return la._core(serialize.digest, linalg._gone, _x, y)\n"
+    )
+    assert private_imports(tree) == [(2, "_x"), (5, "la._core")]
 
 
 def function_local_imports(tree):
