@@ -23,16 +23,22 @@ negative rules
                        n > i^2 + 5i + 1 and more than ceil((n+3)/(i+1)) of them;
     bezout             a component imposing independent conditions on the
                        degree-d forms through the rest contradicts the
-                       intersection count when sum (i+1) l_i - 1 > d n;
+                       intersection count when sum (i+1) l_i - 1 > d n; a
+                       component that meets the rest never imposes them;
     projection-chain   project away from a sub-configuration and detect a
                        non-feasible image by the base rules.
 
 Sampled rules (bezout, projection) decide on three seeded samples and carry
-a ``generic-sample`` caveat in their certificates.  Bezout screens each
-(d, k) on sample 0 by one elimination mod p per degree, which bounds from
-below the ranks with each candidate component left out.  A (d, k) whose
-bound already breaks the equation is skipped, and that skip is exact
-because ``rank >= rank_p`` over Z.  Every other (d, k) is decided by exact
+a ``generic-sample`` caveat in their certificates.  Bezout first drops each
+k whose k-space meets another component, which on a pairwise generic sample
+is when k + a >= n for some other component of dimension a.  Then the rest
+X meets L and ``(I_X + I_L)_d`` lies in ``I(X ∩ L)_d``, so L adds at most
+``C(d+k, k) - 1`` conditions on any sample and the equation cannot hold.
+With no k left it samples nothing.  It screens each remaining (d, k) on
+sample 0 by one elimination mod p per degree, which bounds from below the
+ranks with each candidate component left out.  A (d, k) whose bound already
+breaks the equation is skipped, and that skip is exact because
+``rank >= rank_p`` over Z.  Every other (d, k) is decided by exact
 ranks of the three samples, each matrix ranked once (sample 0's full rank
 comes from the screen, exact at the cap); no modular value decides a pass.
 """
@@ -262,6 +268,15 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     """Remove one component; if its conditions on degree-d forms through the
     rest are independent while the contact count exceeds d*n, no curve exists.
 
+    Only a k-space L disjoint from every other component can satisfy the
+    equation.  If L meets the rest X, then ``(I_X + I_L)_d`` lies in
+    ``I(X ∩ L)_d`` with X ∩ L not empty, so ``H_d(X ∪ L) <= H_d(X) +
+    C(d+k, k) - 1`` on every sample.  On a pairwise generic sample L meets a
+    component of dimension a exactly when ``k + a >= n``, another k-space
+    counting when ``l_k >= 2``.  So the candidates are the k with
+    ``k + a < n`` for every other component, and with none the rule returns
+    before sampling.
+
     Sample 0 screens each (d, k) by :func:`_screened`, which proves each
     skip by ``rank >= rank_p`` and returns sample 0's full Hilbert value.
     The first degree with a k let through draws samples 1 and 2 (once per
@@ -271,13 +286,14 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     whose full values disagree is skipped, as is a (d, k) whose reduced
     values disagree or whose agreed ranks break the equation.
     """
-    n = weights.n
+    n, counts = weights.n, weights.counts
     total = weights.total_intersection()
     usable = [d for d in range(1, opts.d_max + 1) if total - 1 > d * n]
-    if not usable:
+    present = [i for i, c in enumerate(counts) if c]
+    disjoint = [k for k in present if all(k + a < n for a in present if a != k or counts[k] >= 2)]
+    if not usable or not disjoint:
         return None
-    dims_present = sorted({i for i, c in enumerate(weights.counts) if c})
-    seeds = tuple(stable_mix(opts.seed, "bezout", n, weights.counts, t) for t in range(3))
+    seeds = tuple(stable_mix(opts.seed, "bezout", n, counts, t) for t in range(3))
     try:
         first = sample_configuration(weights, Rng(seeds[0]))
     except GenericityExhausted:
@@ -285,7 +301,7 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
     rest = None
     for d in usable:
         head = ConditionMatrix.build(first, d)
-        value, passing = _screened(head, dims_present, weights.counts)
+        value, passing = _screened(head, disjoint, counts)
         if not passing:
             continue
         if rest is None:
@@ -312,7 +328,7 @@ def check_bezout(weights: WeightVector, opts: RunConfig = DEFAULTS) -> Optional[
                     "independent_conditions": drop,
                     "contact_count": total,
                     "n": n,
-                    "counts": list(weights.counts),
+                    "counts": list(counts),
                 },
                 seeds=seeds,
                 caveats=("generic-sample",),

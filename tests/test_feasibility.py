@@ -17,7 +17,7 @@ from rncurves.errors import (
     RncError,
     VerificationFailed,
 )
-from rncurves.exactgeom import Rng, stable_mix
+from rncurves.exactgeom import Rng, meet, stable_mix
 from rncurves.feasibility import (
     DEFAULTS,
     FEASIBLE,
@@ -307,6 +307,96 @@ def test_bezout_screen_ranks_exactly_below_the_cap():
     head = ConditionMatrix(2, 1, (((0, 0, 1),), ((p, 0, 0),)))
     assert linalg.leave_one_out_ranks_mod_p(head.blocks, [0], 3) == (1, [0])
     assert feasibility._screened(head, [0], (2,)) == (2, [(0, 0, 1)])
+
+
+def test_bezout_lemma_bounds_every_component_that_meets_another():
+    # A k-space L that meets the rest X adds at most C(d+k, k) - 1 conditions
+    # in degree d: (I_X + I_L)_d lies in I(X ∩ L)_d, and X ∩ L is not empty.
+    # So the Bézout equation fails for L on every sample, which is why
+    # check_bezout screens no such k.  On sample 0 of each atlas vector of P^4
+    # and P^5 with a usable degree, the first k-space meets another component
+    # exactly when k + a >= n for the dimension a of some other component,
+    # and its exact ranks obey the bound.
+    dropped = tight = 0
+    for n in (4, 5):
+        for weights in enumerate_weights(n):
+            usable = [d for d in (1, 2, 3) if weights.total_intersection() - 1 > d * n]
+            if not usable:
+                continue
+            cfg = sample_configuration(weights, Rng(stable_mix(0, "bezout", n, weights.counts, 0)))
+            spaces = [space for space, _ in cfg.components]
+            meeting = []
+            for k in sorted({space.dim for space in spaces}):
+                idx = sum(weights.counts[:k])
+                others = spaces[:idx] + spaces[idx + 1 :]
+                meets = any(meet(spaces[idx], other).dim >= 0 for other in others)
+                assert meets == any(k + other.dim >= n for other in others), (weights, k)
+                if meets:
+                    meeting.append((k, idx))
+            if not meeting:
+                continue
+            for d in usable:
+                head = ConditionMatrix.build(cfg, d)
+                full = head.hilbert()
+                for k, idx in meeting:
+                    slack = head.without(idx).hilbert() + comb(d + k, k) - 1 - full
+                    assert slack >= 0, (weights, d, k)
+                    dropped += 1
+                    tight += slack == 0
+    assert (dropped, tight) == (587, 8)
+
+
+# What check_bezout does over atlas(n), by n: the ambient dimension, the
+# candidate dimensions and the counts of every screen, and the number of
+# configurations it samples.  Shared by the tests below, which read it only.
+BEZOUT_WORK = {}
+
+
+def bezout_work(n):
+    if n not in BEZOUT_WORK:
+        screens, screened = [], feasibility._screened
+
+        def recording(head, dims, counts):
+            screens.append((head.n, tuple(dims), tuple(counts)))
+            return screened(head, dims, counts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(feasibility, "_screened", recording)
+            samples = _counting_sampler(mp)
+            atlas(n, DEFAULTS)
+        BEZOUT_WORK[n] = screens, len(samples)
+    return BEZOUT_WORK[n]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_bezout_screens_no_component_that_meets_another(n):
+    # pairwise generic spaces of dimensions k and a meet exactly when
+    # k + a >= n; another space of dimension k counts when l_k >= 2
+    screens, _ = bezout_work(n)
+    assert screens
+    for ambient, dims, counts in screens:
+        present = [a for a, c in enumerate(counts) if c]
+        for k in dims:
+            others = [a for a in present if a != k] + [k] * (counts[k] >= 2)
+            assert all(k + a < ambient for a in others), (ambient, counts, k)
+
+
+def test_bezout_without_a_disjoint_component_draws_no_sample(monkeypatch):
+    # seven planes in P^4 meet pairwise (2 + 2 >= 4), and the contact count
+    # 21 makes every degree up to 3 usable
+    weights = w(4, 0, 0, 7)
+    assert weights.total_intersection() - 1 > 3 * weights.n
+    calls = _counting_sampler(monkeypatch)
+    assert check_bezout(weights, DEFAULTS) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, samples, candidates", [(4, 57, 144), (5, 253, 610)])
+def test_bezout_work_over_the_atlas_is_pinned(n, samples, candidates):
+    # counts that do not depend on the machine: a change that screens or
+    # samples for a (d, k) that cannot pass moves them
+    screens, drawn = bezout_work(n)
+    assert (drawn, sum(len(dims) for _, dims, _ in screens)) == (samples, candidates)
 
 
 # Vectors whose classify ranked sample 0's full Bézout matrix twice while the
@@ -692,6 +782,41 @@ def test_atlas_audit_catches_an_unsound_rule(monkeypatch):
     }
     want = [("removal", row, (row[0], child)) for row, children in removals.items() for child in children]
     assert violations == want + [("projection", (4, (4, 2, 0)), (3, (3, 2)))]
+
+
+def seed_audit(dims, seeds, fresh=False):
+    """The rows of the atlases of P^n, n in ``dims``, whose status or rule at
+    a seed in ``seeds`` differs from seed 0's.
+
+    The sampled rules draw their configurations from the seed, and a generic
+    configuration does not depend on it: neither may a verdict, nor a (d, k)
+    that the Bézout rule skips.
+    """
+
+    def key(got):
+        return got.status, got.certificate and got.certificate.rule
+
+    differ = []
+    for n in dims:
+        for v in enumerate_weights(n):
+            base = key(verdict(v, fresh))
+            differ += [(seed, n, v.counts) for seed in seeds if key(classify(v, RunConfig(seed=seed))) != base]
+    return differ
+
+
+def test_seed_audit():
+    assert seed_audit((3, 4, 5), (1, 2)) == []
+
+
+def test_seed_audit_catches_a_seed_dependent_rule(monkeypatch):
+    bezout = feasibility.check_bezout
+
+    def at_seed_0_only(weights, opts):
+        return bezout(weights, opts) if opts.seed == 0 else None
+
+    monkeypatch.setattr(feasibility, "check_bezout", at_seed_0_only)
+    # the three rows of P^3 and P^4 that the Bézout rule decides
+    assert seed_audit((3, 4), (1,), fresh=True) == [(1, 4, (0, 5, 0)), (1, 4, (3, 2, 1)), (1, 4, (4, 0, 2))]
 
 
 # ---------------------------------------------------------------- Bézout replay
