@@ -2,6 +2,8 @@
 of linear subspaces: construction, certified (non-)existence rules, Hilbert
 functions of fat arrangements, and a small defectivity checker."""
 
+from types import ModuleType as _Module
+
 from .arrangements import (
     Configuration,
     WeightVector,
@@ -29,6 +31,7 @@ from .feasibility import (
     Certificate,
     RunConfig,
     Verdict,
+    all_rule_verdicts,
     atlas,
     build_witness,
     check_bezout,
@@ -65,4 +68,5 @@ from .segre import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules those imports bind
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _Module)]

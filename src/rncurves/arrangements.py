@@ -47,7 +47,6 @@ from .exactgeom import (
     sample_generic_subspace,
     stable_mix,
 )
-from .multiforms import monomials
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,6 @@ class Configuration:
     def is_reduced(self) -> bool:
         return all(m == 1 for _, m in self.components)
 
-    def without(self, index: int) -> "Configuration":
-        if not 0 <= index < len(self.components):
-            raise IndexError(f"no component {index}")
-        return Configuration(self.n, self.components[:index] + self.components[index + 1 :])
-
-    def transformed(self, g) -> "Configuration":
-        return Configuration(self.n, tuple((g.apply_subspace(s), m) for s, m in self.components))
-
 
 def sample_configuration(weights: WeightVector, rng: Rng) -> Configuration:
     """Sample a reduced configuration in pairwise-general position.
@@ -168,11 +159,6 @@ def _pairwise_generic(spaces: Sequence[LinearSubspace], n: int) -> bool:
             elif linalg.rank(a.generators + b.generators, n + 1) != min(n + 1, a.dim + b.dim + 2):
                 return False
     return True
-
-
-def expected_conditions(n: int, k: int, mult: int, d: int) -> int:
-    """Number of condition rows a fat component contributes in degree d."""
-    return sum(comb(n - k - 1 + j, j) * comb(k + d - j, k) for j in range(min(mult, d + 1)))
 
 
 def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[tuple[int, ...]]:
@@ -248,6 +234,21 @@ def _sym_powers(generators, n: int, d: int) -> list[list[tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=None)
+def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples of the given total degree, lex descending: the
+    one monomial order of condition-matrix columns and rows."""
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
+    if nvars == 1:
+        return ((degree,),)
+    out = []
+    for first in range(degree, -1, -1):
+        for rest in monomials(nvars - 1, degree - first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _lowerings(nvars: int, e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each degree-e monomial m in nvars variables, in order, the pairs
     (i, index of ``m - e_i`` among degree e-1) over the i with ``m_i > 0``."""
@@ -309,7 +310,7 @@ class ConditionMatrix:
         return cls(config.n, d, tuple(tuple(vanishing_conditions(s, m, d)) for s, m in config.components))
 
     def without(self, index: int) -> "ConditionMatrix":
-        """The matrix of ``config.without(index)``, from the blocks at hand."""
+        """The matrix of the configuration without component ``index``, from the blocks at hand."""
         if not 0 <= index < len(self.blocks):
             raise IndexError(f"no block {index}")
         return ConditionMatrix(self.n, self.degree, self.blocks[:index] + self.blocks[index + 1 :])

@@ -170,7 +170,8 @@ def cmd_hilbert(args, opts: RunConfig) -> int:
         data = json.loads(raw)
         n = serialize.dec_int(data["n"])
         d = serialize.dec_int(data["d"])
-        spec = [(serialize.dec_int(c["dim"]), serialize.dec_int(c.get("mult", 1))) for c in data["components"]]
+        components = serialize.dec_list(data["components"])
+        spec = [(serialize.dec_int(c["dim"]), serialize.dec_int(c.get("mult", 1))) for c in components]
         seed = serialize.dec_int(data.get("seed", opts.seed))
         hf, ideal = generic_hilbert(n, spec, d, seed)
     except (OSError, ValueError, KeyError, TypeError) as e:

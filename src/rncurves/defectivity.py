@@ -95,7 +95,7 @@ def _instance(m: int, s: int, seed: int) -> Configuration:
     a, b = canonical_spaces(m)
 
     def draw(sub: Rng):
-        pts = [LinearSubspace.from_points([sample_point(n, sub.derive(i))]) for i in range(s + 1)]
+        pts = [span([sample_point(n, sub.derive(i))]) for i in range(s + 1)]
         return [(pts[0], 2), (a, 3), (b, 3), *((p, 2) for p in pts[1:])]
 
     return resample_configuration(n, draw, Rng(seed), "defect-points", "set of double points")

@@ -10,7 +10,7 @@ Conventions
 * ``P^n`` has homogeneous coordinates ``x_0 .. x_n``; points act as column
   vectors, so a projectivity with matrix ``M`` sends ``x`` to ``M x``.
 * A ``LinearSubspace`` stores a reduced-row-echelon basis of its row space,
-  which makes equality and membership tests canonical, and ``dim+1`` integer
+  which makes equality tests canonical, and ``dim+1`` integer
   rows spanning the same space (``generators``), which the Hilbert condition
   matrices and the pairwise genericity test are built from.  A sampled
   subspace keeps the bounded integer rows it was drawn from; any other gets
@@ -18,8 +18,8 @@ Conventions
   dimension -1.
 * A subspace has one set of linear forms, ``equations()``: for each
   non-pivot column f of the echelon basis, the form with 1 at f and
-  ``-basis[i][f]`` at the i-th pivot column.  Membership, meets, projection
-  and the restriction of a curve all read these forms.
+  ``-basis[i][f]`` at the i-th pivot column.  Meets, projection and the
+  restriction of a curve all read these forms.
 * ``project_from`` projects away from a center by the matrix of its
   equations.  The target coordinates are the pivot-complement coordinates,
   in increasing order, each with the center component subtracted.
@@ -133,11 +133,6 @@ def standard_point(n: int, i: int) -> ProjPoint:
     return ProjPoint(n, tuple(Fraction(int(j == i)) for j in range(n + 1)))
 
 
-def unit_point(n: int) -> ProjPoint:
-    """The all-ones point [1 : 1 : ... : 1]."""
-    return ProjPoint(n, (Fraction(1),) * (n + 1))
-
-
 @dataclass(frozen=True)
 class LinearSubspace:
     """Linear subspace of P^n, stored as an echelonized basis of rows.
@@ -168,13 +163,6 @@ class LinearSubspace:
         return cls(n, tuple(red))
 
     @classmethod
-    def from_points(cls, points: Sequence[ProjPoint]) -> "LinearSubspace":
-        if not points:
-            raise ValueError("need at least one point")
-        n = points[0].n
-        return cls.from_rows(n, [p.coords for p in points])
-
-    @classmethod
     def empty(cls, n: int) -> "LinearSubspace":
         return cls(n, ())
 
@@ -190,11 +178,6 @@ class LinearSubspace:
                     piv.append(j)
                     break
         return tuple(piv)
-
-    def contains(self, p: ProjPoint) -> bool:
-        if p.n != self.n:
-            raise ValueError("ambient mismatch")
-        return not any(_apply(self.equations(), p.coords))
 
     def equations(self) -> tuple[tuple[Fraction, ...], ...]:
         """Linear forms cutting out the subspace, read off the echelon basis:
@@ -277,11 +260,6 @@ class Projectivity:
             raise ValueError("ambient mismatch")
         return ProjPoint(self.n, _apply(self.matrix, p.coords))
 
-    def apply_subspace(self, s: LinearSubspace) -> LinearSubspace:
-        if s.n != self.n:
-            raise ValueError("ambient mismatch")
-        return LinearSubspace.from_rows(self.n, [_apply(self.matrix, b) for b in s.basis])
-
     def inverse(self) -> "Projectivity":
         return Projectivity(linalg.invert(self.matrix, self.n + 1))
 
@@ -308,11 +286,6 @@ def projectivity_from_frames(points: Sequence[ProjPoint]) -> Projectivity:
     if lam is None or not all(lam):
         raise FrameDegenerate("frame points are in special position")
     return Projectivity(tuple(tuple(lam[i] * base[i][row] for i in range(n + 1)) for row in range(n + 1)))
-
-
-def standard_frame(n: int) -> list[ProjPoint]:
-    """e_0, ..., e_n followed by the all-ones point."""
-    return [standard_point(n, i) for i in range(n + 1)] + [unit_point(n)]
 
 
 def project_from(center: LinearSubspace, obj):
@@ -400,14 +373,3 @@ def sample_point_on(s: LinearSubspace, rng: Rng) -> ProjPoint:
         if c:
             v = [a + c * b for a, b in zip(v, row)]
     return ProjPoint(s.n, tuple(v))
-
-
-def sample_projectivity(n: int, rng: Rng) -> Projectivity:
-    """Random invertible matrix with bounded integer entries."""
-    for _ in range(RESAMPLE_BUDGET):
-        m = tuple(rng.vector(n + 1) for _ in range(n + 1))
-        try:
-            return Projectivity(m)
-        except ValueError:  # singular: draw again
-            pass
-    raise GenericityExhausted(f"could not sample a projectivity of P^{n}")

@@ -133,16 +133,6 @@ def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
     return gcd_degree(restricted)
 
 
-def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
-    """Exact membership test: the dimension-0 case of :func:`intersection_degree`,
-    with its two ``ValueError``s.  A curve whose image is the point
-    (``CurveInSubspaceSpan``) passes through it."""
-    try:
-        return intersection_degree(curve, LinearSubspace.from_points([point])) >= 1
-    except CurveInSubspaceSpan:
-        return True
-
-
 def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
     """Pull a degree-d form on P^n back to the parameter line (degree d*deg).
 

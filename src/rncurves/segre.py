@@ -198,7 +198,7 @@ def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
     forms = [product(leads)]
     for i, (crv, off) in enumerate(zip(mc.factors, ctx.offsets())):
         others = [leads[j] for j in range(ctx.r) if j != i]
-        base = product(others) if others else BinaryForm.constant(1)
+        base = product(others)
         for k in range(1, ctx.factor_dims[i] + 1):
             forms.append(crv.forms[k].mul(base))
     return tuple(forms)

@@ -29,6 +29,13 @@ def dec_int(v) -> int:
     return v
 
 
+def dec_list(v) -> list:
+    """A JSON list as read; an object, string or number raises ``ValueError``."""
+    if type(v) is not list:
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
 def dec_fraction(v) -> Fraction:
     return Fraction(dec_int(v[0]), dec_int(v[1]))
 
@@ -61,7 +68,7 @@ def enc_config(cfg: Configuration) -> dict:
 def dec_config(d) -> Configuration:
     n = dec_int(d["ambient_dim"])
     comps = []
-    for c in d["components"]:
+    for c in dec_list(d["components"]):
         rows = [[dec_fraction(x) for x in row] for row in c["basis"]]
         space = LinearSubspace.from_rows(n, rows)
         if dec_int(c["dim"]) != space.dim:

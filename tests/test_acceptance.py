@@ -13,17 +13,19 @@ from fractions import Fraction
 from math import comb, prod
 
 from conftest import ACCEPTANCE_RESULTS
+from helpers import apply_subspace, passes_through, random_form, sample_projectivity, transformed
 
 from rncurves.arrangements import (
     WeightVector,
     generic_hilbert,
     hilbert_function,
+    monomials,
     sample_configuration,
 )
 from rncurves.binforms import ParamPoint
 from rncurves.cli import EXIT_OK, main
 from rncurves.defectivity import DefectQuery, defect_check
-from rncurves.exactgeom import Rng, sample_generic_subspace, sample_point, sample_projectivity
+from rncurves.exactgeom import Rng, sample_generic_subspace, sample_point
 from rncurves.feasibility import (
     DEFAULTS,
     FEASIBLE,
@@ -35,12 +37,10 @@ from rncurves.feasibility import (
     classify,
     enumerate_weights,
 )
-from rncurves.multiforms import monomials, random_form
 from rncurves.rnc import (
     apply_projectivity,
     intersection_degree,
     is_rnc,
-    passes_through,
     restrict_form,
     rnc_through_points,
     standard_rnc,
@@ -238,10 +238,10 @@ def test_criterion_9_property_suites():
     base_hf = hilbert_function(config, 2)
     for i in range(10):
         g = sample_projectivity(4, rng.derive("g", i))
-        moved = intersection_degree(apply_projectivity(curve, g), g.apply_subspace(space))
+        moved = intersection_degree(apply_projectivity(curve, g), apply_subspace(g, space))
         assert moved == base_degree
         h = sample_projectivity(3, rng.derive("h", i))
-        assert hilbert_function(config.transformed(h), 2) == base_hf
+        assert hilbert_function(transformed(config, h), 2) == base_hf
 
     # restriction of a degree-d form to a degree-n curve has degree d*n
     rng = Rng(1).derive("acceptance-restriction")

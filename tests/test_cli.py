@@ -336,6 +336,8 @@ def assert_usage_exit(argv, capsys):
         (["verify"], None, {**CONIC, "ambient_dim": 2.0}),
         # a negative ambient dimension is rejected, even with no components
         (["hilbert"], {"n": -2, "d": 2, "components": []}, None),
+        # components is a JSON list: an object is not read as an empty one
+        (["hilbert"], {"n": 3, "d": 2, "components": {}}, None),
     ],
 )
 def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monkeypatch):
@@ -346,8 +348,16 @@ def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monke
     assert_usage_exit(argv, capsys)
 
 
-def test_verify_rejects_negative_ambient_config(tmp_path, capsys):
-    config = {"ambient_dim": -3, "components": []}
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"ambient_dim": -3, "components": []},
+        # an object is not read as an empty list of components
+        {"ambient_dim": 2, "components": {}},
+    ],
+    ids=["negative-ambient", "components-object"],
+)
+def test_verify_rejects_negative_ambient_config(config, tmp_path, capsys):
     assert_usage_exit(["verify"] + verify_inputs(tmp_path, CONIC, config), capsys)
 
 

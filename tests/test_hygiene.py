@@ -1,19 +1,23 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
-module-level public name is referenced in the package, the tests or the
-benchmark, no module imports a private name of another, every error type
-is raised or caught in the package, every function reads each of its
-parameters, frozen objects change only while they are built, and the
-benchmark's tracer still finds the names it wraps."""
+module-level public name is referenced in the package or exported by
+``__init__`` (a test or the benchmark naming it does not count), the
+package exports the names ``__init__`` imports and no submodule, no module
+imports a private name of another, every error type is raised or caught in
+the package, every function reads each of its parameters, frozen objects
+change only while they are built, and the benchmark's tracer still finds
+the names it wraps."""
 
 import ast
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import rncurves
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rncurves"
@@ -93,20 +97,20 @@ def referenced_names(node):
     return names
 
 
-def orphans(trees, public=False, outside=frozenset()):
+def orphans(trees, public=False):
     """``module.name`` of each private (with *public*, each public) definition
     that no other statement references.
 
     *trees* maps module names to parsed modules; a definition's own body
-    (a recursive call, say) does not count as a reference to it.  A name in
-    *outside* (the words of files beyond *trees*) counts as referenced.
+    (a recursive call, say) does not count as a reference to it, and
+    nothing outside *trees* counts at all.
     """
     statements = [node for tree in trees.values() for node in tree.body]
     refs = {id(node): referenced_names(node) for node in statements}
     found = []
     for module, tree in trees.items():
         for name, node in definitions(tree):
-            if name.startswith("_") == public or name in outside:
+            if name.startswith("_") == public:
                 continue
             if not any(name in refs[id(other)] for other in statements if other is not node):
                 found.append(f"{module}.{name}")
@@ -132,20 +136,31 @@ def test_scan_sees_an_orphan_helper():
     assert orphans(trees) == ["a._SPARE", "a._loop", "b._Box"]
 
 
+# A public definition of src/ needs a caller in src/ or an export from
+# __init__; a fixture or oracle that only tests call lives in tests/helpers.py.
 def test_no_orphan_public_definitions():
-    trees = package_trees()
-    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    outside = {word for path in files for word in re.findall(r"\w+", path.read_text())}
-    found = orphans(trees, public=True, outside=outside)
-    assert not found, f"public names that nothing in src/, tests/ or perfbench/ mentions: {', '.join(found)}"
+    found = orphans(package_trees(), public=True)
+    assert not found, f"public names that nothing in src/ references or exports: {', '.join(found)}"
 
 
 def test_scan_sees_an_orphan_public_helper():
     trees = {
         "a": ast.parse("USED = 2\nSPARE = 3\n_hidden = 4\ndef loop(k):\n    return loop(k - 1)\n"),
-        "b": ast.parse("from .a import USED\nclass Box: pass\nclass Tested: pass\nx = USED\n"),
+        "b": ast.parse("from .a import USED\nclass Box: pass\nx = USED\n"),
     }
-    assert orphans(trees, public=True, outside={"Tested"}) == ["a.SPARE", "a.loop", "b.Box", "b.x"]
+    assert orphans(trees, public=True) == ["a.SPARE", "a.loop", "b.Box", "b.x"]
+    # planted in the package: tests/helpers.py defines passes_through and
+    # several tests call it, but no test counts as a caller
+    trees = package_trees()
+    trees["planted"] = ast.parse("def passes_through(curve, point):\n    return curve, point\n")
+    assert orphans(trees, public=True) == ["planted.passes_through"]
+
+
+def test_package_exports_its_imported_names_and_no_module():
+    modules = [name for name in rncurves.__all__ if isinstance(getattr(rncurves, name), ModuleType)]
+    assert not modules, f"rncurves.__all__ lists submodules: {', '.join(modules)}"
+    imported = {name for name, _ in imported_names(package_trees()["__init__"]) if not name.startswith("_")}
+    assert sorted(rncurves.__all__) == sorted(imported)
 
 
 def orphan_errors(errors, trees):

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import apply_subspace, contains, passes_through, random_form, sample_projectivity, unit_point
 from rncurves.binforms import BinaryForm, ParamPoint
 from rncurves.errors import (
     CenterMeetsCurve,
@@ -20,7 +21,6 @@ from rncurves.errors import (
     RncError,
 )
 from rncurves.exactgeom import (
-    LinearSubspace,
     Projectivity,
     ProjPoint,
     Rng,
@@ -28,19 +28,16 @@ from rncurves.exactgeom import (
     sample_generic_subspace,
     sample_point,
     sample_point_on,
-    sample_projectivity,
+    span,
     stable_mix,
     standard_point,
-    unit_point,
 )
-from rncurves.multiforms import random_form
 from rncurves.rnc import (
     ParamCurve,
     apply_projectivity,
     RationalCurve,
     intersection_degree,
     is_rnc,
-    passes_through,
     project_curve,
     restrict_form,
     rnc_through_points,
@@ -118,14 +115,14 @@ def test_intersection_degree_with_coordinate_subspaces():
         c = standard_rnc(n)
         for j in range(n - 1):
             pts = [standard_point(n, i) for i in range(j + 1, n + 1)]
-            sub = LinearSubspace.from_points(pts)
+            sub = span(pts)
             assert intersection_degree(c, sub) == n - j
 
 
 def test_intersection_degree_generic_subspace_is_zero_or_expected():
     rng = Rng(101)
     c = standard_rnc(4)
-    pt = LinearSubspace.from_points([sample_point(4, rng)])
+    pt = span([sample_point(4, rng)])
     assert intersection_degree(c, pt) == 0
     hyper = sample_generic_subspace(4, 3, rng)
     assert intersection_degree(c, hyper) == 4  # Bezout: degree-n curve vs hyperplane
@@ -134,11 +131,11 @@ def test_intersection_degree_generic_subspace_is_zero_or_expected():
 def test_intersection_degree_rejects_containing_span():
     conic = standard_rnc(2)
     flat = ParamCurve(3, tuple(conic.forms) + (BinaryForm.zero(2),))
-    hyper = LinearSubspace.from_points([standard_point(3, i) for i in range(3)])
+    hyper = span([standard_point(3, i) for i in range(3)])
     with pytest.raises(CurveInSubspaceSpan):
         intersection_degree(flat, hyper)
     with pytest.raises(ValueError):
-        whole = LinearSubspace.from_points([standard_point(3, i) for i in range(4)])
+        whole = span([standard_point(3, i) for i in range(4)])
         intersection_degree(standard_rnc(3), whole)
 
 
@@ -165,7 +162,7 @@ def curve_and_component(draw):
     k = draw(st.integers(0, n - 1))
     if draw(st.booleans()):
         axes = draw(st.lists(st.integers(0, n), min_size=k + 1, max_size=k + 1, unique=True))
-        return curve, LinearSubspace.from_points([standard_point(n, i) for i in axes])
+        return curve, span([standard_point(n, i) for i in axes])
     on_curve = draw(st.lists(st.sampled_from(PARAMS), max_size=k + 1, unique=True))
     vectors = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1).filter(any)
     others = draw(st.lists(vectors, min_size=k + 1 - len(on_curve), max_size=k + 1 - len(on_curve)))
@@ -173,7 +170,7 @@ def curve_and_component(draw):
         points = [curve.evaluate(p) for p in on_curve]
     except ValueError:  # the parametrization vanishes there
         assume(False)
-    return curve, LinearSubspace.from_points(points + [ProjPoint(n, v) for v in others])
+    return curve, span(points + [ProjPoint(n, v) for v in others])
 
 
 def rat(x):
@@ -209,9 +206,9 @@ def test_intersection_degree_single_nonzero_restriction():
     conic = [f.scale(F(10**20 + 1, 3**30)) for f in standard_rnc(2).forms]
     flat = ParamCurve(3, tuple(conic) + (BinaryForm.zero(2),))
     # the line x_1 = x_3 = 0 pulls back to (c s t, 0): one nonzero form, of formal degree 2
-    line = LinearSubspace.from_points([standard_point(3, 0), standard_point(3, 2)])
+    line = span([standard_point(3, 0), standard_point(3, 2)])
     assert intersection_degree(flat, line) == 2
-    plane = LinearSubspace.from_points([standard_point(3, i) for i in range(3)])
+    plane = span([standard_point(3, i) for i in range(3)])
     with pytest.raises(CurveInSubspaceSpan):
         intersection_degree(flat, plane)
 
@@ -236,7 +233,7 @@ def test_intersection_degree_builds_no_binary_form(monkeypatch):
     rng = Rng(61)
     curve = apply_projectivity(standard_rnc(4), sample_projectivity(4, rng))
     spaces = [sample_generic_subspace(4, k, rng) for k in range(4)]
-    spaces.append(LinearSubspace.from_points([curve.evaluate(ParamPoint(1, i)) for i in range(3)]))
+    spaces.append(span([curve.evaluate(ParamPoint(1, i)) for i in range(3)]))
     built = []
     post_init = BinaryForm.__post_init__
 
@@ -310,7 +307,7 @@ def test_passes_through_accepts_a_curve_whose_image_is_the_point():
     curve = ParamCurve(2, tuple(BinaryForm(2, (c, 0, 0)) for c in point.coords))
     assert passes_through(curve, point)
     with pytest.raises(CurveInSubspaceSpan):
-        intersection_degree(curve, LinearSubspace.from_points([point]))
+        intersection_degree(curve, span([point]))
     with pytest.raises(ValueError, match="not finite"):
         passes_through(ParamCurve(0, (BinaryForm(1, (1, 1)),)), ProjPoint(0, (F(1),)))
 
@@ -436,7 +433,7 @@ def test_projectivity_preserves_class_and_incidence():
     assert is_rnc(moved)
     line = sample_generic_subspace(3, 1, rng)
     assert intersection_degree(c, line) == intersection_degree(
-        moved, g.apply_subspace(line)
+        moved, apply_subspace(g, line)
     )
     p = ParamPoint(2, 5)
     assert moved.evaluate(p) == g.apply(c.evaluate(p))
@@ -458,7 +455,7 @@ def test_restrict_form_degree_is_d_times_n():
 
 def test_projecting_twisted_cubic_from_point_on_curve_gives_conic():
     c = standard_rnc(3)
-    center = LinearSubspace.from_points([standard_point(3, 0)])
+    center = span([standard_point(3, 0)])
     image = project_curve(c, center)
     assert image.ambient == 2
     assert image.degree == 2
@@ -468,7 +465,7 @@ def test_projecting_twisted_cubic_from_point_on_curve_gives_conic():
 def test_projecting_twisted_cubic_from_generic_point_gives_plane_cubic():
     rng = Rng(55)
     c = standard_rnc(3)
-    center = LinearSubspace.from_points([sample_point(3, rng)])
+    center = span([sample_point(3, rng)])
     image = project_curve(c, center)
     assert image.ambient == 2
     assert image.degree == 3
@@ -477,7 +474,7 @@ def test_projecting_twisted_cubic_from_generic_point_gives_plane_cubic():
 
 def test_strict_projection_rejects_center_meeting_curve():
     c = standard_rnc(3)
-    center = LinearSubspace.from_points([standard_point(3, 0)])
+    center = span([standard_point(3, 0)])
     with pytest.raises(CenterMeetsCurve):
         project_curve(c, center, strict=True)
 
@@ -486,7 +483,7 @@ def test_projected_curve_tracks_projected_points():
     rng = Rng(56)
     n = 4
     c = apply_projectivity(standard_rnc(n), sample_projectivity(n, rng))
-    center = LinearSubspace.from_points([sample_point(n, rng)])
+    center = span([sample_point(n, rng)])
     image = project_curve(c, center, strict=True)
     for k in range(5):
         p = ParamPoint(1, k)
@@ -517,7 +514,7 @@ def _projection_grid():
             curve = apply_projectivity(standard_rnc(n), sample_projectivity(n, rng))
             for k in range(n):
                 through = [curve.evaluate(ParamPoint(1, i)) for i in range(k + 1)]
-                for center in (sample_generic_subspace(n, k, rng), LinearSubspace.from_points(through)):
+                for center in (sample_generic_subspace(n, k, rng), span(through)):
                     out.append(_outcome(project_curve, curve, center))
                     out.append(_outcome(project_curve, curve, center, True))
                     inside = sample_point_on(center, rng)
@@ -525,7 +522,7 @@ def _projection_grid():
                     for obj in (inside, outside, center, sample_generic_subspace(n, 1, rng)):
                         out.append(_outcome(project_from, center, obj))
                     for p in (inside, outside, through[0], curve.evaluate(ParamPoint(0, 1))):
-                        out.append(repr(center.contains(p)))
+                        out.append(repr(contains(center, p)))
     return out
 
 

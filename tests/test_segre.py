@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import contains, passes_through
 import rncurves
 from rncurves import binforms, segre
 from rncurves.binforms import ParamPoint
@@ -15,7 +16,6 @@ from rncurves.errors import (
     VerificationFailed,
 )
 from rncurves.exactgeom import (
-    LinearSubspace,
     ProjPoint,
     Rng,
     sample_generic_subspace,
@@ -24,7 +24,7 @@ from rncurves.exactgeom import (
     span,
     standard_point,
 )
-from rncurves.rnc import ParamCurve, RationalCurve, intersection_degree, is_rnc, passes_through, standard_rnc
+from rncurves.rnc import ParamCurve, RationalCurve, intersection_degree, is_rnc, standard_rnc
 from rncurves.segre import (
     MultiCurve,
     SegreContext,
@@ -106,11 +106,11 @@ def test_canonical_contracted_spaces_shape():
     spaces = canonical_contracted_spaces(ctx)
     assert [s.dim for s in spaces] == [1, 2]
     # blocks are disjoint coordinate subspaces inside {y_0 = 0}
-    assert spaces[0].contains(standard_point(5, 1))
-    assert spaces[0].contains(standard_point(5, 2))
-    assert spaces[1].contains(standard_point(5, 3))
-    assert not spaces[0].contains(standard_point(5, 0))
-    assert not spaces[1].contains(standard_point(5, 1))
+    assert contains(spaces[0], standard_point(5, 1))
+    assert contains(spaces[0], standard_point(5, 2))
+    assert contains(spaces[1], standard_point(5, 3))
+    assert not contains(spaces[0], standard_point(5, 0))
+    assert not contains(spaces[1], standard_point(5, 1))
 
 
 # ---------------------------------------------------------------- product curves
@@ -222,7 +222,7 @@ def test_witness_curve_point_blocks_give_interpolation():
     rng = Rng(102)
     n = 3
     spaces = [
-        LinearSubspace.from_points([sample_point(n, rng.derive("sp", i))])
+        span([sample_point(n, rng.derive("sp", i))])
         for i in range(3)
     ]
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(3)]  # bound n2+2=3
