@@ -6,16 +6,24 @@ coefficient of ``s^(d-i) t^i``.  Dehomogenizing at ``s = 1`` therefore turns
 routine exploits: common ``s``-power is tracked separately and the rest is a
 univariate gcd over Q[u].
 
-That gcd is taken in Z[u] by a primitive pseudo-remainder sequence (Collins,
-J. ACM 14, 1967): exact by construction, with no modular image to confirm
-and no fallback.  The monic gcd over Q is unique, so the normalized result
-does not depend on how it was found.
+That gcd is taken in Z[u], first by the heuristic gcd GCDHEU (Char, Geddes
+and Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, 7.7): the members are evaluated at one
+large integer, the integer gcd of the values is read back as a polynomial
+from its digits in that base, and the candidate is returned only once it
+divides every member exactly, which proves it is the gcd (see
+``_gcd_heuristic``).  When a few evaluation points give no such divisor, a
+primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967), exact by
+construction, answers instead.  No unproved value leaves either path.  The
+monic gcd over Q is unique, so the normalized result does not depend on
+which path found it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import DuplicateParameters
@@ -123,20 +131,90 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
-    """Gcd ``(core, s_pow)`` of one or more nonzero coefficient rows (ints or
-    Fractions, ``s^d`` first): the common power of ``s``, and the gcd in Z[u],
-    up to sign and ascending in u = t/s, of the rest.  Those are folded
-    pairwise, shortest first, each pair by a primitive pseudo-remainder
-    sequence (Collins, J. ACM 14, 1967): every remainder is divided by its
-    content, which bounds coefficient growth, and the sequence is exact in
-    Z[u] and always ends.  The fold stops once the running gcd is a constant.
-    A single row folds nothing and comes back primitive with its own power
-    of ``s``, so it keeps its formal degree.  Every gcd here runs through it.
+# Evaluation points GCDHEU tries before the remainder sequence answers, and
+# the factor by which each retry raises the point (both from Char, Geddes
+# and Gonnet).
+_HEURISTIC_TRIES = 6
+_RAISE_NUM, _RAISE_DEN = 73794, 27011
+
+
+def _value(f: list[int], xi: int) -> int:
+    """``f(xi)`` by Horner's rule, ``f`` ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * xi + c
+    return acc
+
+
+def _candidate(ints: list[list[int]], xi: int) -> list[int]:
+    """The GCDHEU candidate at ``xi``: the gcd of the rows' values at ``xi``,
+    read as a polynomial from its symmetric base-``xi`` digits (each in
+    (-xi/2, xi/2]), made primitive.  That gcd is nonzero, so the candidate
+    is too, when ``xi`` satisfies the bound of ``_gcd_heuristic``."""
+    gamma = gcd(*(_value(f, xi) for f in ints))
+    digits = []
+    while gamma:
+        gamma, d = divmod(gamma, xi)
+        if 2 * d > xi:
+            gamma, d = gamma + 1, d - xi
+        digits.append(d)
+    return primitive(digits)
+
+
+def _divides(d: list[int], f: list[int]) -> bool:
+    """Whether ``d`` divides ``f`` in Z[u] (ascending rows, last entries
+    nonzero): trial division that fails as soon as the leading coefficient
+    of ``d`` does not divide that of the running remainder."""
+    lead, n = d[-1], len(d)
+    r = list(f)
+    while len(r) >= n:
+        q, rem = divmod(r[-1], lead)
+        if rem:
+            return False
+        shift = len(r) - n
+        for i in range(n - 1):
+            r[shift + i] -= q * d[i]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return not r
+
+
+def _gcd_heuristic(ints: list[list[int]]) -> list[int] | None:
+    """The gcd in Z[u], up to sign, of two or more primitive rows (ascending,
+    last entries nonzero), or None when no candidate is proved.
+
+    The first point is xi = 2 * min_j ||f_j|| + 2 (sup norms); each retry
+    multiplies it by about 2.73, for ``_HEURISTIC_TRIES`` points in all.
+    A candidate ``h = _candidate(ints, xi)`` is returned only if it divides
+    every row exactly, and then it is the gcd ``g``.  Proof: let ``f`` be the
+    row of smallest norm.  By Cauchy's bound every root ``a`` of ``f`` has
+    ``|a| < 1 + ||f|| <= xi/2``, so ``f(xi) != 0`` and the integer gcd
+    ``gamma`` of the values is nonzero.  The digits ``G`` of ``gamma`` satisfy
+    ``G(xi) = gamma = cont(G) * h(xi)``.  As ``h`` is primitive and divides
+    every row, Gauss's lemma gives ``g = h * c`` with ``c`` in Z[u].  Since
+    ``g(xi)`` divides every value, it divides ``gamma``, so ``c(xi)`` divides
+    ``cont(G)`` (``h(xi) != 0`` as ``gamma != 0``) and ``|c(xi)| <=
+    |cont(G)| <= xi/2``, every digit being at most ``xi/2`` in size.  If ``c`` had degree ``k >= 1``, its roots would be
+    roots of ``f``, and ``|c(xi)| >= prod |xi - a| > (xi - 1 - ||f||)^k
+    >= (xi/2)^k >= xi/2``, a contradiction.  So ``c = +-1``.  The argument
+    holds at every point at or above the first, so at every retry.
     """
-    tops = [max(i for i, c in enumerate(r) if c) for r in rows]
-    s_pow = min(len(r) - 1 - top for r, top in zip(rows, tops))
-    ints = sorted((primitive(integerize(r[: top + 1])) for r, top in zip(rows, tops)), key=len)
+    xi = 2 * min(max(map(abs, f)) for f in ints) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        h = _candidate(ints, xi)
+        if all(_divides(h, f) for f in ints):
+            return h
+        xi = xi * _RAISE_NUM // _RAISE_DEN
+    return None
+
+
+def _gcd_prs(ints: list[list[int]]) -> list[int]:
+    """The gcd in Z[u], up to sign, of primitive rows sorted shortest first,
+    folded pairwise by a primitive pseudo-remainder sequence (Collins, J. ACM
+    14, 1967): every remainder is divided by its content, which bounds
+    coefficient growth, and the sequence is exact in Z[u] and always ends.
+    The fold stops once the running gcd is a constant."""
     g = ints[0]
     for p in ints[1:]:
         if len(g) == 1:
@@ -145,6 +223,24 @@ def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
         while b:
             a, b = b, primitive(_prem(a, b))
         g = a
+    return g
+
+
+def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
+    """Gcd ``(core, s_pow)`` of one or more nonzero coefficient rows (ints or
+    Fractions, ``s^d`` first): the common power of ``s``, and the gcd in Z[u],
+    up to sign and ascending in u = t/s, of the rest, the rows made primitive
+    and sorted shortest first.  Two or more rows with no constant among them
+    go to ``_gcd_heuristic``, and to ``_gcd_prs`` when it proves no candidate.
+    A single row comes back primitive with its own power of ``s``, so it
+    keeps its formal degree.  Every gcd here runs through it.
+    """
+    tops = [max(i for i, c in enumerate(r) if c) for r in rows]
+    s_pow = min(len(r) - 1 - top for r, top in zip(rows, tops))
+    ints = sorted((primitive(integerize(r[: top + 1])) for r, top in zip(rows, tops)), key=len)
+    g = ints[0]
+    if len(ints) > 1 and len(g) > 1:
+        g = _gcd_heuristic(ints) or _gcd_prs(ints)
     return g, s_pow
 
 

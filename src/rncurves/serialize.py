@@ -37,7 +37,12 @@ def dec_list(v) -> list:
 
 
 def dec_fraction(v) -> Fraction:
-    return Fraction(dec_int(v[0]), dec_int(v[1]))
+    """A JSON list of exactly two integers, numerator then denominator; any
+    other value or length raises ``ValueError``."""
+    pair = dec_list(v)
+    if len(pair) != 2:
+        raise ValueError(f"expected a [numerator, denominator] pair, got {v!r}")
+    return Fraction(dec_int(pair[0]), dec_int(pair[1]))
 
 
 def enc_curve(c: ParamCurve) -> dict:

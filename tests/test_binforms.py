@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rncurves import binforms
@@ -36,6 +36,14 @@ def forms(min_degree=0, max_degree=4, allow_zero=False):
     if allow_zero:
         return base
     return base.filter(lambda f: not f.is_zero())
+
+
+@pytest.fixture(params=["heuristic", "prs"])
+def gcd_path(request, monkeypatch):
+    """Runs a gcd test as the library does, and again with the heuristic step
+    patched out, so the pseudo-remainder fallback answers every call."""
+    if request.param == "prs":
+        monkeypatch.setattr(binforms, "_gcd_heuristic", lambda ints: None)
 
 
 def to_sympy(f, s, t):
@@ -92,8 +100,9 @@ def test_product_of_linear_factors_vanishes_at_each():
     assert f.evaluate(0, 1) != 0
 
 
+@pytest.mark.usefixtures("gcd_path")
 @given(forms(max_degree=3), forms(max_degree=3), forms(max_degree=2))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_gcd_degree_matches_sympy(f0, g0, h):
     f = f0.mul(h)
     g = g0.mul(h)
@@ -154,6 +163,7 @@ def big_form(rng, degree, digits):
     return BinaryForm(degree, tuple(F(rng.randrange(-top, top), rng.randrange(1, top)) for _ in range(degree + 1)))
 
 
+@pytest.mark.usefixtures("gcd_path")
 def test_gcd_of_large_coefficient_family_matches_sympy():
     rng = random.Random(2024)
     common = big_form(rng, 2, 40)
@@ -167,6 +177,7 @@ def test_gcd_of_large_coefficient_family_matches_sympy():
         divide_exact(f, expected)
 
 
+@pytest.mark.usefixtures("gcd_path")
 def test_gcd_with_leading_coefficients_divisible_by_a_large_prime():
     p = 2**61 - 1
     common = BinaryForm(1, (F(3), F(p)))  # 3 s + p t
@@ -178,6 +189,7 @@ def test_gcd_with_leading_coefficients_divisible_by_a_large_prime():
     assert gcd_many([f, g, h]) == sympy_gcd([f, g, h]) == common.monic()
 
 
+@pytest.mark.usefixtures("gcd_path")
 def test_gcd_of_forms_congruent_modulo_a_large_prime():
     # modulo p both forms are (s + t)^2; over Q only s + t is shared
     p = 2**61 - 1
@@ -187,6 +199,7 @@ def test_gcd_of_forms_congruent_modulo_a_large_prime():
     assert gcd_many([f, g]) == sympy_gcd([f, g]) == lin
 
 
+@pytest.mark.usefixtures("gcd_path")
 def test_coprime_forms_have_gcd_degree_zero():
     rng = random.Random(99)
     family = [big_form(rng, 4, 110) for _ in range(3)]
@@ -201,6 +214,7 @@ def test_gcd_many_of_a_family_with_a_common_linear_factor():
     assert gcd_many(family) == common.monic()
 
 
+@pytest.mark.usefixtures("gcd_path")
 def test_gcd_many_keeps_a_repeated_factor():
     rng = random.Random(7)
     common = product([big_form(rng, 1, 40)] * 3)
@@ -255,6 +269,71 @@ def test_a_single_nonzero_member_runs_through_the_gcd_core(monkeypatch):
     assert gcd_many([BinaryForm(3, (0, 6, 4, 0)), BinaryForm.zero(3)]) == BinaryForm(3, (0, 1, F(2, 3), 0))
     assert gcd_degree([(0, 0, 10**33 + 7, 0), (0, 0, 0, 0)]) == 3
     assert calls == [1, 1]
+
+
+# 300 to 310 digits, either sign
+huge_int = st.integers(10**300, 10**310).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+def huge_forms(min_degree, max_degree):
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda d: st.lists(huge_int, min_size=d + 1, max_size=d + 1).map(lambda cs: BinaryForm(d, tuple(cs)))
+    )
+
+
+S, T = BinaryForm(1, (1, 0)), BinaryForm(1, (0, 1))
+
+
+@st.composite
+def planted_families(draw):
+    """1-6 forms sharing a planted factor: up to two huge factors, each to the
+    power 1 or 2, and powers of s and t; each member also has a huge cofactor,
+    a huge content and powers of s and t of its own."""
+    factors = draw(st.lists(st.tuples(huge_forms(1, 2), st.integers(1, 2)), max_size=2))
+    powers = [S] * draw(st.integers(0, 2)) + [T] * draw(st.integers(0, 2))
+    common = product([f for f, e in factors for _ in range(e)] + powers)
+    family = []
+    for _ in range(draw(st.integers(1, 6))):
+        extra = [S] * draw(st.integers(0, 1)) + [T] * draw(st.integers(0, 1))
+        member = product([common, draw(huge_forms(0, 3)), *extra]).scale(draw(huge_int))
+        family.append(member)
+    return family
+
+
+@given(planted_families())
+@settings(max_examples=40, deadline=None)
+def test_gcd_core_matches_sympy_and_the_remainder_sequence_on_planted_families(family):
+    rows = [tuple(int(c) for c in f.coeffs) for f in family]
+    core, s_pow = binforms._gcd_nonzero(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binforms, "_gcd_heuristic", lambda ints: None)
+        prs_core, prs_s_pow = binforms._gcd_nonzero(rows)
+    assert (prs_s_pow, prs_core) in ((s_pow, core), (s_pow, [-c for c in core]))
+    assert BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic() == sympy_gcd(family)
+
+
+def test_a_candidate_that_divides_not_every_member_is_rejected(monkeypatch):
+    # -1 - 2u and 1 - u are coprime.  At the first point 4 their values are -9
+    # and -3, whose gcd 3 reads as the digits (-1, 1): the candidate u - 1
+    # divides 1 - u only, so a second, larger point is tried.
+    points = []
+    real = binforms._candidate
+
+    def spy(ints, xi):
+        points.append(xi)
+        return real(ints, xi)
+
+    monkeypatch.setattr(binforms, "_candidate", spy)
+    assert gcd_many([BinaryForm(1, (-1, -2)), BinaryForm(1, (1, -1))]) == BinaryForm.constant(1)
+    assert len(points) == 2 and points[0] == 4
+
+
+def test_trial_division_needs_every_leading_coefficient_to_divide():
+    # ascending rows: 1 + 2u divides (1 + 2u)(1 + u) = 1 + 3u + 2u^2, and not
+    # 1 + 3u, whose top term a floor quotient of 1 would cancel all the same
+    assert binforms._divides([1, 2], [1, 3, 2])
+    assert not binforms._divides([1, 2], [1, 3])
+    assert not binforms._divides([1, 2, 3], [1, 2])
 
 
 @given(forms(max_degree=3), forms(min_degree=1, max_degree=3))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rncurves import serialize
+from rncurves import binforms, serialize
 from rncurves.cli import EXIT_NO_PATH, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SEED_ENV, build_parser, main
 from rncurves.feasibility import DEFAULTS, RunConfig, build_witness
 from rncurves.arrangements import WeightVector
@@ -206,6 +206,29 @@ def test_outputs_are_byte_identical_to_pinned_digests(capsys, monkeypatch):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_pinned_witness_vectors_never_fall_back_to_the_remainder_sequence(capsys, monkeypatch):
+    # every gcd these runs take is proved by the heuristic step of binforms
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    calls = {"_gcd_heuristic": 0, "_gcd_prs": 0}
+
+    def counted(name):
+        real = getattr(binforms, name)
+
+        def spy(ints):
+            calls[name] += 1
+            return real(ints)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(binforms, name, counted(name))
+    vectors = [argv for argv in PINNED_OUTPUTS if argv[0] == "witness"]
+    assert len(vectors) == 4
+    for argv in vectors:
+        assert run(capsys, list(argv))[0] == EXIT_OK
+    assert calls["_gcd_prs"] == 0 < calls["_gcd_heuristic"]
+
+
 def test_atlas_5_is_byte_identical_to_its_pinned_digest(capsys, monkeypatch):
     # 240 rows; every rank-deficient Bézout matrix here is settled by the
     # kernel certificate of linalg.rank, so the digest pins that path too.
@@ -338,6 +361,9 @@ def assert_usage_exit(argv, capsys):
         (["hilbert"], {"n": -2, "d": 2, "components": []}, None),
         # components is a JSON list: an object is not read as an empty one
         (["hilbert"], {"n": 3, "d": 2, "components": {}}, None),
+        # a rational is a pair: one entry is not read, three are not cut to two
+        (["verify"], None, {**CONIC, "coefficients": [[[1], [0, 1], [0, 1]], *CONIC["coefficients"][1:]]}),
+        (["verify"], None, {**CONIC, "coefficients": [[[1, 2, 3], [0, 1], [0, 1]], *CONIC["coefficients"][1:]]}),
     ],
 )
 def test_malformed_input_exits_usage(argv, stdin, curve, tmp_path, capsys, monkeypatch):
@@ -372,8 +398,10 @@ def test_verify_rejects_negative_ambient_config(config, tmp_path, capsys):
         {"dim": 2, "basis": CONIC["coefficients"]},
         # a one-row basis spans a point, whatever its "dim" says
         {"dim": 2, "basis": CONIC["coefficients"][:1]},
+        # a rational is a pair, not a one-entry list
+        {"dim": 0, "basis": [[[1], [0, 1], [0, 1]]]},
     ],
-    ids=["fat", "fills-ambient", "dim-disagrees"],
+    ids=["fat", "fills-ambient", "dim-disagrees", "short-pair"],
 )
 def test_malformed_verify_config_exits_usage(component, tmp_path, capsys):
     config = {"ambient_dim": 2, "components": [component]}
