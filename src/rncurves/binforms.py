@@ -2,21 +2,24 @@
 
 Coefficients are stored from ``s^d`` down to ``t^d``, so ``coeffs[i]`` is the
 coefficient of ``s^(d-i) t^i``.  Dehomogenizing at ``s = 1`` therefore turns
-``coeffs`` directly into an ascending-power univariate list, which the gcd
-routine exploits: common ``s``-power is tracked separately and the rest is a
-univariate gcd over Q[u].
+``coeffs`` directly into an ascending-power univariate list in u = t/s, and a
+row's trailing zeros are its factors of ``s``.  The gcd and the exact
+division work on such rows of integers: ``gcd_rows`` tracks the common power
+of ``s`` separately and takes the gcd of the rest in Z[u], and
+``divide_rows`` divides one row by another in Z[u].  ``Fraction`` stays in
+``BinaryForm``; a caller that wants a normalized gcd scales the row itself.
 
-That gcd is taken in Z[u], first by the heuristic gcd GCDHEU (Char, Geddes
-and Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn,
-*Algorithms for Computer Algebra*, 7.7): the members are evaluated at one
-large integer, the integer gcd of the values is read back as a polynomial
-from its digits in that base, and the candidate is returned only once it
-divides every member exactly, which proves it is the gcd (see
+That gcd is taken first by the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn, *Algorithms
+for Computer Algebra*, 7.7): the members are evaluated at one large integer,
+the integer gcd of the values is read back as a polynomial from its digits
+in that base, and the candidate is returned only once ``divide_rows``
+divides every member by it exactly, which proves it is the gcd (see
 ``_gcd_heuristic``).  When a few evaluation points give no such divisor, a
 primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967), exact by
 construction, answers instead.  No unproved value leaves either path.  The
-monic gcd over Q is unique, so the normalized result does not depend on
-which path found it.
+primitive gcd in Z[u] is unique up to sign, so the result does not depend on
+which path found it, up to that sign.
 """
 
 from __future__ import annotations
@@ -99,12 +102,6 @@ class BinaryForm:
                         out[i + j] += a * b
         return BinaryForm(d, tuple(out))
 
-    def monic(self) -> "BinaryForm":
-        for c in self.coeffs:
-            if c:
-                return self.scale(1 / c)
-        return self
-
 
 def product(forms: Sequence[BinaryForm]) -> BinaryForm:
     acc = BinaryForm.constant(1)
@@ -161,23 +158,29 @@ def _candidate(ints: list[list[int]], xi: int) -> list[int]:
     return primitive(digits)
 
 
-def _divides(d: list[int], f: list[int]) -> bool:
-    """Whether ``d`` divides ``f`` in Z[u] (ascending rows, last entries
-    nonzero): trial division that fails as soon as the leading coefficient
-    of ``d`` does not divide that of the running remainder."""
-    lead, n = d[-1], len(d)
-    r = list(f)
-    while len(r) >= n:
-        q, rem = divmod(r[-1], lead)
-        if rem:
-            return False
-        shift = len(r) - n
-        for i in range(n - 1):
-            r[shift + i] -= q * d[i]
-        r.pop()
-        while r and not r[-1]:
-            r.pop()
-    return not r
+def divide_rows(f: Sequence[int], d: Sequence[int]) -> list[int] | None:
+    """The quotient ``f / d`` in Z[u] of two integer rows (``s^d`` first, so
+    ascending in u = t/s; ``d`` nonzero), of ``len(f) - len(d) + 1`` entries,
+    or None when ``d`` does not divide ``f`` exactly.  Trial division: it
+    fails as soon as the leading coefficient of ``d`` does not divide that of
+    the running remainder, and when a remainder is left, as when ``d`` has
+    more factors of ``s`` (trailing zeros) than a nonzero ``f``, or when
+    ``f`` is shorter than ``d``."""
+    top = len(d) - 1
+    while not d[top]:
+        top -= 1
+    lead, r = d[top], list(f)
+    q = [0] * (len(f) - len(d) + 1)
+    for j in reversed(range(len(q))):
+        if r[j + top]:
+            c, rem = divmod(r[j + top], lead)
+            if rem:
+                return None
+            q[j] = c
+            for i in range(top):
+                r[j + i] -= c * d[i]
+    # r[top : top + len(q)] held the terms that the quotient cancelled
+    return q if q and not any(r[:top] + r[top + len(q) :]) else None
 
 
 def _gcd_heuristic(ints: list[list[int]]) -> list[int] | None:
@@ -203,7 +206,7 @@ def _gcd_heuristic(ints: list[list[int]]) -> list[int] | None:
     xi = 2 * min(max(map(abs, f)) for f in ints) + 2
     for _ in range(_HEURISTIC_TRIES):
         h = _candidate(ints, xi)
-        if all(_divides(h, f) for f in ints):
+        if all(divide_rows(f, h) is not None for f in ints):
             return h
         xi = xi * _RAISE_NUM // _RAISE_DEN
     return None
@@ -244,50 +247,16 @@ def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
     return g, s_pow
 
 
-def gcd_many(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Gcd of a family, zero forms ignored, first nonzero coefficient 1.
-
-    The common power of ``s`` is read off from trailing-coefficient support;
-    the rest is a univariate gcd in u = t/s, taken exactly in Z[u] (see the
-    module docstring).  The nonzero members are folded shortest first, and
-    the fold stops as soon as the running gcd is a constant.
-    """
-    nonzero = [f for f in forms if not f.is_zero()]
-    if not nonzero:
-        raise ValueError("gcd of all-zero family")
-    core, s_pow = _gcd_nonzero([f.coeffs for f in nonzero])
-    return BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic()
-
-
-def gcd_degree(rows: Sequence[Sequence]) -> int:
-    """``gcd_many(...).degree`` of the forms with these coefficient rows
-    (a single nonzero row keeps its formal degree), building no form."""
+def gcd_rows(rows: Sequence[Sequence]) -> list[int]:
+    """Gcd of the forms with these coefficient rows (ints or Fractions,
+    ``s^d`` first), zero rows ignored, as a primitive integer row of its
+    formal degree, up to sign: the core of ``_gcd_nonzero`` followed by its
+    power of ``s``.  A single nonzero row keeps its formal degree."""
     nonzero = [r for r in rows if any(r)]
     if not nonzero:
         raise ValueError("gcd of all-zero family")
     core, s_pow = _gcd_nonzero(nonzero)
-    return len(core) - 1 + s_pow
-
-
-def divide_exact(f: BinaryForm, d: BinaryForm) -> BinaryForm:
-    """Quotient f / d, assuming d divides f exactly."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if f.is_zero():
-        return BinaryForm.zero(f.degree - d.degree)
-    lead = next(i for i, c in enumerate(d.coeffs) if c)
-    inv = 1 / d.coeffs[lead]
-    out = [Fraction(0)] * (f.degree - d.degree + 1)
-    rem = list(f.coeffs)
-    for pos in range(len(out)):
-        c = rem[pos + lead] * inv
-        out[pos] = c
-        if c:
-            for i in range(d.degree + 1 - lead):
-                rem[pos + lead + i] -= c * d.coeffs[lead + i]
-    if any(rem):
-        raise ValueError("division was not exact")
-    return BinaryForm(f.degree - d.degree, tuple(out))
+    return [*core] + [0] * s_pow
 
 
 def distinct_parameters(points: Sequence[ParamPoint]) -> None:

@@ -5,8 +5,9 @@ it is a *rational normal curve* exactly when its coefficient matrix has full
 rank n+1 (the image spans P^n).  Full rank already implies that the forms
 share no common root: n+1 independent forms of degree n span every binary
 form of degree n, s^n and t^n among them, so no gcd is taken.  The curve
-also keeps that matrix over Z, so restricting linear forms to it and their
-gcd run over Z; ``Fraction`` appears only in returned forms.
+also keeps that matrix over Z, so restricting linear forms to it, their gcd
+and the exact division that projection takes all run over Z; ``Fraction``
+appears only in returned forms.
 
 The two interpolation builders realize the classical facts that a rational
 normal curve is determined by n+3 general points, and that points with
@@ -23,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_exact, gcd_degree, gcd_many, product
+from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_rows, gcd_rows, product
 from .errors import (
     CenterMeetsCurve,
     CoincidentParameters,
@@ -130,7 +131,7 @@ def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
     restricted = [cs for cs, _ in _restrict(eqs, curve)]
     if not any(map(any, restricted)):
         raise CurveInSubspaceSpan("curve lies inside the subspace")
-    return gcd_degree(restricted)
+    return len(gcd_rows(restricted)) - 1
 
 
 def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
@@ -251,25 +252,28 @@ def _frame_curve(h_inv: Projectivity, linear: Sequence[BinaryForm], last: ParamP
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:
     """Compose the parametrization with projection away from ``center``.
 
-    Any common factor of the image forms (the parameters mapping into the
-    center) is divided out, so the result has degree
-    ``deg - deg(curve meet center)``.  With ``strict=True`` a positive-degree
-    common factor raises ``CenterMeetsCurve`` instead.  The image forms are
-    the center's ``equations()`` restricted to the curve, as in
-    :func:`intersection_degree`.
+    The image forms are the center's ``equations()`` restricted to the
+    curve, as in :func:`intersection_degree`.  Their common factor (the
+    parameters mapping into the center) is their ``gcd_rows`` over Z, scaled
+    to first nonzero coefficient 1, and each form is divided by it exactly,
+    so the result has degree ``deg - deg(curve meet center)``.  With
+    ``strict=True`` a positive-degree common factor raises
+    ``CenterMeetsCurve`` instead.
     """
     if center.n != curve.ambient:
         raise ValueError("ambient mismatch")
     if center.dim < 0:
         raise ValueError("projection center must be nonempty")
-    image = [
-        BinaryForm(curve.degree, tuple(Fraction(c, k) for c in cs)) for cs, k in _restrict(center.equations(), curve)
-    ]
-    if all(f.is_zero() for f in image):
+    image = list(_restrict(center.equations(), curve))
+    if not any(any(cs) for cs, _ in image):
         raise CurveInSubspaceSpan("curve lies inside the projection center")
-    common = gcd_many(image)
-    if common.degree > 0:
-        if strict:
-            raise CenterMeetsCurve(f"curve meets the center with multiplicity {common.degree}")
-        image = [divide_exact(f, common) for f in image]
-    return ParamCurve(len(image) - 1, tuple(image))
+    common = gcd_rows([cs for cs, _ in image])
+    degree = len(common) - 1
+    if degree > 0 and strict:
+        raise CenterMeetsCurve(f"curve meets the center with multiplicity {degree}")
+    lead = next(c for c in common if c)
+    forms = (
+        BinaryForm(curve.degree - degree, tuple(Fraction(c * lead, k) for c in divide_rows(cs, common)))
+        for cs, k in image
+    )
+    return ParamCurve(len(image) - 1, tuple(forms))

@@ -1,6 +1,7 @@
 """Fixtures and oracles that only the tests use: random forms and
 projectivities, the standard frame, membership and images of subspaces,
-expected condition counts, and the point case of the intersection degree."""
+expected condition counts, the point case of the intersection degree, and
+gcd rows normalized for comparison."""
 
 from fractions import Fraction
 from math import comb
@@ -89,3 +90,10 @@ def passes_through(curve: ParamCurve, point: ProjPoint) -> bool:
         return intersection_degree(curve, span([point])) >= 1
     except CurveInSubspaceSpan:
         return True
+
+
+def monic_row(row) -> tuple[Fraction, ...]:
+    """``row`` divided by its first nonzero entry, so that gcds found up to a
+    sign or a constant compare equal (``project_curve`` scales the same way)."""
+    lead = next(c for c in row if c)
+    return tuple(Fraction(c) / lead for c in row)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from helpers import monic_row
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,13 @@ from rncurves.binforms import (
     BinaryForm,
     ParamPoint,
     distinct_parameters,
-    divide_exact,
-    gcd_degree,
-    gcd_many,
+    divide_rows,
+    gcd_rows,
     product,
 )
 from rncurves.errors import DuplicateParameters
 from rncurves.exactgeom import ProjPoint
+from rncurves.linalg import integerize
 
 F = Fraction
 
@@ -44,6 +45,16 @@ def gcd_path(request, monkeypatch):
     patched out, so the pseudo-remainder fallback answers every call."""
     if request.param == "prs":
         monkeypatch.setattr(binforms, "_gcd_heuristic", lambda ints: None)
+
+
+def row(f):
+    """The coefficients of ``f`` cleared of denominators, as a list of ints."""
+    return list(integerize(f.coeffs))
+
+
+def gcd_of(family):
+    """The gcd of the forms, first nonzero coefficient 1."""
+    return monic_row(gcd_rows([f.coeffs for f in family]))
 
 
 def to_sympy(f, s, t):
@@ -106,27 +117,26 @@ def test_product_of_linear_factors_vanishes_at_each():
 def test_gcd_degree_matches_sympy(f0, g0, h):
     f = f0.mul(h)
     g = g0.mul(h)
-    ours = gcd_many([f, g])
-    assert ours == sympy_gcd([f, g])
+    ours = gcd_rows([f.coeffs, g.coeffs])
+    assert monic_row(ours) == sympy_gcd([f, g])
     # the gcd divides both inputs exactly
-    divide_exact(f, ours)
-    divide_exact(g, ours)
+    assert divide_rows(row(f), ours) is not None
+    assert divide_rows(row(g), ours) is not None
 
 
 def test_gcd_handles_powers_of_both_variables_frozen():
-    s2t = BinaryForm(3, (F(0), F(1), F(0), F(0)))  # s^2 t
-    st2 = BinaryForm(3, (F(0), F(0), F(1), F(0)))  # s t^2
-    g = gcd_many([s2t, st2])
-    assert g.degree == 2  # s t
+    s2t = (0, 1, 0, 0)  # s^2 t
+    st2 = (0, 0, 1, 0)  # s t^2
+    g = BinaryForm(2, tuple(gcd_rows([s2t, st2])))  # s t
+    assert monic_row(g.coeffs) == (0, 1, 0)
     assert g.evaluate(1, 0) == 0 and g.evaluate(0, 1) == 0
     assert g.evaluate(1, 1) != 0
 
 
 def test_gcd_with_zero_and_constants():
-    f = BinaryForm(2, (F(1), F(0), F(-1)))
-    assert gcd_many([f, BinaryForm.zero(5)]).monic().coeffs == f.monic().coeffs
-    c = BinaryForm.constant(7)
-    assert gcd_many([f, c]).degree == 0
+    f = (1, 0, -1)
+    assert gcd_rows([f, (0,) * 6]) == [1, 0, -1]
+    assert gcd_rows([f, (7,)]) == [1]
 
 
 def test_gcd_many_accumulates():
@@ -135,19 +145,19 @@ def test_gcd_many_accumulates():
     f1 = lp.mul(lq)
     f2 = lp.mul(lr)
     f3 = lp.mul(lp)
-    g = gcd_many([f1, f2, f3])
-    assert g.degree == 1
-    assert g.evaluate_at(p) == 0
+    g = gcd_rows([f1.coeffs, f2.coeffs, f3.coeffs])
+    assert len(g) == 2
+    assert BinaryForm(1, tuple(g)).evaluate_at(p) == 0
 
 
 def from_sympy(expr, degree, s, t):
-    """The sympy form ``expr`` as a BinaryForm, normalized as gcd returns it."""
+    """The coefficients of the sympy form ``expr``, first nonzero one 1."""
     poly = sympy.Poly(expr, s, t)
     coeffs = []
     for i in range(degree + 1):
         c = poly.coeff_monomial(s ** (degree - i) * t**i)
         coeffs.append(F(int(c.p), int(c.q)))
-    return BinaryForm(degree, tuple(coeffs)).monic()
+    return monic_row(coeffs)
 
 
 def sympy_gcd(family):
@@ -170,11 +180,12 @@ def test_gcd_of_large_coefficient_family_matches_sympy():
     family = [common.mul(big_form(rng, 3, 70)) for _ in range(4)]
     assert min(len(str(c.numerator)) for f in family for c in f.coeffs) > 100
     expected = sympy_gcd(family)
-    assert expected.degree == 2
-    assert gcd_many(family[:2]) == sympy_gcd(family[:2])
-    assert gcd_many(family) == expected == common.monic()
+    assert len(expected) == 3
+    assert gcd_of(family[:2]) == sympy_gcd(family[:2])
+    assert gcd_of(family) == expected == monic_row(common.coeffs)
+    ours = gcd_rows([f.coeffs for f in family])
     for f in family:
-        divide_exact(f, expected)
+        assert divide_rows(row(f), ours) is not None
 
 
 @pytest.mark.usefixtures("gcd_path")
@@ -185,8 +196,8 @@ def test_gcd_with_leading_coefficients_divisible_by_a_large_prime():
     g = common.mul(BinaryForm(1, (F(-2), F(p))))
     h = common.mul(BinaryForm(2, (F(4), F(0), F(1))))
     assert f.coeffs[-1] % p == 0 and g.coeffs[-1] % p == 0
-    assert gcd_many([f, g]).coeffs == (F(1), F(p, 3))
-    assert gcd_many([f, g, h]) == sympy_gcd([f, g, h]) == common.monic()
+    assert gcd_of([f, g]) == (F(1), F(p, 3))
+    assert gcd_of([f, g, h]) == sympy_gcd([f, g, h]) == monic_row(common.coeffs)
 
 
 @pytest.mark.usefixtures("gcd_path")
@@ -196,22 +207,22 @@ def test_gcd_of_forms_congruent_modulo_a_large_prime():
     lin = BinaryForm(1, (F(1), F(1)))
     f = lin.mul(BinaryForm(1, (F(1 + p), F(1))))
     g = lin.mul(BinaryForm(1, (F(1 - p), F(1))))
-    assert gcd_many([f, g]) == sympy_gcd([f, g]) == lin
+    assert gcd_of([f, g]) == sympy_gcd([f, g]) == lin.coeffs
 
 
 @pytest.mark.usefixtures("gcd_path")
 def test_coprime_forms_have_gcd_degree_zero():
     rng = random.Random(99)
     family = [big_form(rng, 4, 110) for _ in range(3)]
-    assert gcd_many(family[:2]).degree == 0
-    assert gcd_many(family) == BinaryForm.constant(1) == sympy_gcd(family)
+    assert len(gcd_rows([f.coeffs for f in family[:2]])) == 1
+    assert gcd_of(family) == (1,) == sympy_gcd(family)
 
 
 def test_gcd_many_of_a_family_with_a_common_linear_factor():
     rng = random.Random(5)
     common = big_form(rng, 1, 30)
     family = [common.mul(big_form(rng, 2, 30)) for _ in range(3)]
-    assert gcd_many(family) == common.monic()
+    assert gcd_of(family) == monic_row(common.coeffs)
 
 
 @pytest.mark.usefixtures("gcd_path")
@@ -219,7 +230,7 @@ def test_gcd_many_keeps_a_repeated_factor():
     rng = random.Random(7)
     common = product([big_form(rng, 1, 40)] * 3)
     family = [common.mul(big_form(rng, d, 30)) for d in (1, 2, 3)]
-    assert gcd_many(family) == sympy_gcd(family) == common.monic()
+    assert gcd_of(family) == sympy_gcd(family) == monic_row(common.coeffs)
 
 
 # zero or 31 to 36 digits, either sign
@@ -232,7 +243,7 @@ def int_rows(max_degree):
 
 @given(int_rows(2), st.lists(int_rows(3), min_size=1, max_size=4), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=40, deadline=None)
-def test_gcd_degree_matches_gcd_many_on_large_integer_rows(common, cofactors, s_pow, zeros):
+def test_gcd_rows_matches_sympy_on_large_integer_rows(common, cofactors, s_pow, zeros):
     # every row is common * cofactor * s^s_pow, padded to one degree; some rows are zero
     base = BinaryForm(len(common) + s_pow - 1, tuple(common) + (0,) * s_pow)
     members = [base.mul(BinaryForm(len(c) - 1, tuple(c))) for c in cofactors]
@@ -242,18 +253,18 @@ def test_gcd_degree_matches_gcd_many_on_large_integer_rows(common, cofactors, s_
     rows = [tuple(int(c) for c in f.coeffs) for f in members]
     if not any(map(any, rows)):
         with pytest.raises(ValueError):
-            gcd_degree(rows)
+            gcd_rows(rows)
         return
-    assert gcd_degree(rows) == gcd_many(members).degree
+    assert monic_row(gcd_rows(rows)) == sympy_gcd([f for f in members if not f.is_zero()])
 
 
 def test_gcd_degree_single_nonzero_row_keeps_its_formal_degree():
     big = 10**33 + 7
     # s t^2 with a 34-digit coefficient: a single nonzero row is not reduced
     rows = [(0, 0, big, 0), (0, 0, 0, 0)]
-    assert gcd_degree(rows) == 3 == gcd_many([BinaryForm(3, r) for r in rows]).degree
+    assert gcd_rows(rows) == [0, 0, 1, 0]
     with pytest.raises(ValueError):
-        gcd_degree([(0, 0), (0, 0)])
+        gcd_rows([(0, 0), (0, 0)])
 
 
 def test_a_single_nonzero_member_runs_through_the_gcd_core(monkeypatch):
@@ -266,8 +277,8 @@ def test_a_single_nonzero_member_runs_through_the_gcd_core(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(binforms, "_gcd_nonzero", spy)
-    assert gcd_many([BinaryForm(3, (0, 6, 4, 0)), BinaryForm.zero(3)]) == BinaryForm(3, (0, 1, F(2, 3), 0))
-    assert gcd_degree([(0, 0, 10**33 + 7, 0), (0, 0, 0, 0)]) == 3
+    assert gcd_rows([(F(0), F(6), F(4), F(0)), (0, 0, 0, 0)]) == [0, 3, 2, 0]
+    assert gcd_rows([(0, 0, 10**33 + 7, 0), (0, 0, 0, 0)]) == [0, 0, 1, 0]
     assert calls == [1, 1]
 
 
@@ -309,7 +320,7 @@ def test_gcd_core_matches_sympy_and_the_remainder_sequence_on_planted_families(f
         mp.setattr(binforms, "_gcd_heuristic", lambda ints: None)
         prs_core, prs_s_pow = binforms._gcd_nonzero(rows)
     assert (prs_s_pow, prs_core) in ((s_pow, core), (s_pow, [-c for c in core]))
-    assert BinaryForm(len(core) - 1 + s_pow, tuple(core) + (0,) * s_pow).monic() == sympy_gcd(family)
+    assert monic_row([*core] + [0] * s_pow) == sympy_gcd(family)
 
 
 def test_a_candidate_that_divides_not_every_member_is_rejected(monkeypatch):
@@ -324,40 +335,40 @@ def test_a_candidate_that_divides_not_every_member_is_rejected(monkeypatch):
         return real(ints, xi)
 
     monkeypatch.setattr(binforms, "_candidate", spy)
-    assert gcd_many([BinaryForm(1, (-1, -2)), BinaryForm(1, (1, -1))]) == BinaryForm.constant(1)
+    assert gcd_rows([(-1, -2), (1, -1)]) == [1]
     assert len(points) == 2 and points[0] == 4
 
 
 def test_trial_division_needs_every_leading_coefficient_to_divide():
     # ascending rows: 1 + 2u divides (1 + 2u)(1 + u) = 1 + 3u + 2u^2, and not
     # 1 + 3u, whose top term a floor quotient of 1 would cancel all the same
-    assert binforms._divides([1, 2], [1, 3, 2])
-    assert not binforms._divides([1, 2], [1, 3])
-    assert not binforms._divides([1, 2, 3], [1, 2])
+    assert divide_rows([1, 3, 2], [1, 2]) == [1, 1]
+    assert divide_rows([1, 3], [1, 2]) is None
+    assert divide_rows([1, 2], [1, 2, 3]) is None
 
 
-@given(forms(max_degree=3), forms(min_degree=1, max_degree=3))
-@settings(max_examples=40, deadline=None)
-def test_divide_exact_round_trip(q, d):
-    f = q.mul(d)
-    back = divide_exact(f, d)
-    assert back.degree == q.degree
-    for u, v in [(1, 0), (0, 1), (1, 2), (3, -1)]:
-        assert back.evaluate(u, v) == q.evaluate(u, v)
+small_rows = st.integers(0, 3).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1))
 
 
-def test_divide_exact_rejects_non_divisor():
-    f = BinaryForm(2, (F(1), F(0), F(1)))  # s^2 + t^2
-    d = BinaryForm(1, (F(1), F(0)))  # s
-    with pytest.raises(ValueError):
-        divide_exact(f, d)
+@given(small_rows, small_rows.filter(any), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_divide_rows_round_trip(q, d, q_pow, d_pow):
+    # q s^q_pow times d s^d_pow, divided by d s^d_pow, gives back q s^q_pow;
+    # q may be the zero row
+    q, d = q + [0] * q_pow, d + [0] * d_pow
+    f = BinaryForm(len(q) - 1, tuple(q)).mul(BinaryForm(len(d) - 1, tuple(d)))
+    assert divide_rows(row(f), d) == q
 
 
-def test_monic_normalizes_leading_coefficient():
-    f = BinaryForm(2, (F(0), F(3), F(6)))
-    m = f.monic()
-    assert m.coeffs == (F(0), F(1), F(2))
-    assert BinaryForm.zero(2).monic().is_zero()
+def test_divide_rows_refuses_a_non_divisor():
+    # s^2 + t^2 by s + t; by s, a factor it lacks; t (s + t) by s (s + t),
+    # whose u-part 1 + u divides and whose factor s does not
+    assert divide_rows([1, 0, 1], [1, 1]) is None
+    assert divide_rows([1, 0, 1], [1, 0]) is None
+    assert divide_rows([0, 1, 1], [1, 1]) == [0, 1]
+    assert divide_rows([0, 1, 1], [1, 1, 0]) is None
+    # 2 + 2u divides 1 + u over Q, not in Z[u]
+    assert divide_rows([1, 1], [2, 2]) is None
 
 
 def test_distinct_parameters_guard():

@@ -873,3 +873,51 @@ def test_bezout_replay_catches_a_wrong_certificate():
     planted = Certificate(cert.rule, {**p, "hilbert_reduced": p["hilbert_reduced"] + 1}, cert.seeds, cert.caveats)
     faults = replay_faults(planted)
     assert [f[0] for f in faults] == ["ranks", "ranks", "ranks", "equation"]
+
+
+# ---------------------------------------------------------------- Bézout pairwise bound
+
+
+def pairwise_bound(n, counts, d):
+    """An upper bound on the Hilbert value in degree d of a generic union of
+    linear spaces of P^n, ``counts[k]`` of dimension k.  The spaces are added
+    in descending dimension.  By the lemma of :func:`check_bezout`, a k-space
+    adds at most ``C(k+d, d) - C(m+d, d)``, where ``m = k + a - n`` is its
+    largest meet with an earlier component, of dimension a; it adds
+    ``C(k+d, d)`` when it meets none.  The sum is capped at ``C(n+d, d)``."""
+    dims = [k for k in reversed(range(len(counts))) for _ in range(counts[k])]
+    total = 0
+    for i, k in enumerate(dims):
+        m = k + dims[0] - n if i else -1
+        total += comb(k + d, d) - (comb(m + d, d) if m >= 0 else 0)
+    return min(total, comb(n + d, d))
+
+
+def bound_tally(certs, bound=pairwise_bound):
+    """(distinct, met, exceeded) over the distinct (n, counts, d, k) of these
+    ``bezout`` certificates: how many have ``hilbert_reduced`` equal to the
+    bound on the configuration without the component, and how many exceed
+    it.  A sampled value never exceeds the generic one, so one that meets
+    the bound is the generic value."""
+    values = {}
+    for cert in certs:
+        p = cert.params
+        k, reduced = p["component_dim"], list(p["counts"])
+        reduced[k] -= 1
+        values[p["n"], tuple(p["counts"]), p["degree"], k] = (p["hilbert_reduced"], bound(p["n"], reduced, p["degree"]))
+    return len(values), sum(h == b for h, b in values.values()), sum(h > b for h, b in values.values())
+
+
+def test_bezout_reduced_values_meet_the_pairwise_bound():
+    assert bound_tally(bezout_certificates(range(2, 6))) == (14, 11, 0)
+
+
+def test_bezout_bound_tally_catches_planted_faults():
+    certs = bezout_certificates(range(2, 6))
+    lowered = bound_tally(certs, lambda n, counts, d: pairwise_bound(n, counts, d) - 1)
+    raised = [
+        Certificate(c.rule, {**c.params, "hilbert_reduced": c.params["hilbert_reduced"] + 1}, c.seeds, c.caveats)
+        for c in certs
+    ]
+    # the 11 values that met the bound now exceed it
+    assert lowered == bound_tally(raised) == (14, 1, 11)

@@ -327,6 +327,35 @@ def test_scan_sees_numpy_references():
     assert numpy_references(tree) == [(1, "import"), (2, "import"), (3, "import"), (4, "string"), (6, "name")]
 
 
+def module_functions_naming(tree, name):
+    """Sorted (line, function) of each module-level function that names
+    ``name``, as a name or an attribute, in its body or its annotations."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)
+            for n in ast.walk(node)
+        )
+    )
+
+
+# Fraction stays inside BinaryForm, the API edge: the gcd and the exact
+# division of binforms run on integer rows.
+def test_binforms_functions_name_no_fraction():
+    tree = ast.parse((SRC / "binforms.py").read_text())
+    assert module_functions_naming(tree, "Fraction") == []
+
+
+def test_scan_sees_a_fraction_in_a_module_function():
+    tree = ast.parse(
+        "from fractions import Fraction\nimport fractions\nclass C:\n    def f(self):\n        return Fraction(1)\n"
+        "def g(x):\n    return x\ndef h(x) -> Fraction:\n    return x\ndef k(x):\n    return fractions.Fraction(x)\n"
+    )
+    assert module_functions_naming(tree, "Fraction") == [(8, "h"), (10, "k")]
+
+
 # Runs a command line in a fresh interpreter and reports whether numpy loaded.
 # It looks for numpy._core, which only a completed import of numpy brings in.
 NUMPY_PROBE = """

@@ -288,10 +288,9 @@ def test_witness_curve_builds_no_gcd(monkeypatch):
     plane = sample_generic_subspace(n, 2, rng.derive("plane"))
     pts = [sample_point(n, rng.derive("pt", i)) for i in range(5)]
     calls = []
-    for name in ("gcd_many", "gcd_degree"):
-        fn = getattr(binforms, name)
-        for mod in [m for m in vars(rncurves).values() if getattr(m, name, None) is fn]:
-            monkeypatch.setattr(mod, name, lambda arg, fn=fn: calls.append(arg) or fn(arg))
+    fn = binforms.gcd_rows
+    for mod in [m for m in vars(rncurves).values() if getattr(m, "gcd_rows", None) is fn]:
+        monkeypatch.setattr(mod, "gcd_rows", lambda arg: calls.append(arg) or fn(arg))
     witness_curve([line, plane], pts)
     assert calls == []
 
