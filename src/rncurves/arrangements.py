@@ -5,18 +5,21 @@ out by explicit linear conditions on the coefficients of a form.  For one
 component of dimension k and multiplicity m inside P^n, choose coordinates
 ``x = y H`` in which the component is ``{y_(k+1) = ... = y_n = 0}``: the
 rows of ``H`` are the component's integer generators G (tangential) and unit
-vectors on the non-pivot columns of its basis (normal).  Vanishing to order
-m along the component says precisely that every coefficient of ``F(y H)`` at
+vectors on the columns off a set of pivots (normal).  The pivots are those
+of G's echelon mod p when it has k+1 rows: G's minor on them is nonzero mod
+p, so nonzero over Z, and ``H`` is invertible.  Otherwise they are the
+pivots of the component's RREF basis.  Vanishing to order m along the
+component says precisely that every coefficient of ``F(y H)`` at
 a monomial of *normal degree* below m (total degree in y_(k+1)..y_n) is
 zero; the coefficient at ``y_T^tau y_N^nu`` is the Hasse derivative
 ``D^nu F`` in the normal directions, restricted to the component and read
 at ``y_T^tau``.  Since each normal variable enters only its own coordinate,
 these coefficients have a closed form: binomials in the normal exponents
 times the entries of ``Sym^e(G)``, the symmetric powers of the generators,
-built once per component.  Every condition row is a tuple of Python ints;
-any other choice of tangential rows changes the coordinates only within
-each normal degree and gives the same row space, so ranks and Hilbert
-values do not depend on it.
+built once per component.  Every condition row is a tuple of Python ints.
+The row space is the annihilator of the degree-d piece of the component's
+fat ideal, so it does not depend on the choice of ``H``: other tangential
+rows or other pivots give other rows but the same ranks and Hilbert values.
 
 Every sampler, here and in :mod:`rncurves.defectivity`, draws through one
 loop, :func:`resample_configuration`, and one test, :func:`_pairwise_generic`.
@@ -148,15 +151,16 @@ def resample_configuration(n: int, draw, rng: Rng, tag: str, what: str) -> Confi
 
 def _pairwise_generic(spaces: Sequence[LinearSubspace], n: int) -> bool:
     """Every two spaces meet in dimension ``max(-1, k_a + k_b - n)``, that
-    is, their generators together span ``min(n+1, k_a + k_b + 2)`` dims.
-    Two points (n >= 1) do so exactly when they differ, which their
-    canonical RREF bases decide with no rank."""
+    is, their generators together span ``cap = min(n+1, k_a + k_b + 2)``
+    dims.  a's cached echelon mod p, extended by b's generators, ranks the
+    pair mod p, and ``rank_p <= rank <= cap``: a pair whose rank mod p meets
+    the cap is generic.  Any other pair, points included, is decided by the
+    exact ``linalg.rank`` of the stacked generators."""
     for i, a in enumerate(spaces):
         for b in spaces[i + 1 :]:
-            if a.dim == b.dim == 0 < n:
-                if a == b:
-                    return False
-            elif linalg.rank(a.generators + b.generators, n + 1) != min(n + 1, a.dim + b.dim + 2):
+            cap = min(n + 1, a.dim + b.dim + 2)
+            rank_p = len(linalg.echelon_mod_p(b.generators, a.modular_echelon)[0])
+            if rank_p < cap and linalg.rank(a.generators + b.generators, n + 1) != cap:
                 return False
     return True
 
@@ -180,7 +184,8 @@ def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[t
     monomial, each in the shared lex-descending order; columns follow that
     order on the ambient coordinates.  For a reduced component (mult = 1)
     this is restriction to the subspace.  The row space depends only on the
-    component, not on which integer generators span it.
+    component, not on which integer generators span it or which pivots
+    give its normal columns.
     """
     n = component.n
     k = component.dim
@@ -190,7 +195,9 @@ def vanishing_conditions(component: LinearSubspace, mult: int, d: int) -> list[t
         raise ValueError("multiplicity must be positive")
     if k == n:
         raise ValueError("component fills the ambient space")
-    pivots = set(component.pivot_columns())
+    pivots = component.modular_echelon[0]
+    if len(pivots) != k + 1:
+        pivots = component.pivot_columns()
     normals = tuple(j for j in range(n + 1) if j not in pivots)
     top = min(mult, d + 1)
     sym = _sym_powers(component.generators, n, d)

@@ -9,13 +9,14 @@ Conventions
 -----------
 * ``P^n`` has homogeneous coordinates ``x_0 .. x_n``; points act as column
   vectors, so a projectivity with matrix ``M`` sends ``x`` to ``M x``.
-* A ``LinearSubspace`` stores a reduced-row-echelon basis of its row space,
-  which makes equality tests canonical, and ``dim+1`` integer
-  rows spanning the same space (``generators``), which the Hilbert condition
-  matrices and the pairwise genericity test are built from.  A sampled
-  subspace keeps the bounded integer rows it was drawn from; any other gets
-  the primitive integer multiples of its basis rows.  The empty subspace has
-  dimension -1.
+* A ``LinearSubspace`` is ``dim+1`` integer rows first (``generators``):
+  the draw's rank test, the pairwise genericity test and the Hilbert
+  condition matrices read only them and their one cached echelon mod p
+  (``modular_echelon``).  Its reduced-row-echelon basis over Q makes
+  equality, hashing and serialization canonical.  A sampled subspace keeps
+  the bounded integer rows it was drawn from and builds its basis on first
+  use; any other is given a basis and gets the primitive integer multiples
+  of its rows.  The empty subspace has dimension -1.
 * A subspace has one set of linear forms, ``equations()``: for each
   non-pivot column f of the echelon basis, the form with 1 at f and
   ``-basis[i][f]`` at the i-th pivot column.  Meets, projection and the
@@ -31,6 +32,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -133,18 +135,43 @@ def standard_point(n: int, i: int) -> ProjPoint:
     return ProjPoint(n, tuple(Fraction(int(j == i)) for j in range(n + 1)))
 
 
+class _BasisOnFirstUse:
+    """The ``basis`` field of :class:`LinearSubspace`, built on first read.
+
+    A data descriptor as the field's default: read on the class it gives
+    None, the default, so ``LinearSubspace(n, basis)`` stores the basis in
+    the instance dict and ``LinearSubspace(n, None, generators)`` stores
+    nothing.  The first read of a missing basis stores the RREF of the
+    generators.  The generated ``__eq__``, ``__hash__`` and ``__repr__``
+    read the field like any other, so they build it too.
+    """
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return None
+        if "basis" not in obj.__dict__:
+            obj.__dict__["basis"] = tuple(linalg.rref(obj.generators, obj.n + 1)[0])
+        return obj.__dict__["basis"]
+
+    def __set__(self, obj, value):
+        if value is not None:
+            obj.__dict__["basis"] = value
+
+
 @dataclass(frozen=True)
 class LinearSubspace:
-    """Linear subspace of P^n, stored as an echelonized basis of rows.
+    """Linear subspace of P^n: ``dim+1`` integer rows and an echelonized basis.
 
-    ``generators`` are ``dim+1`` integer rows spanning the same space; they
-    take no part in equality, hashing or serialization.  When not given they
-    are the primitive integer multiples of the basis rows.  ``equations()``
-    reads the forms off the basis on each call, with no elimination.
+    ``generators`` are ``dim+1`` integer rows spanning the space; they take
+    no part in equality, hashing or serialization, which read the RREF
+    ``basis``.  When not given they are the primitive integer multiples of
+    the basis rows.  When only the generators are given, the basis is built
+    from them on first read.  ``equations()`` reads the forms off the basis
+    on each call, with no elimination.
     """
 
     n: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[Fraction, ...], ...] = _BasisOnFirstUse()
     generators: tuple[tuple[int, ...], ...] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -152,6 +179,14 @@ class LinearSubspace:
             object.__setattr__(
                 self, "generators", tuple(tuple(linalg.primitive(linalg.integerize(r))) for r in self.basis)
             )
+
+    @cached_property
+    def modular_echelon(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        """``linalg.echelon_mod_p`` of the generators: the pivot columns
+        and rows of their echelon form mod p.  When it has ``dim+1`` rows,
+        the generators are independent, and their minor on its pivot
+        columns is nonzero mod p, so nonzero over Z."""
+        return linalg.echelon_mod_p(self.generators)
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Sequence]) -> "LinearSubspace":
@@ -168,7 +203,7 @@ class LinearSubspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis) - 1
+        return len(self.generators) - 1
 
     def pivot_columns(self) -> tuple[int, ...]:
         piv = []
@@ -347,16 +382,20 @@ def sample_point(n: int, rng: Rng) -> ProjPoint:
 
 
 def sample_generic_subspace(n: int, k: int, rng: Rng) -> LinearSubspace:
-    """Random k-dimensional subspace of P^n; resamples on rank drop."""
+    """Random k-dimensional subspace of P^n; resamples on rank drop.
+
+    The draw keeps its k+1 integer rows as generators, and its basis is
+    built on first read.  The rows have rank k+1 when their echelon mod p
+    has k+1 rows; when it is shorter, the exact ``linalg.rank`` decides.
+    """
     if not -1 <= k <= n:
         raise ValueError("need -1 <= k <= n")
     if k == -1:
         return LinearSubspace.empty(n)
     for _ in range(RESAMPLE_BUDGET):
-        generators = tuple(rng.vector(n + 1) for _ in range(k + 1))
-        basis, _ = linalg.rref(generators, n + 1)
-        if len(basis) == k + 1:
-            return LinearSubspace(n, tuple(basis), generators)
+        s = LinearSubspace(n, None, tuple(rng.vector(n + 1) for _ in range(k + 1)))
+        if len(s.modular_echelon[0]) == k + 1 or linalg.rank(s.generators, n + 1) == k + 1:
+            return s
     raise GenericityExhausted(f"could not sample a {k}-space in P^{n}")
 
 

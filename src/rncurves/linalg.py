@@ -36,6 +36,11 @@ left out.  Its values are lower bounds, exact only where they meet the
 dimension cap ``min(rows, cols)``: below it a value may rule an equation
 out, never accept one.
 
+:func:`echelon_mod_p` is the third: the pivot columns and rows of an
+echelon form mod p, which a caller keeps and extends by more rows.  Its
+length proves a rank only where it meets the cap; below it the caller asks
+:func:`rank`.
+
 numpy is imported inside the functions that use it: a large prescreen core,
 a large leave-one-out elimination and a kernel certificate, so a command
 that reaches none of them never loads it.
@@ -233,6 +238,25 @@ def _pivots_mod_numpy(a, order, p, m):
         if r == m:
             break
     return pivots
+
+
+def echelon_mod_p(rows, echelon=((), ())):
+    """Pivot columns and pivot rows of a row echelon form mod p of the integer ``rows``.
+
+    ``echelon`` is an earlier result to extend by ``rows``:
+    ``echelon_mod_p(b, echelon_mod_p(a))`` has the pivots of ``a + b``, and
+    the rows of ``a`` enter it already in echelon form.  The pivot columns
+    increase, so they are those of the reduced row echelon form mod p.
+    Their count is a lower bound on the exact rank, ``rank_p <= rank``, as
+    in :func:`rank`'s prescreen.  The elimination is
+    :func:`_pivots_mod_python`, so no numpy is loaded.
+    """
+    p = _PRESCREEN_PRIME
+    a = list(echelon[1]) + [[x % p for x in row] for row in rows]
+    if not a:
+        return (), []
+    pivots = _pivots_mod_python(a, list(range(len(a))), p, len(a))
+    return tuple(pivots), a[: len(pivots)]
 
 
 def leave_one_out_ranks_mod_p(blocks, indices, ncols):

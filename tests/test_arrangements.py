@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import sys
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import expected_conditions, sample_projectivity, transformed, without
@@ -155,6 +156,126 @@ def test_pairwise_check_decides_point_pairs_by_equality():
             assert arrangements._pairwise_generic([p, q], n)
 
 
+P = linalg._PRESCREEN_PRIME
+
+
+def exact_pairwise_generic(spaces, n):
+    """The pairwise test as it was before the echelon mod p: two points by
+    their canonical bases, any other pair by the exact rank of the stacked
+    generators."""
+    for i, a in enumerate(spaces):
+        for b in spaces[i + 1 :]:
+            if a.dim == b.dim == 0 < n:
+                if a == b:
+                    return False
+            elif rank(a.generators + b.generators, n + 1) != min(n + 1, a.dim + b.dim + 2):
+                return False
+    return True
+
+
+def drawn(n, *rows):
+    """The subspace spanned by ``rows`` as a draw makes it: generators only."""
+    return LinearSubspace(n, None, rows)
+
+
+# Pairs whose stacked generators lose rank mod p, with the exact verdict.
+SHORT_PAIRS = [
+    # a line with a row that is 0 mod p, against a skew line and a line through one of its points
+    (drawn(3, (P, -2 * P, 0, 3 * P), (1, 2, 3, 4)), drawn(3, (0, 0, 1, 0), (0, 0, 0, 1)), True),
+    (drawn(3, (P, -2 * P, 0, 3 * P), (1, 2, 3, 4)), drawn(3, (1, 2, 3, 4), (0, 0, 1, 0)), False),
+    # two points congruent mod p but distinct over Z, and one point given twice
+    (drawn(2, (1, 2, 3)), drawn(2, (1, 2, 3 + P)), True),
+    (drawn(2, (1, 2, 3)), drawn(2, (-2, -4, -6)), False),
+    # a line whose leading 2x2 minor is p (its rows differ by p e_1), against a
+    # skew line and a point on it
+    (drawn(3, (1, 2, 3, 4), (1, 2 + P, 3, 4)), drawn(3, (0, 0, 1, 0), (0, 0, 0, 1)), True),
+    (drawn(3, (1, 2, 3, 4), (1, 2 + P, 3, 4)), drawn(3, (2, 4 + P, 6, 8)), False),
+]
+
+
+@pytest.mark.parametrize("a, b, generic", SHORT_PAIRS)
+def test_pairs_short_mod_p_are_decided_by_the_exact_rank(monkeypatch, a, b, generic):
+    n = a.n
+    cap = min(n + 1, a.dim + b.dim + 2)
+    assert len(linalg.echelon_mod_p(b.generators, a.modular_echelon)[0]) < cap
+    calls = []
+    rank_ = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows, ncols: calls.append(len(rows)) or rank_(rows, ncols))
+    assert arrangements._pairwise_generic([a, b], n) is generic
+    assert calls == [len(a.generators) + len(b.generators)]
+    assert (sympy.Matrix(a.generators + b.generators).rank() == cap) is generic
+    assert exact_pairwise_generic([a, b], n) is generic
+
+
+@pytest.mark.parametrize("mult, d", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_conditions_of_a_short_echelon_use_the_basis_pivots(mult, d):
+    # rank 1 mod p: the normal columns come from the RREF basis, as before
+    for line in (SHORT_PAIRS[0][0], SHORT_PAIRS[4][0]):
+        assert len(line.modular_echelon[0]) == 1 and line.pivot_columns() == (0, 1)
+        assert vanishing_conditions(line, mult, d) == sympy_conditions(line, mult, d)
+
+
+@st.composite
+def special_configurations(draw):
+    """(n, generator rows of each space): two to four spaces of dimension
+    at most 2 with small entries.  A row may be a combination of an earlier
+    space's rows, which gives coincident points, points on lines and meeting
+    lines, and may then be moved by p times a small row, which keeps it
+    congruent mod p and makes it another row over Z."""
+    n = draw(st.integers(1, 4))
+    small = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1)
+    spaces = []
+    for _ in range(draw(st.integers(2, 4))):
+        k = draw(st.integers(0, min(2, n - 1)))
+        rows = []
+        for _ in range(k + 1):
+            if spaces and draw(st.booleans()):
+                other = draw(st.sampled_from(spaces))
+                weights = draw(st.lists(st.integers(-2, 2), min_size=len(other), max_size=len(other)))
+                row = [sum(w * g[j] for w, g in zip(weights, other)) for j in range(n + 1)]
+            else:
+                row = draw(small)
+            if draw(st.integers(0, 3)) == 0:
+                row = [x + P * y for x, y in zip(row, draw(small))]
+            rows.append(tuple(row))
+        assume(rank(rows, n + 1) == k + 1)
+        spaces.append(tuple(rows))
+    return n, spaces
+
+
+@given(special_configurations())
+@settings(max_examples=200, deadline=None)
+def test_pairwise_check_decides_as_the_exact_ranks(case):
+    n, rows = case
+    spaces = [drawn(n, *r) for r in rows]
+    assert arrangements._pairwise_generic(spaces, n) is exact_pairwise_generic(spaces, n)
+    for i, a in enumerate(spaces):
+        for b in spaces[i + 1 :]:
+            assert arrangements._pairwise_generic([a, b], n) is exact_pairwise_generic([a, b], n)
+
+
+# Spaces whose full echelon mod p has other pivots than their RREF basis:
+# p divides the leading minor, but not the minor on the modular pivots.
+SHIFTED_PIVOTS = [drawn(2, (P, 1, 2)), drawn(3, (1, 0, 2, 3), (0, P, 5, 7))]
+
+
+@pytest.mark.parametrize("space", SHIFTED_PIVOTS, ids=["point", "line"])
+def test_conditions_keep_their_row_space_on_other_modular_pivots(space):
+    n, k = space.n, space.dim
+    assert space.modular_echelon[0] != space.pivot_columns() and len(space.modular_echelon[0]) == k + 1
+    rnd = random.Random(n)
+    for d in range(5):
+        ncols = comb(n + d, d)
+        block = [[rnd.randrange(-9, 10) for _ in range(ncols)] for _ in range(3)]
+        for mult in (1, 2, 3):
+            rows = vanishing_conditions(space, mult, d)
+            on_basis = sympy_conditions(space, mult, d)  # normals off the RREF pivots
+            assert (rows == on_basis) is (mult == 1 or d == 0)
+            ranks = [sympy.Matrix(m).rank() for m in (rows, on_basis, rows + on_basis, rows + block, on_basis + block)]
+            assert ranks[:3] == [expected_conditions(n, k, mult, d)] * 3
+            assert ranks[3] == ranks[4]
+
+
 def test_points_only_sample_configuration_makes_no_rank_call(monkeypatch):
     calls = []
     rank_ = linalg.rank
@@ -162,9 +283,10 @@ def test_points_only_sample_configuration_makes_no_rank_call(monkeypatch):
     cfg = sample_configuration(WeightVector(4, (6, 0, 0)), Rng(3))
     assert [s.dim for s, _ in cfg.components] == [0] * 6
     assert calls == []
-    # a line among the points brings one stacked rank per pair it is in
-    sample_configuration(WeightVector(4, (6, 1, 0)), Rng(3))
-    assert calls == [3] * 6
+    # a line among the points: every pair is settled by its rank mod p
+    cfg = sample_configuration(WeightVector(4, (6, 1, 0)), Rng(3))
+    assert [s.dim for s, _ in cfg.components] == [0] * 6 + [1]
+    assert calls == []
 
 
 def test_sample_configuration_is_deterministic():

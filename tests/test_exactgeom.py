@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_subspace, contains, random_form, sample_projectivity, standard_frame, unit_point
-from rncurves.errors import FrameDegenerate, InCenter, NotComplementary
+from rncurves import linalg
+from rncurves.errors import FrameDegenerate, GenericityExhausted, InCenter, NotComplementary
 from rncurves.exactgeom import (
     DEFAULT_HEIGHT,
     LinearSubspace,
@@ -411,6 +412,58 @@ def test_sampling_is_deterministic_given_seed():
     s1 = sample_generic_subspace(6, 2, Rng(1002))
     s2 = sample_generic_subspace(6, 2, Rng(1002))
     assert s1 == s2
+
+
+def test_a_drawn_subspace_builds_its_basis_on_first_read():
+    s = sample_generic_subspace(5, 2, Rng(1003))
+    assert "basis" not in vars(s) and s.dim == 2
+    assert len(s.modular_echelon[0]) == 3
+    canonical = LinearSubspace.from_rows(5, s.generators)
+    assert s == canonical and hash(s) == hash(canonical)  # equality reads, and so builds, the basis
+    assert vars(s)["basis"] == canonical.basis
+    assert repr(s) == repr(LinearSubspace(5, canonical.basis, s.generators))
+    assert repr(s).startswith("LinearSubspace(n=5, basis=((Fraction(1, 1), Fraction(0, 1), ")
+
+
+P = linalg._PRESCREEN_PRIME
+
+
+class PlantedRng:
+    """Hands out the given rows in order, as ``Rng.vector`` would draw them."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def vector(self, length):
+        row = next(self.rows)
+        assert len(row) == length
+        return row
+
+
+@pytest.mark.parametrize(
+    "draws, accepted, ranks",
+    [
+        # a row that is 0 mod p: the echelon mod p is short, the exact rank accepts
+        ([(P, -2 * P, 0, 3 * P), (1, 2, 3, 4)], 0, [2]),
+        # rows that differ by p e_1: rank 1 mod p, rank 2 over Z
+        ([(1, 2, 3, 4), (1, 2 + P, 3, 4)], 0, [2]),
+        # dependent over Z: rejected by the exact rank; the next draw is full mod p
+        ([(1, 2, 3, 4), (-2, -4, -6, -8), (0, 0, 1, 0), (0, 0, 0, 1)], 1, [1]),
+    ],
+)
+def test_draws_with_a_short_echelon_mod_p_are_decided_by_the_exact_rank(monkeypatch, draws, accepted, ranks):
+    found = []
+    rank_ = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows, ncols: found.append(rank_(rows, ncols)) or found[-1])
+    s = sample_generic_subspace(3, 1, PlantedRng(draws))
+    assert s.generators == tuple(draws[2 * accepted : 2 * accepted + 2])
+    assert found == ranks
+    assert sympy.Matrix(s.generators).rank() == 2 and "basis" not in vars(s)
+
+
+def test_a_draw_that_stays_dependent_exhausts_the_budget():
+    with pytest.raises(GenericityExhausted):
+        sample_generic_subspace(2, 1, PlantedRng([(1, 2, 3), (2, 4, 6)] * 16))
 
 
 def sampler_outputs():

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from rncurves import feasibility, linalg
+from rncurves import arrangements, feasibility, linalg
 from rncurves.arrangements import ConditionMatrix, WeightVector, sample_configuration
 from rncurves.cli import EXIT_VERIFY, main
 from rncurves.errors import (
@@ -17,7 +17,7 @@ from rncurves.errors import (
     RncError,
     VerificationFailed,
 )
-from rncurves.exactgeom import Rng, meet, stable_mix
+from rncurves.exactgeom import Rng, meet, sample_generic_subspace, stable_mix
 from rncurves.feasibility import (
     DEFAULTS,
     FEASIBLE,
@@ -397,6 +397,42 @@ def test_bezout_work_over_the_atlas_is_pinned(n, samples, candidates):
     # samples for a (d, k) that cannot pass moves them
     screens, drawn = bezout_work(n)
     assert (drawn, sum(len(dims) for _, dims, _ in screens)) == (samples, candidates)
+
+
+def _sampled_bases(monkeypatch, draw=sample_generic_subspace):
+    """atlas(4) at seed 0 with ``draw`` as the subspace sampler: the number
+    of linalg.rref calls, of sampled components that hold a built basis,
+    and of sampled components."""
+    rrefs, configs = [], []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows, ncols: rrefs.append(ncols) or rref(rows, ncols))
+    monkeypatch.setattr(arrangements, "sample_generic_subspace", draw)
+
+    def recording(weights, rng):
+        configs.append(sample_configuration(weights, rng))
+        return configs[-1]
+
+    monkeypatch.setattr(feasibility, "sample_configuration", recording)
+    atlas(4, DEFAULTS)
+    spaces = [s for cfg in configs for s, _ in cfg.components]
+    return len(rrefs), sum("basis" in vars(s) for s in spaces), len(spaces)
+
+
+def test_atlas_builds_no_sampled_basis(monkeypatch):
+    # the draws, the pairwise test and the condition rows read only the
+    # generators and their echelon mod p
+    rrefs, built, spaces = _sampled_bases(monkeypatch)
+    assert (rrefs, built) == (0, 0) and spaces > 0
+
+
+def test_sampled_basis_guard_catches_a_basis_read(monkeypatch):
+    def reading(n, k, rng):
+        s = sample_generic_subspace(n, k, rng)
+        assert len(s.basis) == k + 1
+        return s
+
+    rrefs, built, spaces = _sampled_bases(monkeypatch, reading)
+    assert rrefs >= built == spaces > 0
 
 
 # Vectors whose classify ranked sample 0's full Bézout matrix twice while the

@@ -451,3 +451,26 @@ def test_strip_unit_rows_keeps_the_rank_and_leaves_no_unit_row(case):
     core_rank = DomainMatrix([[ZZ(x) for x in r] for r in core], (len(core), core_cols), ZZ).convert_to(sympy.QQ).rank()
     want = DomainMatrix([[ZZ(x) for x in r] for r in m], (len(m), cols), ZZ).convert_to(sympy.QQ).rank()
     assert gained + core_rank == want
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**32))
+@example(3, 3, 4, 4, 5)
+@settings(max_examples=60, deadline=None)
+def test_echelon_mod_p_extends_to_the_pivots_of_the_stack(rows, more, cols, inner, seed):
+    m = sparse_product(rows + more, cols, min(inner, cols), seed)
+    whole = linalg.echelon_mod_p(m)
+    extended = linalg.echelon_mod_p(m[rows:], linalg.echelon_mod_p(m[:rows]))
+    _, want = DomainMatrix([[ZZ(x) for x in row] for row in m], (len(m), cols), ZZ).convert_to(GF(P)).rref()
+    assert whole[0] == extended[0] == tuple(want)
+    for pivots, echelon in (whole, extended):
+        assert len(echelon) == len(pivots)
+        # each row starts at its pivot, and the rows span the stack mod p
+        assert [next(j for j, x in enumerate(row) if x % P) for row in echelon] == list(pivots)
+        stacked = DomainMatrix([[ZZ(x) for x in row] for row in m + echelon], (len(m) + len(echelon), cols), ZZ)
+        assert stacked.convert_to(GF(P)).rank() == len(pivots)
+
+
+def test_echelon_mod_p_of_no_rows_is_empty():
+    assert linalg.echelon_mod_p([]) == ((), [])
+    assert linalg.echelon_mod_p([(P, -2 * P, 0)]) == ((), [])
+    assert linalg.echelon_mod_p([(P, 1, 0)], linalg.echelon_mod_p([])) == ((1,), [[0, 1, 0]])
