@@ -152,12 +152,23 @@ def resample_configuration(n: int, draw, rng: Rng, tag: str, what: str) -> Confi
 def _pairwise_generic(spaces: Sequence[LinearSubspace], n: int) -> bool:
     """Every two spaces meet in dimension ``max(-1, k_a + k_b - n)``, that
     is, their generators together span ``cap = min(n+1, k_a + k_b + 2)``
-    dims.  a's cached echelon mod p, extended by b's generators, ranks the
-    pair mod p, and ``rank_p <= rank <= cap``: a pair whose rank mod p meets
-    the cap is generic.  Any other pair, points included, is decided by the
-    exact ``linalg.rank`` of the stacked generators."""
+    dims.  A rank mod p proves a pair generic when it meets the cap, since
+    ``rank_p <= rank <= cap``.
+
+    The point pairs are decided at once: a point's key is the one row of
+    its cached echelon mod p, scaled to a leading 1, and two points with
+    different keys are independent mod p, so ``rank_p = 2 = cap``.  When a
+    point has no key (its generator is 0 mod p) or two keys are equal, the
+    points go through the per-pair test with the other pairs: a's cached
+    echelon mod p, extended by b's generators, ranks the pair mod p.  Any
+    pair whose rank mod p falls short of the cap is decided by the exact
+    ``linalg.rank`` of the stacked generators."""
+    echelons = [s.modular_echelon for s in spaces if s.dim == 0]
+    keyed = len({tuple(rows[0]) for pivots, rows in echelons if pivots}) == len(echelons)
     for i, a in enumerate(spaces):
         for b in spaces[i + 1 :]:
+            if keyed and a.dim == b.dim == 0:
+                continue
             cap = min(n + 1, a.dim + b.dim + 2)
             rank_p = len(linalg.echelon_mod_p(b.generators, a.modular_echelon)[0])
             if rank_p < cap and linalg.rank(a.generators + b.generators, n + 1) != cap:

@@ -54,25 +54,31 @@ def stable_mix(*parts) -> int:
     reproducible across runs.
     """
     h = hashlib.sha256()
-
-    def feed(obj):
-        if isinstance(obj, int):
-            h.update(b"i" + str(obj).encode() + b";")
-        elif isinstance(obj, str):
-            h.update(b"s" + obj.encode() + b"\x00")
-        elif isinstance(obj, Fraction):
-            h.update(b"q" + str(obj.numerator).encode() + b"/" + str(obj.denominator).encode() + b";")
-        elif isinstance(obj, (tuple, list)):
-            h.update(b"(")
-            for item in obj:
-                feed(item)
-            h.update(b")")
-        else:
-            raise TypeError(f"unhashable part {type(obj)!r}")
-
     for p in parts:
-        feed(p)
+        _feed(h, p)
     return int.from_bytes(h.digest()[:8], "big") & (2**63 - 1)
+
+
+def _feed(h, obj) -> None:
+    """Feed one part of :func:`stable_mix` to the hash state ``h``.
+
+    A module-level function, not a closure: a recursive closure refers to
+    itself through its cell, so each call would leave a reference cycle
+    for the cyclic collector.
+    """
+    if isinstance(obj, int):
+        h.update(b"i" + str(obj).encode() + b";")
+    elif isinstance(obj, str):
+        h.update(b"s" + obj.encode() + b"\x00")
+    elif isinstance(obj, Fraction):
+        h.update(b"q" + str(obj.numerator).encode() + b"/" + str(obj.denominator).encode() + b";")
+    elif isinstance(obj, (tuple, list)):
+        h.update(b"(")
+        for item in obj:
+            _feed(h, item)
+        h.update(b")")
+    else:
+        raise TypeError(f"unhashable part {type(obj)!r}")
 
 
 class Rng:

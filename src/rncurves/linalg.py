@@ -25,7 +25,8 @@ them exact:
   block nonsingular mod p, so ``rank >= rank_p``; one kernel vector per
   free column, lifted p-adically (Dixon, Numer. Math. 40, 1982), rebuilt by
   rational reconstruction and checked as ``A v = 0`` over Z, gives
-  ``rank <= rank_p``;
+  ``rank <= rank_p``.  Its inverse of that block mod p is a numpy int64
+  Gauss--Jordan elimination;
 * the elimination :func:`_echelon`, when the certificate fails (a bad prime,
   or entries past its int64 guard).
 
@@ -40,6 +41,15 @@ out, never accept one.
 echelon form mod p, which a caller keeps and extends by more rows.  Its
 length proves a rank only where it meets the cap; below it the caller asks
 :func:`rank`.
+
+Both numpy eliminations delay the reduction mod p, as FFLAS-FFPACK does
+(Dumas, Giorgi and Pernet, ACM TOMS 35, 2008): a pivot step updates only
+the trailing block, in place, and reduces only the pivot row and the column
+the next pivot search and multipliers read.  Every other entry loses at
+most ``(p-1)**2`` per step, so it stays in int64 for
+``(2**63 - p) // (p-1)**2`` steps, 2,048 for the prescreen prime; the block
+is reduced at that period and the whole array once at the end.  The pivots,
+the row order and the reduced rows are those of reducing at every step.
 
 numpy is imported inside the functions that use it: a large prescreen core,
 a large leave-one-out elimination and a kernel certificate, so a command
@@ -59,9 +69,13 @@ from math import gcd, isqrt, lcm, prod
 _PRESCREEN_PRIME = 2**26 - 5
 _KERNEL_MAX_RANK = 2**63 // (_PRESCREEN_PRIME - 1) ** 2
 # Prescreen cores with at most this many rows or columns are eliminated in
-# plain Python, larger ones in numpy: below the bound numpy's fixed cost per
-# pivot outweighs its vector speed (the crossover measured on the cores of
-# the atlas and ideal benchmark passes).
+# plain Python, larger ones in numpy, so that small commands never import
+# numpy.  On the cores of the atlas and ideal benchmark passes the delayed-
+# reduction kernel beats plain Python from a smaller side of about 9 (0.7x at
+# 10, 0.4x at 15; mixed from 5 to 8), but only by tens of microseconds per
+# core, while a command that loads numpy pays its import, about 0.1 s in a
+# fresh process.  At 8, `atlas -n 3` would load numpy for a handful of such
+# cores; the bound stays where the earlier crossover put it.
 _SMALL_CORE = 14
 
 
@@ -215,34 +229,72 @@ def _pivots_mod_python(a, order, p, m):
 
 
 def _pivots_mod_numpy(a, order, p, m):
-    """:func:`_pivots_mod_python` on an int64 array, one vector step per pivot."""
+    """:func:`_pivots_mod_python` on an int64 array, one vector step per pivot.
+
+    The pivot row is scaled to 1 and the step updates only the trailing
+    block ``a[r+1:, col:]``, in place: the pivot row is zero left of its
+    column.  The reduction mod p is delayed (Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK, ACM TOMS 35, 2008): a step reduces only the column that
+    the pivot search and the multipliers read, and the pivot row, so each
+    update subtracts less than ``(p-1)**2`` from an entry.  The block is
+    reduced every :func:`_reduction_period` steps, before an entry could
+    leave int64, and the whole array once at the end, which leaves the
+    rows as the reduced ones of an elimination that reduces every step.
+    Takes ``m >= 1``, as :func:`_echelon_mod` sends no ``m = 0`` here: row
+    ``r < m`` is then a pivot candidate whenever it is nonzero in ``col``.
+    """
     import numpy as np
 
+    period = _reduction_period(p)
     r, pivots = 0, []
     for col in range(a.shape[1]):
-        nz = np.nonzero(a[r:m, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
+        column = a[r:, col]
+        column %= p
+        if not column[0]:
+            nz = np.flatnonzero(column[: m - r])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
             a[[r, i]] = a[[i, r]]
             order[r], order[i] = order[i], order[r]
-        inv = pow(int(a[r, col]), -1, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, col] != 0
-        if below.any():
-            block = a[r + 1 :][below]
-            a[r + 1 :][below] = (block - np.outer(block[:, col], a[r])) % p
+        pivot = _unit_pivot_row(a[r, col:], p)
+        block = a[r + 1 :, col:]
+        block -= block[:, :1] * pivot
         pivots.append(col)
         r += 1
+        if len(pivots) % period == 0:
+            block %= p
         if r == m:
             break
+    a %= p
     return pivots
+
+
+def _reduction_period(p):
+    """Steps of delayed reduction mod ``p`` that an int64 entry survives.
+
+    An entry starts in ``[0, p)`` and each step subtracts a product of two
+    reduced values, at most ``(p-1)**2``, so after this many steps it is
+    still above ``-2**63``: about 2,048 for the prescreen prime, 8 for a
+    prime near ``2**30``.
+    """
+    return (2**63 - p) // (p - 1) ** 2
+
+
+def _unit_pivot_row(row, p):
+    """The int64 view ``row`` reduced mod ``p`` and scaled so its first entry is 1, in place."""
+    row %= p
+    row *= pow(int(row[0]), -1, p)
+    row %= p
+    return row
 
 
 def echelon_mod_p(rows, echelon=((), ())):
     """Pivot columns and pivot rows of a row echelon form mod p of the integer ``rows``.
 
+    Each pivot row is reduced mod p and scaled so that its pivot entry is
+    1, so a single row is a canonical key of the line it spans mod p: two
+    rows get the same one exactly when they are proportional mod p.
     ``echelon`` is an earlier result to extend by ``rows``:
     ``echelon_mod_p(b, echelon_mod_p(a))`` has the pivots of ``a + b``, and
     the rows of ``a`` enter it already in echelon form.  The pivot columns
@@ -256,7 +308,13 @@ def echelon_mod_p(rows, echelon=((), ())):
     if not a:
         return (), []
     pivots = _pivots_mod_python(a, list(range(len(a))), p, len(a))
-    return tuple(pivots), a[: len(pivots)]
+    return tuple(pivots), [row if row[col] == 1 else _scaled_mod(row, col, p) for row, col in zip(a, pivots)]
+
+
+def _scaled_mod(row, col, p):
+    """The list ``row`` mod ``p`` times the inverse of ``row[col]``: entry ``col`` becomes 1."""
+    inv = pow(row[col], -1, p)
+    return [x * inv % p for x in row]
 
 
 def leave_one_out_ranks_mod_p(blocks, indices, ncols):
@@ -289,19 +347,32 @@ def leave_one_out_ranks_mod_p(blocks, indices, ncols):
 
 
 def _inverse_mod(b, p):
-    """Inverse mod ``p`` of a square int64 array that is nonsingular mod p."""
+    """Inverse mod ``p`` of a square int64 array that is nonsingular mod p.
+
+    Gauss--Jordan on ``[b | I]`` with the delayed reduction of
+    :func:`_pivots_mod_numpy`: the columns left of ``col`` are already unit
+    columns, on which the pivot row is zero, so a step updates only
+    ``a[:, col:]``, by multiples of the reduced pivot row read off the
+    reduced column ``col``.
+    """
     import numpy as np
 
     n = len(b)
+    period = _reduction_period(p)
     a = np.concatenate([b % p, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        i = col + int(np.nonzero(a[col:, col])[0][0])
-        if i != col:
+        column = a[:, col]
+        column %= p
+        if not column[col]:
+            i = col + int(np.flatnonzero(column[col:])[0])
             a[[col, i]] = a[[i, col]]
-        a[col] = (a[col] * pow(int(a[col, col]), -1, p)) % p
-        f = a[:, col].copy()
-        f[col] = 0
-        a = (a - np.outer(f, a[col])) % p
+        pivot = _unit_pivot_row(a[col, col:], p)
+        update = a[:, col : col + 1] * pivot
+        update[col] = 0
+        a[:, col:] -= update
+        if (col + 1) % period == 0:
+            a %= p
+    a %= p
     return a[:, n:]
 
 

@@ -254,6 +254,76 @@ def test_pairwise_check_decides_as_the_exact_ranks(case):
             assert arrangements._pairwise_generic([a, b], n) is exact_pairwise_generic([a, b], n)
 
 
+def drawn_points(n, count, seed):
+    """``count`` points of P^n drawn as the sampler draws them: their keys are distinct."""
+    rng = Rng(seed)
+    return [sample_generic_subspace(n, 0, rng.derive(i)) for i in range(count)]
+
+
+def spy_pairwise(monkeypatch, spaces, n):
+    """``_pairwise_generic(spaces, n)`` with the exact ranks it takes and its
+    echelon extensions, as the generator stacks each was given."""
+    ranks, extensions = [], []
+    rank_, echelon_ = linalg.rank, linalg.echelon_mod_p
+
+    def echelon_mod_p(rows, echelon=((), ())):
+        if echelon != ((), ()):
+            extensions.append(rows)
+        return echelon_(rows, echelon)
+
+    monkeypatch.setattr(linalg, "rank", lambda rows, ncols: ranks.append(rows) or rank_(rows, ncols))
+    monkeypatch.setattr(linalg, "echelon_mod_p", echelon_mod_p)
+    for s in spaces:
+        s.modular_echelon  # cached before the spy counts
+    return arrangements._pairwise_generic(spaces, n), ranks, extensions
+
+
+def test_point_pairs_are_decided_by_their_keys(monkeypatch):
+    n = 4
+    points = drawn_points(n, 12, 1)
+    for s in points:  # one row, scaled to a leading 1
+        (pivot,), (key,) = s.modular_echelon
+        assert key[pivot] == 1 and not any(key[:pivot])
+    assert len({tuple(s.modular_echelon[1][0]) for s in points}) == 12
+    line = sample_generic_subspace(n, 1, Rng(2))
+    generic, ranks, extensions = spy_pairwise(monkeypatch, points + [line], n)
+    assert generic and ranks == []
+    # only the point-line pairs extend an echelon
+    assert extensions == [line.generators] * 12
+
+
+def test_a_point_pair_congruent_mod_p_takes_one_exact_rank(monkeypatch):
+    n = 4
+    points = drawn_points(n, 12, 3)
+    p = points[5].generators[0]
+    twin = drawn(n, p[:2] + (p[2] + P,) + p[3:])  # the same key, another point over Z
+    assert twin.modular_echelon == points[5].modular_echelon
+    generic, ranks, extensions = spy_pairwise(monkeypatch, points + [twin], n)
+    assert generic
+    assert ranks == [points[5].generators + twin.generators]  # the other 77 pairs are proved mod p
+    assert len(extensions) == 13 * 12 // 2
+
+
+def test_a_point_pair_equal_up_to_scale_is_not_generic(monkeypatch):
+    n = 4
+    points = drawn_points(n, 12, 4)
+    again = drawn(n, tuple(-3 * x for x in points[7].generators[0]))
+    generic, ranks, _ = spy_pairwise(monkeypatch, points + [again], n)
+    assert not generic
+    assert ranks == [points[7].generators + again.generators]
+
+
+def test_a_point_zero_mod_p_sends_the_points_to_the_per_pair_loop(monkeypatch):
+    n = 4
+    points = drawn_points(n, 12, 5)
+    zero = drawn(n, (P, -2 * P, 0, 3 * P, P))  # a point of P^4 with no key
+    assert zero.modular_echelon == ((), [])
+    generic, ranks, extensions = spy_pairwise(monkeypatch, [zero] + points, n)
+    assert generic
+    assert ranks == [zero.generators + s.generators for s in points]  # each pair with it is short mod p
+    assert len(extensions) == 13 * 12 // 2
+
+
 # Spaces whose full echelon mod p has other pivots than their RREF basis:
 # p divides the leading minor, but not the minor on the modular pivots.
 SHIFTED_PIVOTS = [drawn(2, (P, 1, 2)), drawn(3, (1, 0, 2, 3), (0, P, 5, 7))]

@@ -1,5 +1,6 @@
 """Projective points, subspaces, projectivities, projections, seeded sampling."""
 
+import gc
 import hashlib
 from fractions import Fraction
 
@@ -43,6 +44,18 @@ def test_stable_mix_is_deterministic_and_sensitive():
     assert 0 <= a < 2**63
     # strings and ints with equal repr must not collide
     assert stable_mix(12) != stable_mix("12")
+
+
+def test_stable_mix_leaves_nothing_for_the_cyclic_collector():
+    parts = [(0, "sample", t) for t in range(3)] + [(7, "sample", ("defect", 2, [3, (4, F(5, 6))], 1))]
+    gc.collect()
+    gc.disable()
+    try:
+        for p in parts * 50:
+            stable_mix(*p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rng_reproducible_and_derive_independent():

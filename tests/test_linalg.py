@@ -474,3 +474,74 @@ def test_echelon_mod_p_of_no_rows_is_empty():
     assert linalg.echelon_mod_p([]) == ((), [])
     assert linalg.echelon_mod_p([(P, -2 * P, 0)]) == ((), [])
     assert linalg.echelon_mod_p([(P, 1, 0)], linalg.echelon_mod_p([])) == ((1,), [[0, 1, 0]])
+
+
+# A prime near 2**30: a delayed-reduction step may subtract almost 2**60 from
+# an entry, so the numpy kernels must reduce every 8 steps to stay in int64.
+Q = 1073741789
+
+
+def test_the_reduction_period_keeps_int64_entries():
+    assert sympy.isprime(Q)
+    for p, steps in ((P, 2048), (Q, 8)):
+        assert linalg._reduction_period(p) == steps
+        # an entry in [0, p) that loses at most (p-1)**2 per step stays above -2**63
+        assert steps * (p - 1) ** 2 <= 2**63 - p
+
+
+def mod_q_core(rows, cols, inner, seed):
+    """``U V`` with entries up to about 2**70, of rank at most ``inner`` mod Q,
+    with a few zero columns and a few columns that are nonzero multiples of Q."""
+    rnd = random.Random(seed)
+    u = [[rnd.randrange(2**35) for _ in range(inner)] for _ in range(rows)]
+    v = [[rnd.randrange(2**35) for _ in range(cols)] for _ in range(inner)]
+    m = [[sum(a * b for a, b in zip(r, c)) for c in zip(*v)] for r in u]
+    for j in rnd.sample(range(cols), 4):
+        multiple = rnd.choice((0, Q))
+        for r in m:
+            r[j] = multiple * rnd.randrange(-5, 6)
+    return m
+
+
+@pytest.mark.parametrize(
+    "rows, cols, inner",
+    [(20, 20, 20), (20, 20, 12), (24, 31, 24), (33, 22, 15), (48, 48, 44), (60, 52, 46)],
+    ids=["20x20-full", "20x20-deficient", "24x31-full", "33x22-deficient", "48x48-deficient", "60x52-deficient"],
+)
+def test_the_numpy_kernel_matches_plain_python_with_a_prime_near_2_30(rows, cols, inner):
+    # an entry loses about Q**2 / 4 per step on average, so without the
+    # periodic reduction the cores of 40 and more pivots would wrap int64
+    m = mod_q_core(rows, cols, inner, rows * cols + inner)
+    found, rest = [], []
+    for bound in (0, rows + cols):  # every core to numpy, then every core to plain Python
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_SMALL_CORE", bound)
+            found.append(linalg._rank_mod_int(m, Q))
+            order = list(range(rows))
+            pivots, reduced = linalg._echelon_mod([[x % Q for x in row] for row in m], order, Q, rows - 4)
+            rest.append((pivots, order, reduced))
+    assert found[0] == found[1]
+    assert rest[0] == rest[1]  # the same swaps, and the last rows reduced alike
+    want = DomainMatrix([[ZZ(x) for x in row] for row in m], (rows, cols), ZZ).convert_to(GF(Q)).rank()
+    assert found[0][0] == want > linalg._reduction_period(Q)  # the block is reduced on the way
+
+
+@pytest.mark.parametrize("n", [20, 27, 34])
+def test_inverse_mod_a_prime_near_2_30_through_row_swaps(n):
+    # rows of an upper triangular matrix mod Q in shuffled order, each entry
+    # moved by a multiple of Q: at column k only upper row k is nonzero mod Q
+    # among the rows not yet pivots, so the step swaps unless it is in place
+    rnd = random.Random(n)
+    upper = [[rnd.randrange(1, Q) if j >= i else 0 for j in range(n)] for i in range(n)]
+    order = rnd.sample(range(n), n)
+    b = [[x + Q * rnd.randrange(-(2**9), 2**9) for x in upper[i]] for i in order]
+    swaps = 0
+    for k in range(n):
+        i = order.index(k)
+        if i != k:
+            order[i], order[k] = order[k], order[i]
+            swaps += 1
+    assert swaps > n // 2
+    c = linalg._inverse_mod(np.array(b, dtype=np.int64), Q)
+    assert c.dtype == np.int64 and 0 <= c.min() and c.max() < Q
+    assert not np.any((np.array(c, dtype=object) @ np.array(b, dtype=object) - np.eye(n, dtype=int)) % Q)
