@@ -3,11 +3,11 @@
 Coefficients are stored from ``s^d`` down to ``t^d``, so ``coeffs[i]`` is the
 coefficient of ``s^(d-i) t^i``.  Dehomogenizing at ``s = 1`` therefore turns
 ``coeffs`` directly into an ascending-power univariate list in u = t/s, and a
-row's trailing zeros are its factors of ``s``.  The gcd and the exact
-division work on such rows of integers: ``gcd_rows`` tracks the common power
-of ``s`` separately and takes the gcd of the rest in Z[u], and
-``divide_rows`` divides one row by another in Z[u].  ``Fraction`` stays in
-``BinaryForm``; a caller that wants a normalized gcd scales the row itself.
+row's trailing zeros are its factors of ``s``.  The product, the gcd and the
+exact division work on such rows of integers: ``product_rows``, ``gcd_rows``
+(the common power of ``s`` kept apart, the gcd of the rest in Z[u]) and
+``divide_rows`` (in Z[u]).  ``Fraction`` stays in ``BinaryForm``; a caller
+that wants a normalized gcd scales the row itself.
 
 That gcd is taken first by the heuristic gcd GCDHEU (Char, Geddes and
 Gonnet, J. Symbolic Comput. 7, 1989; Geddes, Czapor and Labahn, *Algorithms
@@ -50,7 +50,7 @@ class BinaryForm:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.degree + 1:
             raise ValueError("need degree+1 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
@@ -58,10 +58,6 @@ class BinaryForm:
     @classmethod
     def zero(cls, degree: int) -> "BinaryForm":
         return cls(degree, (Fraction(0),) * (degree + 1))
-
-    @classmethod
-    def constant(cls, value) -> "BinaryForm":
-        return cls(0, (Fraction(value),))
 
     @classmethod
     def vanishing_at(cls, p: ParamPoint) -> "BinaryForm":
@@ -83,11 +79,6 @@ class BinaryForm:
     def evaluate_at(self, p: ParamPoint) -> Fraction:
         return self.evaluate(*p.coords)
 
-    def add(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def scale(self, c) -> "BinaryForm":
         c = Fraction(c)
         return BinaryForm(self.degree, tuple(c * x for x in self.coeffs))
@@ -103,10 +94,15 @@ class BinaryForm:
         return BinaryForm(d, tuple(out))
 
 
-def product(forms: Sequence[BinaryForm]) -> BinaryForm:
-    acc = BinaryForm.constant(1)
-    for f in forms:
-        acc = acc.mul(f)
+def product_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The product of the forms with these integer coefficient rows, as a row."""
+    acc = [1]
+    for r in rows:
+        out = [0] * (len(acc) + len(r) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(r):
+                out[i + j] += a * b
+        acc = out
     return acc
 
 

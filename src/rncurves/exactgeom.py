@@ -113,7 +113,7 @@ class ProjPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         if len(coords) != self.n + 1:
             raise ValueError("coordinate length must be n+1")
         if not any(coords):

@@ -5,9 +5,9 @@ it is a *rational normal curve* exactly when its coefficient matrix has full
 rank n+1 (the image spans P^n).  Full rank already implies that the forms
 share no common root: n+1 independent forms of degree n span every binary
 form of degree n, s^n and t^n among them, so no gcd is taken.  The curve
-also keeps that matrix over Z, so restricting linear forms to it, their gcd
-and the exact division that projection takes all run over Z; ``Fraction``
-appears only in returned forms.
+also keeps that matrix over Z, so evaluating it, restricting forms to it,
+their gcd, projection and the builders all run over Z; ``push_forward``
+makes each coefficient of a built curve one ``Fraction``, from its rows.
 
 The two interpolation builders realize the classical facts that a rational
 normal curve is determined by n+3 general points, and that points with
@@ -17,14 +17,14 @@ prescribed on a degree-t factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
 from . import linalg
-from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_rows, gcd_rows, product
+from .binforms import BinaryForm, ParamPoint, distinct_parameters, divide_rows, gcd_rows, product_rows
 from .errors import (
     CenterMeetsCurve,
     CoincidentParameters,
@@ -50,10 +50,11 @@ class ParamCurve:
 
     ambient: int
     forms: tuple[BinaryForm, ...]
-    # (cols, den): cols[k] holds the forms' k-th coefficients times den; not in ==, hash, repr or JSON
+    # (cols, den): cols[k] holds the forms' k-th coefficients times den, their lcm; not in ==, hash, repr or JSON
     integer_columns: tuple = field(init=False, repr=False, compare=False)
+    columns: InitVar[tuple | None] = None  # those columns, when a builder made the forms from them
 
-    def __post_init__(self):
+    def __post_init__(self, columns):
         if len(self.forms) != self.ambient + 1:
             raise ValueError("need ambient+1 coordinate forms")
         degs = {f.degree for f in self.forms}
@@ -61,17 +62,23 @@ class ParamCurve:
             raise ValueError("coordinate forms must share a degree")
         if all(f.is_zero() for f in self.forms):
             raise ValueError("all coordinate forms vanish")
-        flat = [c for f in self.forms for c in f.coeffs]
-        ints, step = linalg.integerize(flat), self.degree + 1
-        cols = tuple(ints[k::step] for k in range(step))
-        object.__setattr__(self, "integer_columns", (cols, lcm(*(c.denominator for c in flat))))
+        if columns is None:
+            flat = [c for f in self.forms for c in f.coeffs]
+            ints, step = linalg.integerize(flat), self.degree + 1
+            columns = tuple(ints[k::step] for k in range(step)), lcm(*(c.denominator for c in flat))
+        object.__setattr__(self, "integer_columns", columns)
 
     @property
     def degree(self) -> int:
         return self.forms[0].degree
 
     def evaluate(self, p: ParamPoint) -> ProjPoint:
-        coords = tuple(f.evaluate_at(p) for f in self.forms)
+        # over Z: with u = a/b and v = c/e, u^(d-i) v^i = (ae)^(d-i) (cb)^i / (be)^d
+        (cols, den), d = self.integer_columns, self.degree
+        (a, b), (c, e) = ((x.numerator, x.denominator) for x in p.coords)
+        powers = [(a * e) ** (d - i) * (c * b) ** i for i in range(d + 1)]
+        scale = den * (b * e) ** d
+        coords = tuple(Fraction(sum(map(mul, powers, row)), scale) for row in zip(*cols))
         if not any(coords):
             raise ValueError(f"parametrization vanishes at {p}")
         return ProjPoint(self.ambient, coords)
@@ -80,8 +87,8 @@ class ParamCurve:
 class RationalCurve(ParamCurve):
     """A rational normal curve: degree = ambient dimension, image spans P^n."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __post_init__(self, columns):
+        super().__post_init__(columns)
         if not is_rnc(self):
             raise DegenerateImage("parametrization is not a rational normal curve")
 
@@ -90,30 +97,49 @@ def is_rnc(curve: ParamCurve) -> bool:
     """True when the curve is a rational normal curve of its ambient space:
     degree n in P^n with a coefficient matrix of rank n+1."""
     n = curve.ambient
-    return curve.degree == n and linalg.rank([f.coeffs for f in curve.forms], n + 1) == n + 1
+    return curve.degree == n and linalg.rank(curve.integer_columns[0], n + 1) == n + 1
 
 
 def standard_rnc(n: int) -> RationalCurve:
     """The monomial curve (s^n, s^(n-1) t, ..., t^n)."""
-    return RationalCurve(n, tuple(BinaryForm(n, tuple(int(j == i) for j in range(n + 1))) for i in range(n + 1)))
+    rows = tuple(tuple(int(j == i) for j in range(n + 1)) for i in range(n + 1))
+    return RationalCurve(n, tuple(BinaryForm(n, r) for r in rows), (rows, 1))
 
 
-def _restrict(rows: Sequence[Sequence[Fraction]], curve: ParamCurve):
-    """Yield ``(coeffs, scale)`` per row: ``sum_j row[j] * curve.forms[j]`` is
-    the integer ``coeffs`` divided by ``scale``."""
-    cols, den = curve.integer_columns
+def _restrict(rows: Sequence[Sequence[Fraction]], columns: tuple):
+    """Yield ``(coeffs, scale)`` per row: ``sum_j row[j] * forms[j]`` is the
+    integer ``coeffs`` divided by ``scale``, the forms' integer columns given."""
+    cols, den = columns
     for row in rows:
         w = linalg.integerize(row)
         yield [sum(map(mul, w, col)) for col in cols], den * lcm(*(x.denominator for x in row))
 
 
+def _from_image(image: list, cls: type = ParamCurve) -> ParamCurve:
+    """The ``cls`` with the forms ``coeffs / scale`` of the pairs of ``image``:
+    on one denominator and divided by their content, the rows are its
+    ``integer_columns``, and each coefficient is one ``Fraction``."""
+    den = lcm(*(k for _, k in image))
+    rows = [[c * (den // k) for c in cs] for cs, k in image]
+    content = gcd(den, *(c for cs in rows for c in cs))
+    rows, den = [[c // content for c in cs] for cs in rows], den // content
+    forms = tuple(BinaryForm(len(cs) - 1, tuple(Fraction(c, den) for c in cs)) for cs in rows)
+    return cls(len(rows) - 1, forms, (tuple(zip(*rows)), den))
+
+
+def push_forward(columns: tuple, g: Projectivity, cls: type) -> ParamCurve:
+    """The ``cls`` with the forms of integer columns ``columns`` moved by
+    ``g``, the matrix rows multiplied into the columns over Z."""
+    return _from_image(list(_restrict(g.matrix, columns)), cls)
+
+
 def apply_projectivity(curve: ParamCurve, g: Projectivity) -> ParamCurve:
-    """Transform the coordinate forms by the matrix of ``g``."""
+    """Transform the coordinate forms by the matrix of ``g``, over Z: the
+    ``push_forward`` of the curve's integer columns."""
     if g.n != curve.ambient:
         raise ValueError("ambient mismatch")
-    out = [BinaryForm(curve.degree, tuple(Fraction(c, k) for c in cs)) for cs, k in _restrict(g.matrix, curve)]
     cls = RationalCurve if isinstance(curve, RationalCurve) else ParamCurve
-    return cls(curve.ambient, tuple(out))
+    return push_forward(curve.integer_columns, g, cls)
 
 
 def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
@@ -128,7 +154,7 @@ def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
     eqs = space.equations()
     if not eqs:
         raise ValueError("intersection with the whole space is not finite")
-    restricted = [cs for cs, _ in _restrict(eqs, curve)]
+    restricted = [cs for cs, _ in _restrict(eqs, curve.integer_columns)]
     if not any(map(any, restricted)):
         raise CurveInSubspaceSpan("curve lies inside the subspace")
     return len(gcd_rows(restricted)) - 1
@@ -138,16 +164,20 @@ def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
     """Pull a degree-d form on P^n back to the parameter line (degree d*deg).
 
     ``form`` maps exponent tuples ``mu`` to coefficients ``c_mu``; the result
-    is ``sum c_mu * prod_i curve.forms[i]^mu_i``.
+    is ``sum c_mu * prod_i curve.forms[i]^mu_i``, summed over Z.
     """
     degrees = {sum(mu) for mu in form}
     if len(degrees) != 1:
         raise ValueError("need a nonempty homogeneous form")
-    acc = BinaryForm.zero(degrees.pop() * curve.degree)
-    for mu, c in form.items():
-        if c:
-            acc = acc.add(product([f for f, k in zip(curve.forms, mu) for _ in range(k)]).scale(c))
-    return acc
+    d, (cols, den) = degrees.pop(), curve.integer_columns
+    rows = list(zip(*cols))
+    acc = [0] * (d * curve.degree + 1)
+    for mu, w in zip(form, linalg.integerize(tuple(form.values()))):
+        if w:
+            for i, x in enumerate(product_rows([r for r, k in zip(rows, mu) for _ in range(k)])):
+                acc[i] += w * x
+    scale = lcm(*(c.denominator for c in form.values())) * den**d
+    return BinaryForm(len(acc) - 1, tuple(Fraction(x, scale) for x in acc))
 
 
 def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list[ParamPoint]]:
@@ -175,7 +205,7 @@ def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list
     b = [1 / ci for ci in c]
     if len(set(b)) != n + 1:
         raise CoincidentParameters("two interpolation parameters collide")
-    linear = [BinaryForm(1, (-bj, Fraction(1))) for bj in b]  # t - b_j s
+    linear = [(-bj, Fraction(1)) for bj in b]  # t - b_j s
     curve = _frame_curve(h_inv, linear, ParamPoint(Fraction(0), Fraction(1)))
     params = [ParamPoint(Fraction(1), bj) for bj in b]
     params.append(ParamPoint(Fraction(0), Fraction(1)))
@@ -224,29 +254,35 @@ def rnc_with_assigned_preimages(params: Sequence[ParamPoint], points: Sequence[P
 
 def _rnc_assigned_full(params: Sequence[ParamPoint], points: Sequence[ProjPoint]) -> RationalCurve:
     """Interpolation with exactly t+2 assigned (parameter, point) pairs:
-    ``_frame_curve`` on the linear forms ``L_j`` vanishing at ``params[j]``,
-    with ``params[t+1]`` as the last parameter."""
+    ``_frame_curve`` on the linear forms ``L_j = v s - u t`` vanishing at
+    ``params[j] = [u : v]``, with ``params[t+1]`` as the last parameter."""
     t = points[0].n
-    linear = [BinaryForm.vanishing_at(p) for p in params[: t + 1]]
+    linear = [(v, -u) for u, v in (p.coords for p in params[: t + 1])]
     return _frame_curve(projectivity_from_frames(points), linear, params[t + 1])
 
 
-def _frame_curve(h_inv: Projectivity, linear: Sequence[BinaryForm], last: ParamPoint) -> RationalCurve:
+def _frame_curve(h_inv: Projectivity, linear: Sequence[Sequence[Fraction]], last: ParamPoint) -> RationalCurve:
     """The curve ``h_inv . psi`` with ``psi_i = a_i * prod_(j != i) L_j``.
 
-    ``L_j = linear[j]`` vanishes at the parameter sent to the j-th frame
-    point, and ``a_i = L_i(last)`` makes ``last`` go to the all-ones point,
-    which ``h_inv`` sends to the last frame point.
+    ``L_j``, the linear form with coefficient row ``linear[j]``, vanishes at
+    the parameter sent to the j-th frame point, and ``a_i = L_i(last)`` makes
+    ``last`` go to the all-ones point, which ``h_inv`` sends to the last frame
+    point.  Over Z, with ``L~_j = m_j L_j`` integer, ``psi_i = a_i m_i (P /
+    L~_i) / prod m_j`` for the one product ``P = prod L~_j``.
     """
-    forms = []
-    for i, l_i in enumerate(linear):
-        a_i = l_i.evaluate_at(last)
-        if not a_i:
+    ints = [linalg.integerize(row) for row in linear]
+    p = product_rows(ints)
+    # a_i m_i = L~_i(last) = L~_i(u~, v~) / w, with last = [u~/w : v~/w]
+    (u, v), w = linalg.integerize(last.coords), lcm(*(x.denominator for x in last.coords))
+    psi = []
+    for l_i in ints:
+        e_i = l_i[0] * u + l_i[1] * v
+        if not e_i:
             raise CoincidentParameters("last parameter collides with an assigned one")
-        forms.append(product([l_j for j, l_j in enumerate(linear) if j != i]).scale(a_i))
+        psi.append([e_i * q for q in divide_rows(p, l_i)])
+    m = prod(lcm(*(x.denominator for x in row)) for row in linear)
     # is_rnc is invariant under projectivities: one check, on the image
-    n = len(linear) - 1
-    return RationalCurve(n, apply_projectivity(ParamCurve(n, tuple(forms)), h_inv).forms)
+    return push_forward((tuple(zip(*psi)), m * w), h_inv, RationalCurve)
 
 
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:
@@ -264,7 +300,7 @@ def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = Fals
         raise ValueError("ambient mismatch")
     if center.dim < 0:
         raise ValueError("projection center must be nonempty")
-    image = list(_restrict(center.equations(), curve))
+    image = list(_restrict(center.equations(), curve.integer_columns))
     if not any(any(cs) for cs, _ in image):
         raise CurveInSubspaceSpan("curve lies inside the projection center")
     common = gcd_rows([cs for cs, _ in image])
@@ -272,8 +308,4 @@ def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = Fals
     if degree > 0 and strict:
         raise CenterMeetsCurve(f"curve meets the center with multiplicity {degree}")
     lead = next(c for c in common if c)
-    forms = (
-        BinaryForm(curve.degree - degree, tuple(Fraction(c * lead, k) for c in divide_rows(cs, common)))
-        for cs, k in image
-    )
-    return ParamCurve(len(image) - 1, tuple(forms))
+    return _from_image([([c * lead for c in divide_rows(cs, common)], k) for cs, k in image])

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
-from .binforms import BinaryForm, ParamPoint, distinct_parameters, product
+from .binforms import BinaryForm, ParamPoint, distinct_parameters, product_rows
 from .errors import BaseLocus, BoundViolated, DegenerateImage, OnContractedLocus
 from .exactgeom import LinearSubspace, ProjPoint, adapted_alignment, span, standard_point
-from .rnc import ParamCurve, RationalCurve, apply_projectivity, rnc_through_points, rnc_with_assigned_preimages, standard_rnc
+from .rnc import ParamCurve, RationalCurve, push_forward, rnc_through_points, rnc_with_assigned_preimages, standard_rnc
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
     if not points:
         factors = []
         for d, off in zip(ctx.factor_dims, ctx.offsets()):
-            lead = product([BinaryForm.vanishing_at(ParamPoint(1, off + k)) for k in range(d)])
+            lead = BinaryForm(d, tuple(product_rows([(off + k, -1) for k in range(d)])))  # vanishes at [1 : off+k]
             factors.append(RationalCurve(d, (lead,) + standard_rnc(d).forms[:d]))
         return MultiCurve(ctx, tuple(factors)), []
     n1 = ctx.factor_dims[0]
@@ -185,34 +186,19 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
     return MultiCurve(ctx, tuple(factors)), params
 
 
-def _phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
-    """Coordinate forms of the push-forward of a multi-curve through ``phi``.
-
-    The image is not checked here.  Should the leading forms of two factors
-    share a root, every image form vanishes there, so the forms have rank
-    below n+1 and ``RationalCurve`` rejects them as ``DegenerateImage``: the
-    rank check is the one test of the image.
-    """
-    ctx = mc.context
-    leads = [f.forms[0] for f in mc.factors]
-    forms = [product(leads)]
-    for i, (crv, off) in enumerate(zip(mc.factors, ctx.offsets())):
-        others = [leads[j] for j in range(ctx.r) if j != i]
-        base = product(others)
-        for k in range(1, ctx.factor_dims[i] + 1):
-            forms.append(crv.forms[k].mul(base))
-    return tuple(forms)
-
-
 def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint]) -> RationalCurve:
     """A rational normal curve meeting each space maximally and hitting points.
 
     The spaces are independent and their dim+1 sum to n, so they span a
     hyperplane.  They are aligned onto coordinate blocks: the points are pulled
     back by the inverse of the alignment frame, every factor is interpolated,
-    and the frame pushes the composition forward.  Nothing here checks
-    the result: :func:`rncurves.feasibility.verify_witness` is the exact
-    check of every built witness.
+    and the frame pushes the composition forward: over Z, the product of the
+    factors' lead rows and each block's rows times the other lead rows, on
+    the product of the factors' denominators.  Should two lead forms share a
+    root, every image form vanishes there and ``RationalCurve`` rejects the
+    image as ``DegenerateImage``, its one check here;
+    :func:`rncurves.feasibility.verify_witness` is the exact check of every
+    built witness.
     """
     if not spaces:
         raise ValueError("need at least one space")
@@ -224,6 +210,12 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
     # phi_inverse raises OnContractedLocus for a point on the spaces' hyperplane
     multi = [phi_inverse(ctx, pull.apply(p)) for p in points]
     mc, _ = product_curve(ctx, multi)
+    blocks = [list(zip(*crv.integer_columns[0])) for crv in mc.factors]
+    leads = [rows[0] for rows in blocks]
+    model = [product_rows(leads)]
+    for i, rows in enumerate(blocks):
+        others = product_rows(leads[:i] + leads[i + 1 :])
+        model += (product_rows([row, others]) for row in rows[1:])
+    den = prod(crv.integer_columns[1] for crv in mc.factors)
     # is_rnc is invariant under projectivities: one check, on the image
-    model = ParamCurve(ctx.n, _phi_forms(mc))
-    return RationalCurve(ctx.n, apply_projectivity(model, frame).forms)
+    return push_forward((tuple(zip(*model)), den), frame, RationalCurve)

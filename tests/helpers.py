@@ -1,12 +1,16 @@
 """Fixtures and oracles that only the tests use: random forms and
 projectivities, the standard frame, membership and images of subspaces,
-expected condition counts, the point case of the intersection degree, and
-gcd rows normalized for comparison."""
+expected condition counts, the point case of the intersection degree, gcd
+rows normalized for comparison, and the Fraction constructions of curves
+(products of ``BinaryForm``s pushed forward by Fraction sums) that the
+integer builders of ``rnc`` and ``segre`` must reproduce."""
 
 from fractions import Fraction
 from math import comb
 
+from rncurves import linalg
 from rncurves.arrangements import Configuration, monomials
+from rncurves.binforms import BinaryForm, ParamPoint
 from rncurves.errors import CurveInSubspaceSpan, GenericityExhausted
 from rncurves.exactgeom import (
     RESAMPLE_BUDGET,
@@ -15,10 +19,13 @@ from rncurves.exactgeom import (
     ProjPoint,
     Rng,
     _apply,
+    adapted_alignment,
+    projectivity_from_frames,
     span,
     standard_point,
 )
 from rncurves.rnc import ParamCurve, intersection_degree
+from rncurves.segre import MultiCurve, SegreContext, phi_inverse, product_curve
 
 
 def random_form(nvars: int, degree: int, rng) -> dict:
@@ -97,3 +104,79 @@ def monic_row(row) -> tuple[Fraction, ...]:
     sign or a constant compare equal (``project_curve`` scales the same way)."""
     lead = next(c for c in row if c)
     return tuple(Fraction(c) / lead for c in row)
+
+
+def product(forms) -> BinaryForm:
+    """The product of binary forms by ``BinaryForm.mul``."""
+    acc = BinaryForm(0, (1,))
+    for f in forms:
+        acc = acc.mul(f)
+    return acc
+
+
+def pushed_forms(forms, g: Projectivity) -> tuple[BinaryForm, ...]:
+    """The coordinate forms ``forms`` transformed by the matrix of ``g``, as
+    sums of Fraction products."""
+    d = forms[0].degree
+    return tuple(
+        BinaryForm(d, tuple(sum((w * f.coeffs[k] for w, f in zip(row, forms)), Fraction(0)) for k in range(d + 1)))
+        for row in g.matrix
+    )
+
+
+def frame_forms(h_inv: Projectivity, linear, last: ParamPoint) -> tuple[BinaryForm, ...]:
+    """The forms of ``h_inv . psi``, ``psi_i = L_i(last) * prod_(j != i) L_j``,
+    for the linear ``BinaryForm``s ``linear``, built as products of forms."""
+    psi = [product(linear[:i] + linear[i + 1 :]).scale(l_i.evaluate_at(last)) for i, l_i in enumerate(linear)]
+    return pushed_forms(psi, h_inv)
+
+
+def reference_rnc_through_points(points) -> tuple[BinaryForm, ...]:
+    """The forms ``rnc_through_points`` returns, built in Fractions."""
+    n = points[0].n
+    h_inv = projectivity_from_frames(points[: n + 2])
+    c = linalg.solve_right(h_inv.matrix, points[n + 2].coords, n + 1)
+    linear = [BinaryForm(1, (-1 / ci, 1)) for ci in c]
+    return frame_forms(h_inv, linear, ParamPoint(0, 1))
+
+
+def reference_rnc_assigned(params, points) -> tuple[BinaryForm, ...]:
+    """The forms ``rnc_with_assigned_preimages`` returns for t+2 pairs,
+    built in Fractions."""
+    t = points[0].n
+    linear = [BinaryForm.vanishing_at(p) for p in params[: t + 1]]
+    return frame_forms(projectivity_from_frames(points), linear, params[t + 1])
+
+
+def phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
+    """Coordinate forms of the push-forward of a multi-curve through ``phi``,
+    as products of the factors' forms."""
+    ctx = mc.context
+    leads = [f.forms[0] for f in mc.factors]
+    forms = [product(leads)]
+    for i, crv in enumerate(mc.factors):
+        base = product(leads[:i] + leads[i + 1 :])
+        forms += (crv.forms[k].mul(base) for k in range(1, ctx.factor_dims[i] + 1))
+    return tuple(forms)
+
+
+def reference_witness_curve(spaces, points) -> tuple[BinaryForm, ...]:
+    """The forms ``witness_curve`` returns, composed through ``phi`` and
+    pushed by the alignment frame in Fractions."""
+    spaces = sorted(spaces, key=lambda s: s.dim)
+    ctx = SegreContext(tuple(s.dim + 1 for s in spaces))
+    frame = adapted_alignment(spaces)
+    pull = frame.inverse()
+    mc, _ = product_curve(ctx, [phi_inverse(ctx, pull.apply(p)) for p in points])
+    return pushed_forms(phi_forms(mc), frame)
+
+
+def construction_faults(curve: ParamCurve, reference) -> list[str]:
+    """How a built curve differs from its reference forms: ``"forms"`` when
+    a coefficient differs, ``"columns"`` when its integer columns are not
+    those ``ParamCurve`` computes from its forms (the lowest common
+    denominator)."""
+    faults = [] if curve.forms == tuple(reference) else ["forms"]
+    if curve.integer_columns != ParamCurve(curve.ambient, curve.forms).integer_columns:
+        faults.append("columns")
+    return faults

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 import sympy
-from helpers import monic_row
+from helpers import monic_row, product
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from rncurves.binforms import (
     distinct_parameters,
     divide_rows,
     gcd_rows,
-    product,
+    product_rows,
 )
 from rncurves.errors import DuplicateParameters
 from rncurves.exactgeom import ProjPoint
@@ -293,6 +294,17 @@ def huge_forms(min_degree, max_degree):
 
 
 S, T = BinaryForm(1, (1, 0)), BinaryForm(1, (0, 1))
+
+
+@given(st.lists(st.one_of(forms(max_degree=3, allow_zero=True), huge_forms(0, 2)), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_product_rows_matches_the_product_of_forms(family):
+    # row(f) is f times the lcm of its denominators, so the product of the
+    # rows is the product of the forms times the product of those lcms
+    scale = prod(lcm(*(c.denominator for c in f.coeffs)) for f in family)
+    out = product_rows([row(f) for f in family])
+    assert out == list(product(family).scale(scale).coeffs)
+    assert all(type(c) is int for c in out)
 
 
 @st.composite

@@ -10,7 +10,18 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_subspace, contains, passes_through, random_form, sample_projectivity, unit_point
+from helpers import (
+    apply_subspace,
+    construction_faults,
+    contains,
+    passes_through,
+    random_form,
+    reference_rnc_assigned,
+    reference_rnc_through_points,
+    sample_projectivity,
+    unit_point,
+)
+from rncurves import rnc
 from rncurves.binforms import BinaryForm, ParamPoint
 from rncurves.errors import (
     CenterMeetsCurve,
@@ -367,6 +378,101 @@ def test_the_two_interpolation_builders_agree(n):
         scalar = assigned.forms[0].coeffs[pivot] / curve.forms[0].coeffs[pivot]
         assert assigned.forms == tuple(f.scale(scalar) for f in curve.forms)
         assert assigned.evaluate(params[n + 2]) == pts[n + 2]
+
+
+# Rationals with numerators up to 40 digits and denominators up to 30,
+# either sign before normalizing, and small integers.
+rationals = st.one_of(
+    st.integers(-5, 5).map(F),
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**30).flatmap(lambda d: st.sampled_from([d, -d]))),
+)
+
+
+def points_in(n):
+    return st.lists(rationals, min_size=n + 1, max_size=n + 1).filter(any).map(lambda cs: ProjPoint(n, tuple(cs)))
+
+
+# [0 : 1] and [1 : 0] give the linear forms s and -t: a trailing and a
+# leading zero in the rows that divide_rows divides by
+param_points = st.one_of(
+    st.sampled_from([ParamPoint(0, 1), ParamPoint(1, 0)]),
+    st.builds(ParamPoint, rationals, rationals.filter(bool)),
+)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_rnc_through_points_matches_the_fraction_construction(data):
+    n = data.draw(st.integers(1, 4))
+    points = data.draw(st.lists(points_in(n), min_size=n + 3, max_size=n + 3))
+    try:
+        curve, _ = rnc_through_points(points)
+    except RncError:
+        assume(False)
+    assert construction_faults(curve, reference_rnc_through_points(points)) == []
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_assigned_preimages_match_the_fraction_construction(data):
+    t = data.draw(st.integers(1, 4))
+    params = data.draw(st.lists(param_points, min_size=t + 2, max_size=t + 2, unique_by=lambda p: p.normalized()))
+    points = data.draw(st.lists(points_in(t), min_size=t + 2, max_size=t + 2))
+    try:
+        curve = rnc_with_assigned_preimages(params, points)
+    except RncError:
+        assume(False)
+    assert construction_faults(curve, reference_rnc_assigned(params, points)) == []
+
+
+# [1 : 0] and [0 : 1] among the assigned parameters, one of them the last
+PLANTED_PARAMS = [ParamPoint(1, 0), ParamPoint(F(-5, 7), 3), ParamPoint(2, -3), ParamPoint(1, 1), ParamPoint(0, 1)]
+
+
+def planted_points(count):
+    rng = Rng(stable_mix("planted-construction"))
+    return [sample_point(3, rng) for _ in range(count)]
+
+
+def test_the_planted_constructions_match_their_references():
+    curve = rnc_with_assigned_preimages(PLANTED_PARAMS, planted_points(5))
+    assert construction_faults(curve, reference_rnc_assigned(PLANTED_PARAMS, planted_points(5))) == []
+    curve, _ = rnc_through_points(planted_points(6))
+    assert construction_faults(curve, reference_rnc_through_points(planted_points(6))) == []
+
+
+def test_the_oracle_catches_a_quotient_off_by_one(monkeypatch):
+    divide, calls = rnc.divide_rows, []
+
+    def off_by_one(f, d):
+        calls.append(d)
+        q = divide(f, d)
+        return [q[0] + 1, *q[1:]] if len(calls) == 2 else q
+
+    monkeypatch.setattr(rnc, "divide_rows", off_by_one)
+    curve = rnc_with_assigned_preimages(PLANTED_PARAMS, planted_points(5))
+    assert construction_faults(curve, reference_rnc_assigned(PLANTED_PARAMS, planted_points(5))) == ["forms"]
+
+
+def test_the_oracle_catches_columns_left_unreduced(monkeypatch):
+    # the pushed-forward columns of this curve have a content above 1
+    contents, content = [], rnc.gcd
+    monkeypatch.setattr(rnc, "gcd", lambda *xs: contents.append(content(*xs)) or 1)
+    curve, _ = rnc_through_points(planted_points(6))
+    assert contents[-1] > 1
+    assert construction_faults(curve, reference_rnc_through_points(planted_points(6))) == ["columns"]
+
+
+@given(small_curves(), st.sampled_from([1, F(-7, 3), F(10**20 + 1, 3**30)]), param_points)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_through_the_columns_gives_the_fraction_values(curve, c, p):
+    curve = ParamCurve(curve.ambient, tuple(f.scale(c) for f in curve.forms))
+    values = tuple(f.evaluate_at(p) for f in curve.forms)
+    if not any(values):
+        with pytest.raises(ValueError):
+            curve.evaluate(p)
+    else:
+        assert curve.evaluate(p).coords == values
 
 
 def test_assigned_preimages_with_padding_is_deterministic():

@@ -1,18 +1,24 @@
 """Block maps between products of projective spaces and P^n, and witnesses."""
 
+import contextlib
+import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import contains, passes_through
+from helpers import construction_faults, contains, passes_through, phi_forms, reference_witness_curve
 import rncurves
-from rncurves import binforms, segre
-from rncurves.binforms import ParamPoint
+from rncurves import binforms, cli, rnc, segre
+from rncurves.binforms import BinaryForm, ParamPoint
 from rncurves.errors import (
     BaseLocus,
     BoundViolated,
     DegenerateImage,
     OnContractedLocus,
+    RncError,
     VerificationFailed,
 )
 from rncurves.exactgeom import (
@@ -24,7 +30,7 @@ from rncurves.exactgeom import (
     span,
     standard_point,
 )
-from rncurves.rnc import ParamCurve, RationalCurve, intersection_degree, is_rnc, standard_rnc
+from rncurves.rnc import ParamCurve, RationalCurve, apply_projectivity, intersection_degree, is_rnc, standard_rnc
 from rncurves.segre import (
     MultiCurve,
     SegreContext,
@@ -169,7 +175,7 @@ def test_compose_phi_gives_rnc_meeting_blocks_maximally():
         if y.coords[0]:
             pts.append(phi_inverse(ctx, y))
     mc, params = product_curve(ctx, pts)
-    curve = ParamCurve(ctx.n, segre._phi_forms(mc))
+    curve = ParamCurve(ctx.n, phi_forms(mc))
     assert is_rnc(curve)
     for space, expected in zip(canonical_contracted_spaces(ctx), (2, 3)):
         assert intersection_degree(curve, space) == expected
@@ -182,7 +188,7 @@ def test_compose_phi_rejects_lead_forms_with_common_root():
     # check of the image is what rejects it
     ctx = SegreContext((1, 1))
     line = standard_rnc(1)
-    forms = segre._phi_forms(MultiCurve(ctx, (line, line)))
+    forms = phi_forms(MultiCurve(ctx, (line, line)))
     assert not is_rnc(ParamCurve(ctx.n, forms))
     with pytest.raises(DegenerateImage):
         RationalCurve(ctx.n, forms)
@@ -293,6 +299,100 @@ def test_witness_curve_builds_no_gcd(monkeypatch):
         monkeypatch.setattr(mod, "gcd_rows", lambda arg: calls.append(arg) or fn(arg))
     witness_curve([line, plane], pts)
     assert calls == []
+
+
+# (n, subspace dimensions) whose dim+1 sum to n: every block profile shape
+WITNESS_SHAPES = [(5, (1, 2)), (4, (1, 1)), (3, (0, 0, 0)), (6, (0, 4)), (6, (2, 2)), (5, (0, 1, 1)), (6, (1, 1, 1))]
+
+
+@given(st.sampled_from(WITNESS_SHAPES), st.integers(0, 2**32), st.data())
+@settings(max_examples=20, deadline=None)
+def test_witness_curve_matches_the_fraction_construction(shape, seed, data):
+    n, dims = shape
+    rng = Rng(seed)
+    spaces = [sample_generic_subspace(n, d, rng.derive("space", i)) for i, d in enumerate(dims)]
+    bound = SegreContext(tuple(sorted(d + 1 for d in dims))).point_bound()
+    pts = [sample_point(n, rng.derive("pt", i)) for i in range(data.draw(st.integers(0, bound)))]
+    try:
+        curve = witness_curve(spaces, pts)
+    except RncError:
+        assume(False)
+    assert construction_faults(curve, reference_witness_curve(spaces, pts)) == []
+
+
+def test_the_oracle_catches_witness_columns_left_unreduced(monkeypatch):
+    rng = Rng(100)
+    spaces = [sample_generic_subspace(5, 1, rng.derive("line")), sample_generic_subspace(5, 2, rng.derive("plane"))]
+    pts = [sample_point(5, rng.derive("pt", i)) for i in range(5)]
+    assert construction_faults(witness_curve(spaces, pts), reference_witness_curve(spaces, pts)) == []
+    monkeypatch.setattr(rnc, "gcd", lambda *xs: 1)
+    assert construction_faults(witness_curve(spaces, pts), reference_witness_curve(spaces, pts)) == ["columns"]
+
+
+def construction_counts(monkeypatch, argv):
+    """``BinaryForm.mul`` calls, and curves built from their Fraction forms
+    rather than from integer columns, while ``rncurves`` runs ``argv``."""
+    counts = Counter()
+    mul, post_init = BinaryForm.mul, ParamCurve.__post_init__
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_post_init(self, columns):
+        counts["from_forms"] += columns is None
+        post_init(self, columns)
+
+    monkeypatch.setattr(BinaryForm, "mul", counting_mul)
+    monkeypatch.setattr(ParamCurve, "__post_init__", counting_post_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--seed", "0", *argv]) == 0
+    return {"mul": counts["mul"], "from_forms": counts["from_forms"]}
+
+
+# the interpolation path and the block path of the witness builder
+GUARDED_WITNESSES = [["witness", "-n", "4", "3,2,0"], ["witness", "-n", "6", "2,0,0,0,2"]]
+
+
+@pytest.mark.parametrize("argv", GUARDED_WITNESSES, ids=["interpolation", "block"])
+def test_witness_construction_multiplies_no_forms(monkeypatch, argv):
+    assert construction_counts(monkeypatch, argv) == {"mul": 0, "from_forms": 0}
+
+
+def plant_one_form_product(monkeypatch):
+    """Takes the first two-row product of ``segre`` as a product of ``BinaryForm``s."""
+    rows_product, planted = binforms.product_rows, []
+
+    def one_form_product(rows):
+        if len(rows) == 2 and not planted:
+            planted.append(rows)
+            f, g = (BinaryForm(len(r) - 1, tuple(r)) for r in rows)
+            return [int(c) for c in f.mul(g).coeffs]
+        return rows_product(rows)
+
+    monkeypatch.setattr(segre, "product_rows", one_form_product)
+
+
+def plant_model_from_forms(monkeypatch):
+    """Pushes ``segre``'s composition forward through a model curve built
+    from Fraction forms, as ``apply_projectivity`` of a ``ParamCurve``."""
+
+    def model_from_forms(columns, g, cls):
+        cols, den = columns
+        forms = tuple(BinaryForm(len(cols) - 1, tuple(Fraction(c, den) for c in row)) for row in zip(*cols))
+        return cls(g.n, apply_projectivity(ParamCurve(g.n, forms), g).forms)
+
+    monkeypatch.setattr(segre, "push_forward", model_from_forms)
+
+
+@pytest.mark.parametrize(
+    "plant, caught",
+    [(plant_one_form_product, {"mul": 1, "from_forms": 0}), (plant_model_from_forms, {"mul": 0, "from_forms": 2})],
+    ids=["one-form-product", "model-from-forms"],
+)
+def test_the_guard_catches_a_planted_product_or_model(monkeypatch, plant, caught):
+    plant(monkeypatch)
+    assert construction_counts(monkeypatch, GUARDED_WITNESSES[1]) == caught
 
 
 def test_witness_curve_rejects_a_point_on_the_spaces_hyperplane():
