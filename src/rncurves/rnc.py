@@ -6,8 +6,9 @@ rank n+1 (the image spans P^n).  Full rank already implies that the forms
 share no common root: n+1 independent forms of degree n span every binary
 form of degree n, s^n and t^n among them, so no gcd is taken.  The curve
 also keeps that matrix over Z, so evaluating it, restricting forms to it,
-their gcd, projection and the builders all run over Z; ``push_forward``
-makes each coefficient of a built curve one ``Fraction``, from its rows.
+their gcd, projection and the builders all run over Z.  A built curve's
+forms are made once, from integer rows: ``push_forward`` makes each
+coefficient one ``Fraction``, and the curve recomputes its matrix from them.
 
 The two interpolation builders realize the classical facts that a rational
 normal curve is determined by n+3 general points, and that points with
@@ -17,9 +18,9 @@ prescribed on a degree-t factor.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -50,11 +51,10 @@ class ParamCurve:
 
     ambient: int
     forms: tuple[BinaryForm, ...]
-    # (cols, den): cols[k] holds the forms' k-th coefficients times den, their lcm; not in ==, hash, repr or JSON
+    # (cols, den): cols[k] holds the forms' k-th coefficients times den; not in ==, hash, repr or JSON
     integer_columns: tuple = field(init=False, repr=False, compare=False)
-    columns: InitVar[tuple | None] = None  # those columns, when a builder made the forms from them
 
-    def __post_init__(self, columns):
+    def __post_init__(self):
         if len(self.forms) != self.ambient + 1:
             raise ValueError("need ambient+1 coordinate forms")
         degs = {f.degree for f in self.forms}
@@ -62,11 +62,10 @@ class ParamCurve:
             raise ValueError("coordinate forms must share a degree")
         if all(f.is_zero() for f in self.forms):
             raise ValueError("all coordinate forms vanish")
-        if columns is None:
-            flat = [c for f in self.forms for c in f.coeffs]
-            ints, step = linalg.integerize(flat), self.degree + 1
-            columns = tuple(ints[k::step] for k in range(step)), lcm(*(c.denominator for c in flat))
-        object.__setattr__(self, "integer_columns", columns)
+        flat = [c for f in self.forms for c in f.coeffs]
+        ints, step = linalg.integerize(flat), self.degree + 1
+        cols = tuple(ints[k::step] for k in range(step))
+        object.__setattr__(self, "integer_columns", (cols, lcm(*(c.denominator for c in flat))))
 
     @property
     def degree(self) -> int:
@@ -87,8 +86,8 @@ class ParamCurve:
 class RationalCurve(ParamCurve):
     """A rational normal curve: degree = ambient dimension, image spans P^n."""
 
-    def __post_init__(self, columns):
-        super().__post_init__(columns)
+    def __post_init__(self):
+        super().__post_init__()
         if not is_rnc(self):
             raise DegenerateImage("parametrization is not a rational normal curve")
 
@@ -102,8 +101,7 @@ def is_rnc(curve: ParamCurve) -> bool:
 
 def standard_rnc(n: int) -> RationalCurve:
     """The monomial curve (s^n, s^(n-1) t, ..., t^n)."""
-    rows = tuple(tuple(int(j == i) for j in range(n + 1)) for i in range(n + 1))
-    return RationalCurve(n, tuple(BinaryForm(n, r) for r in rows), (rows, 1))
+    return RationalCurve(n, tuple(BinaryForm(n, tuple(int(j == i) for j in range(n + 1))) for i in range(n + 1)))
 
 
 def _restrict(rows: Sequence[Sequence[Fraction]], columns: tuple):
@@ -115,22 +113,16 @@ def _restrict(rows: Sequence[Sequence[Fraction]], columns: tuple):
         yield [sum(map(mul, w, col)) for col in cols], den * lcm(*(x.denominator for x in row))
 
 
-def _from_image(image: list, cls: type = ParamCurve) -> ParamCurve:
-    """The ``cls`` with the forms ``coeffs / scale`` of the pairs of ``image``:
-    on one denominator and divided by their content, the rows are its
-    ``integer_columns``, and each coefficient is one ``Fraction``."""
-    den = lcm(*(k for _, k in image))
-    rows = [[c * (den // k) for c in cs] for cs, k in image]
-    content = gcd(den, *(c for cs in rows for c in cs))
-    rows, den = [[c // content for c in cs] for cs in rows], den // content
-    forms = tuple(BinaryForm(len(cs) - 1, tuple(Fraction(c, den) for c in cs)) for cs in rows)
-    return cls(len(rows) - 1, forms, (tuple(zip(*rows)), den))
+def _image_forms(image) -> tuple[BinaryForm, ...]:
+    """The forms ``coeffs / scale`` of the pairs of ``image``, each
+    coefficient one ``Fraction``."""
+    return tuple(BinaryForm(len(cs) - 1, tuple(Fraction(c, k) for c in cs)) for cs, k in image)
 
 
-def push_forward(columns: tuple, g: Projectivity, cls: type) -> ParamCurve:
-    """The ``cls`` with the forms of integer columns ``columns`` moved by
-    ``g``, the matrix rows multiplied into the columns over Z."""
-    return _from_image(list(_restrict(g.matrix, columns)), cls)
+def push_forward(columns: tuple, g: Projectivity) -> tuple[BinaryForm, ...]:
+    """The coordinate forms of the curve with integer columns ``columns``
+    moved by ``g``: the matrix rows multiplied into the columns over Z."""
+    return _image_forms(_restrict(g.matrix, columns))
 
 
 def apply_projectivity(curve: ParamCurve, g: Projectivity) -> ParamCurve:
@@ -139,7 +131,7 @@ def apply_projectivity(curve: ParamCurve, g: Projectivity) -> ParamCurve:
     if g.n != curve.ambient:
         raise ValueError("ambient mismatch")
     cls = RationalCurve if isinstance(curve, RationalCurve) else ParamCurve
-    return push_forward(curve.integer_columns, g, cls)
+    return cls(curve.ambient, push_forward(curve.integer_columns, g))
 
 
 def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
@@ -170,13 +162,13 @@ def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
     if len(degrees) != 1:
         raise ValueError("need a nonempty homogeneous form")
     d, (cols, den) = degrees.pop(), curve.integer_columns
-    rows = list(zip(*cols))
+    rows, coeffs = list(zip(*cols)), [Fraction(c) for c in form.values()]
     acc = [0] * (d * curve.degree + 1)
-    for mu, w in zip(form, linalg.integerize(tuple(form.values()))):
+    for mu, w in zip(form, linalg.integerize(coeffs)):
         if w:
             for i, x in enumerate(product_rows([r for r, k in zip(rows, mu) for _ in range(k)])):
                 acc[i] += w * x
-    scale = lcm(*(c.denominator for c in form.values())) * den**d
+    scale = lcm(*(c.denominator for c in coeffs)) * den**d
     return BinaryForm(len(acc) - 1, tuple(Fraction(x, scale) for x in acc))
 
 
@@ -268,7 +260,8 @@ def _frame_curve(h_inv: Projectivity, linear: Sequence[Sequence[Fraction]], last
     the parameter sent to the j-th frame point, and ``a_i = L_i(last)`` makes
     ``last`` go to the all-ones point, which ``h_inv`` sends to the last frame
     point.  Over Z, with ``L~_j = m_j L_j`` integer, ``psi_i = a_i m_i (P /
-    L~_i) / prod m_j`` for the one product ``P = prod L~_j``.
+    L~_i) / prod m_j`` for the one product ``P = prod L~_j``; those rows
+    are pushed forward by ``h_inv`` as they are, with no curve built of psi.
     """
     ints = [linalg.integerize(row) for row in linear]
     p = product_rows(ints)
@@ -282,7 +275,7 @@ def _frame_curve(h_inv: Projectivity, linear: Sequence[Sequence[Fraction]], last
         psi.append([e_i * q for q in divide_rows(p, l_i)])
     m = prod(lcm(*(x.denominator for x in row)) for row in linear)
     # is_rnc is invariant under projectivities: one check, on the image
-    return push_forward((tuple(zip(*psi)), m * w), h_inv, RationalCurve)
+    return RationalCurve(h_inv.n, push_forward((tuple(zip(*psi)), m * w), h_inv))
 
 
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:
@@ -308,4 +301,5 @@ def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = Fals
     if degree > 0 and strict:
         raise CenterMeetsCurve(f"curve meets the center with multiplicity {degree}")
     lead = next(c for c in common if c)
-    return _from_image([([c * lead for c in divide_rows(cs, common)], k) for cs, k in image])
+    forms = _image_forms(([c * lead for c in divide_rows(cs, common)], k) for cs, k in image)
+    return ParamCurve(len(forms) - 1, forms)

@@ -186,19 +186,31 @@ def product_curve(ctx: SegreContext, points: Sequence[MultiPoint]) -> tuple[Mult
     return MultiCurve(ctx, tuple(factors)), params
 
 
+def _phi_columns(mc: MultiCurve) -> tuple:
+    """The integer columns ``(cols, den)`` of the composition of ``mc`` with
+    ``phi``: the product of the factors' lead rows, then each block's rows
+    times the other lead rows, on the product of the factors' denominators.
+    Should two lead forms share a root, every image form vanishes there."""
+    blocks = [list(zip(*crv.integer_columns[0])) for crv in mc.factors]
+    leads = [rows[0] for rows in blocks]
+    model = [product_rows(leads)]
+    for i, rows in enumerate(blocks):
+        others = product_rows(leads[:i] + leads[i + 1 :])
+        model += (product_rows([row, others]) for row in rows[1:])
+    return tuple(zip(*model)), prod(crv.integer_columns[1] for crv in mc.factors)
+
+
 def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint]) -> RationalCurve:
     """A rational normal curve meeting each space maximally and hitting points.
 
     The spaces are independent and their dim+1 sum to n, so they span a
     hyperplane.  They are aligned onto coordinate blocks: the points are pulled
     back by the inverse of the alignment frame, every factor is interpolated,
-    and the frame pushes the composition forward: over Z, the product of the
-    factors' lead rows and each block's rows times the other lead rows, on
-    the product of the factors' denominators.  Should two lead forms share a
-    root, every image form vanishes there and ``RationalCurve`` rejects the
-    image as ``DegenerateImage``, its one check here;
-    :func:`rncurves.feasibility.verify_witness` is the exact check of every
-    built witness.
+    and the frame pushes the composition forward from its integer columns
+    (``_phi_columns``), with no model curve built.  Should two lead forms
+    share a root, ``RationalCurve`` rejects the image as ``DegenerateImage``,
+    its one check here; :func:`rncurves.feasibility.verify_witness` is the
+    exact check of every built witness.
     """
     if not spaces:
         raise ValueError("need at least one space")
@@ -210,12 +222,5 @@ def witness_curve(spaces: Sequence[LinearSubspace], points: Sequence[ProjPoint])
     # phi_inverse raises OnContractedLocus for a point on the spaces' hyperplane
     multi = [phi_inverse(ctx, pull.apply(p)) for p in points]
     mc, _ = product_curve(ctx, multi)
-    blocks = [list(zip(*crv.integer_columns[0])) for crv in mc.factors]
-    leads = [rows[0] for rows in blocks]
-    model = [product_rows(leads)]
-    for i, rows in enumerate(blocks):
-        others = product_rows(leads[:i] + leads[i + 1 :])
-        model += (product_rows([row, others]) for row in rows[1:])
-    den = prod(crv.integer_columns[1] for crv in mc.factors)
     # is_rnc is invariant under projectivities: one check, on the image
-    return push_forward((tuple(zip(*model)), den), frame, RationalCurve)
+    return RationalCurve(ctx.n, push_forward(_phi_columns(mc), frame))

@@ -170,13 +170,3 @@ def reference_witness_curve(spaces, points) -> tuple[BinaryForm, ...]:
     mc, _ = product_curve(ctx, [phi_inverse(ctx, pull.apply(p)) for p in points])
     return pushed_forms(phi_forms(mc), frame)
 
-
-def construction_faults(curve: ParamCurve, reference) -> list[str]:
-    """How a built curve differs from its reference forms: ``"forms"`` when
-    a coefficient differs, ``"columns"`` when its integer columns are not
-    those ``ParamCurve`` computes from its forms (the lowest common
-    denominator)."""
-    faults = [] if curve.forms == tuple(reference) else ["forms"]
-    if curve.integer_columns != ParamCurve(curve.ambient, curve.forms).integer_columns:
-        faults.append("columns")
-    return faults

