@@ -55,43 +55,8 @@ class BinaryForm:
             raise ValueError("need degree+1 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def zero(cls, degree: int) -> "BinaryForm":
-        return cls(degree, (Fraction(0),) * (degree + 1))
-
-    @classmethod
-    def vanishing_at(cls, p: ParamPoint) -> "BinaryForm":
-        """The linear form v*s - u*t, zero exactly at [u : v]."""
-        u, v = p.coords
-        return cls(1, (v, -u))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def evaluate(self, u, v) -> Fraction:
-        u, v = Fraction(u), Fraction(v)
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc += c * u ** (self.degree - i) * v**i
-        return acc
-
-    def evaluate_at(self, p: ParamPoint) -> Fraction:
-        return self.evaluate(*p.coords)
-
-    def scale(self, c) -> "BinaryForm":
-        c = Fraction(c)
-        return BinaryForm(self.degree, tuple(c * x for x in self.coeffs))
-
-    def mul(self, other: "BinaryForm") -> "BinaryForm":
-        d = self.degree + other.degree
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return BinaryForm(d, tuple(out))
 
 
 def product_rows(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -236,7 +201,7 @@ def _gcd_nonzero(rows: Sequence[Sequence]) -> tuple[list[int], int]:
     """
     tops = [max(i for i, c in enumerate(r) if c) for r in rows]
     s_pow = min(len(r) - 1 - top for r, top in zip(rows, tops))
-    ints = sorted((primitive(integerize(r[: top + 1])) for r, top in zip(rows, tops)), key=len)
+    ints = sorted((primitive(integerize(r[: top + 1])[0]) for r, top in zip(rows, tops)), key=len)
     g = ints[0]
     if len(ints) > 1 and len(g) > 1:
         g = _gcd_heuristic(ints) or _gcd_prs(ints)

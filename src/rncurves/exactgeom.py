@@ -183,7 +183,7 @@ class LinearSubspace:
     def __post_init__(self):
         if self.generators is None:
             object.__setattr__(
-                self, "generators", tuple(tuple(linalg.primitive(linalg.integerize(r))) for r in self.basis)
+                self, "generators", tuple(tuple(linalg.primitive(linalg.integerize(r)[0])) for r in self.basis)
             )
 
     @cached_property

@@ -1,13 +1,13 @@
 """Exact matrix kernels over the rationals, computed over the integers.
 
 :func:`integerize` scales a row of ints and Fractions to ints by the lcm of
-its denominators, and :func:`primitive` divides an int row by its content;
-they are the package's one rational-to-integer scaling.  One fraction-free
-loop, :func:`_echelon`, serves every kernel: it keeps each row primitive and
-clears the entry ``f`` under the pivot ``p`` with ``(p/g) r - (f/g) pivot``,
-``g = gcd(p, f)`` (the primitive-remainder idea of Collins, J. ACM 14, 1967,
-applied to rows).  ``Fraction`` arithmetic appears only where :func:`rref`
-divides each finished row by its pivot.
+its denominators, which it returns too, and :func:`primitive` divides an int
+row by its content; they are the package's one rational-to-integer scaling.
+One fraction-free loop, :func:`_echelon`, serves every kernel: it keeps each
+row primitive and clears the entry ``f`` under the pivot ``p`` with
+``(p/g) r - (f/g) pivot``, ``g = gcd(p, f)`` (the primitive-remainder idea of
+Collins, J. ACM 14, 1967, applied to rows).  ``Fraction`` arithmetic
+appears only where :func:`rref` divides each finished row by its pivot.
 
 :func:`rank` is the single rank entry point, and every rank it returns is
 exact.  It takes the first of these steps that settles the rank, each of
@@ -38,7 +38,8 @@ dimension cap ``min(rows, cols)``: below it a value may rule an equation
 out, never accept one.
 
 :func:`echelon_mod_p` is the third: the pivot columns and rows of an
-echelon form mod p, which a caller keeps and extends by more rows.  Its
+echelon form mod p, which a caller keeps and extends by more rows.  Its rows
+are the kernel's own, since both kernels scale each pivot row to 1.  Its
 length proves a rank only where it meets the cap; below it the caller asks
 :func:`rank`.
 
@@ -82,16 +83,18 @@ _SMALL_CORE = 14
 _INT = frozenset((int,))
 
 
-def integerize(row) -> tuple[int, ...]:
-    """The row scaled by the lcm of its denominators, as a tuple of ints.
+def integerize(row) -> tuple[tuple[int, ...], int]:
+    """``(ints, den)``: ``den`` is the lcm of the row's denominators and
+    ``ints`` the row times ``den``, as a tuple of ints.
 
-    A row whose entries are all ints is passed through; otherwise each entry
-    is ``numerator * (lcm // denominator)``, with no Fraction multiplication.
+    A row whose entries are all ints is passed through with ``den == 1``;
+    otherwise each entry is ``numerator * (den // denominator)``, with no
+    Fraction multiplication.
     """
     if _INT.issuperset(map(type, row)):
-        return tuple(row)
+        return tuple(row), 1
     den = lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (den // x.denominator) for x in row)
+    return tuple(x.numerator * (den // x.denominator) for x in row), den
 
 
 def primitive(row):
@@ -185,8 +188,9 @@ def _echelon_mod(rows, order, p, m):
     Returns ``(pivot_cols, rest)``: ``rest`` is rows ``m:`` as lists,
     reduced against the echelon form of the first ``m`` rows.  With at most
     ``_SMALL_CORE`` pivot rows or columns the elimination runs in plain
-    Python, otherwise in numpy; both make the same swaps, so they return the
-    same pivots and reorder ``order`` alike.
+    Python, otherwise in numpy; both make the same swaps and leave the same
+    rows mod p, pivot rows scaled to 1, so they return the same pivots and
+    rows and reorder ``order`` alike.
     """
     if min(m, len(rows[0])) <= _SMALL_CORE:
         return _pivots_mod_python(rows, order, p, m), rows[m:]
@@ -200,9 +204,9 @@ def _pivots_mod_python(a, order, p, m):
     """Pivot columns of the row echelon form mod p of the list rows ``a``.
 
     Only the first ``m`` rows may be pivots, and every row below a pivot
-    is reduced by it.  ``a`` is reduced in place, and ``order`` is swapped
-    along with its rows.  The pivot row is not scaled to 1; the rows below
-    lose the same multiple of it either way.
+    is reduced by it.  The rows come in reduced mod p.  ``a`` is reduced in
+    place, each pivot row scaled so that its pivot entry is 1, and ``order``
+    is swapped along with its rows.
     """
     r, pivots = 0, []
     for col in range(len(a[0])):
@@ -215,12 +219,13 @@ def _pivots_mod_python(a, order, p, m):
             a[r], a[i] = a[i], a[r]
             order[r], order[i] = order[i], order[r]
         pivot = a[r]
-        inv = pow(pivot[col], -1, p)
+        if pivot[col] != 1:
+            inv = pow(pivot[col], -1, p)
+            pivot = a[r] = [x * inv % p for x in pivot]
         for k in range(r + 1, len(a)):
             f = a[k][col]
             if f:
-                c = f * inv % p
-                a[k] = [(x - c * y) % p for x, y in zip(a[k], pivot)]
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], pivot)]
         pivots.append(col)
         r += 1
         if r == m:
@@ -231,9 +236,9 @@ def _pivots_mod_python(a, order, p, m):
 def _pivots_mod_numpy(a, order, p, m):
     """:func:`_pivots_mod_python` on an int64 array, one vector step per pivot.
 
-    The pivot row is scaled to 1 and the step updates only the trailing
-    block ``a[r+1:, col:]``, in place: the pivot row is zero left of its
-    column.  The reduction mod p is delayed (Dumas, Giorgi and Pernet,
+    The pivot row is scaled to 1, as there, and the step updates only the
+    trailing block ``a[r+1:, col:]``, in place: the pivot row is zero left
+    of its column.  The reduction mod p is delayed (Dumas, Giorgi and Pernet,
     FFLAS-FFPACK, ACM TOMS 35, 2008): a step reduces only the column that
     the pivot search and the multipliers read, and the pivot row, so each
     update subtracts less than ``(p-1)**2`` from an entry.  The block is
@@ -292,9 +297,10 @@ def _unit_pivot_row(row, p):
 def echelon_mod_p(rows, echelon=((), ())):
     """Pivot columns and pivot rows of a row echelon form mod p of the integer ``rows``.
 
-    Each pivot row is reduced mod p and scaled so that its pivot entry is
-    1, so a single row is a canonical key of the line it spans mod p: two
-    rows get the same one exactly when they are proportional mod p.
+    Each pivot row is reduced mod p and scaled by the kernel so that its
+    pivot entry is 1, so a single row is a canonical key of the line it
+    spans mod p: two rows get the same one exactly when they are
+    proportional mod p.
     ``echelon`` is an earlier result to extend by ``rows``:
     ``echelon_mod_p(b, echelon_mod_p(a))`` has the pivots of ``a + b``, and
     the rows of ``a`` enter it already in echelon form.  The pivot columns
@@ -308,13 +314,7 @@ def echelon_mod_p(rows, echelon=((), ())):
     if not a:
         return (), []
     pivots = _pivots_mod_python(a, list(range(len(a))), p, len(a))
-    return tuple(pivots), [row if row[col] == 1 else _scaled_mod(row, col, p) for row, col in zip(a, pivots)]
-
-
-def _scaled_mod(row, col, p):
-    """The list ``row`` mod ``p`` times the inverse of ``row[col]``: entry ``col`` becomes 1."""
-    inv = pow(row[col], -1, p)
-    return [x * inv % p for x in row]
+    return tuple(pivots), a[: len(pivots)]
 
 
 def leave_one_out_ranks_mod_p(blocks, indices, ncols):
@@ -468,7 +468,7 @@ def _kernel_certified(core, ncols, prows, pcols):
 
 def rank(rows, ncols):
     """Exact rank of a matrix given as an iterable of length-``ncols`` rows."""
-    int_rows = [integerize(row) for row in rows]
+    int_rows = [integerize(row)[0] for row in rows]
     gained, core, core_cols = _strip_unit_rows(int_rows, ncols)
     if not core:
         return gained
@@ -485,7 +485,7 @@ def rref(rows, ncols):
     pivot normalized to 1.  The elimination and the back-substitution run
     on primitive integer rows; only the last step divides by the pivots.
     """
-    red, pivots = _echelon([integerize(row) for row in rows], ncols)
+    red, pivots = _echelon([integerize(row)[0] for row in rows], ncols)
     for i in range(len(red) - 1, 0, -1):
         col = pivots[i]
         for k in range(i):

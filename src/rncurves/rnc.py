@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -62,10 +62,8 @@ class ParamCurve:
             raise ValueError("coordinate forms must share a degree")
         if all(f.is_zero() for f in self.forms):
             raise ValueError("all coordinate forms vanish")
-        flat = [c for f in self.forms for c in f.coeffs]
-        ints, step = linalg.integerize(flat), self.degree + 1
-        cols = tuple(ints[k::step] for k in range(step))
-        object.__setattr__(self, "integer_columns", (cols, lcm(*(c.denominator for c in flat))))
+        (ints, den), step = linalg.integerize([c for f in self.forms for c in f.coeffs]), self.degree + 1
+        object.__setattr__(self, "integer_columns", (tuple(ints[k::step] for k in range(step)), den))
 
     @property
     def degree(self) -> int:
@@ -109,8 +107,8 @@ def _restrict(rows: Sequence[Sequence[Fraction]], columns: tuple):
     integer ``coeffs`` divided by ``scale``, the forms' integer columns given."""
     cols, den = columns
     for row in rows:
-        w = linalg.integerize(row)
-        yield [sum(map(mul, w, col)) for col in cols], den * lcm(*(x.denominator for x in row))
+        w, k = linalg.integerize(row)
+        yield [sum(map(mul, w, col)) for col in cols], den * k
 
 
 def _image_forms(image) -> tuple[BinaryForm, ...]:
@@ -162,13 +160,13 @@ def restrict_form(form: dict, curve: ParamCurve) -> BinaryForm:
     if len(degrees) != 1:
         raise ValueError("need a nonempty homogeneous form")
     d, (cols, den) = degrees.pop(), curve.integer_columns
-    rows, coeffs = list(zip(*cols)), [Fraction(c) for c in form.values()]
+    rows, (ws, k) = list(zip(*cols)), linalg.integerize([Fraction(c) for c in form.values()])
     acc = [0] * (d * curve.degree + 1)
-    for mu, w in zip(form, linalg.integerize(coeffs)):
+    for mu, w in zip(form, ws):
         if w:
-            for i, x in enumerate(product_rows([r for r, k in zip(rows, mu) for _ in range(k)])):
+            for i, x in enumerate(product_rows([r for r, e in zip(rows, mu) for _ in range(e)])):
                 acc[i] += w * x
-    scale = lcm(*(c.denominator for c in coeffs)) * den**d
+    scale = k * den**d
     return BinaryForm(len(acc) - 1, tuple(Fraction(x, scale) for x in acc))
 
 
@@ -263,19 +261,18 @@ def _frame_curve(h_inv: Projectivity, linear: Sequence[Sequence[Fraction]], last
     L~_i) / prod m_j`` for the one product ``P = prod L~_j``; those rows
     are pushed forward by ``h_inv`` as they are, with no curve built of psi.
     """
-    ints = [linalg.integerize(row) for row in linear]
+    ints, dens = zip(*map(linalg.integerize, linear))
     p = product_rows(ints)
     # a_i m_i = L~_i(last) = L~_i(u~, v~) / w, with last = [u~/w : v~/w]
-    (u, v), w = linalg.integerize(last.coords), lcm(*(x.denominator for x in last.coords))
+    (u, v), w = linalg.integerize(last.coords)
     psi = []
     for l_i in ints:
         e_i = l_i[0] * u + l_i[1] * v
         if not e_i:
             raise CoincidentParameters("last parameter collides with an assigned one")
         psi.append([e_i * q for q in divide_rows(p, l_i)])
-    m = prod(lcm(*(x.denominator for x in row)) for row in linear)
     # is_rnc is invariant under projectivities: one check, on the image
-    return RationalCurve(h_inv.n, push_forward((tuple(zip(*psi)), m * w), h_inv))
+    return RationalCurve(h_inv.n, push_forward((tuple(zip(*psi)), prod(dens) * w), h_inv))
 
 
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:

@@ -1,9 +1,11 @@
 """Fixtures and oracles that only the tests use: random forms and
 projectivities, the standard frame, membership and images of subspaces,
 expected condition counts, the point case of the intersection degree, gcd
-rows normalized for comparison, and the Fraction constructions of curves
-(products of ``BinaryForm``s pushed forward by Fraction sums) that the
-integer builders of ``rnc`` and ``segre`` must reproduce."""
+rows normalized for comparison, the Fraction algebra of ``BinaryForm``s
+(the zero form, the linear form vanishing at a parameter, evaluation,
+scaling and products), and the Fraction constructions of curves built on it
+(products of forms pushed forward by Fraction sums) that the integer
+builders of ``rnc`` and ``segre`` must reproduce."""
 
 from fractions import Fraction
 from math import comb
@@ -106,11 +108,55 @@ def monic_row(row) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) / lead for c in row)
 
 
+def zero_form(degree: int) -> BinaryForm:
+    """The zero form of this degree."""
+    return BinaryForm(degree, (Fraction(0),) * (degree + 1))
+
+
+def vanishing_at(p: ParamPoint) -> BinaryForm:
+    """The linear form v*s - u*t, zero exactly at [u : v]."""
+    u, v = p.coords
+    return BinaryForm(1, (v, -u))
+
+
+def evaluate_form(f: BinaryForm, u, v) -> Fraction:
+    """The value of ``f`` at (s, t) = (u, v), summed in Fractions."""
+    u, v = Fraction(u), Fraction(v)
+    acc = Fraction(0)
+    for i, c in enumerate(f.coeffs):
+        if c:
+            acc += c * u ** (f.degree - i) * v**i
+    return acc
+
+
+def evaluate_form_at(f: BinaryForm, p: ParamPoint) -> Fraction:
+    """The value of ``f`` at the coordinates of the parameter point ``p``."""
+    return evaluate_form(f, *p.coords)
+
+
+def scale_form(f: BinaryForm, c) -> BinaryForm:
+    """``f`` with every coefficient multiplied by ``c``."""
+    c = Fraction(c)
+    return BinaryForm(f.degree, tuple(c * x for x in f.coeffs))
+
+
+def mul_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    """The product of two binary forms, by Fraction convolution."""
+    d = f.degree + g.degree
+    out = [Fraction(0)] * (d + 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j, b in enumerate(g.coeffs):
+                if b:
+                    out[i + j] += a * b
+    return BinaryForm(d, tuple(out))
+
+
 def product(forms) -> BinaryForm:
-    """The product of binary forms by ``BinaryForm.mul``."""
+    """The product of binary forms by ``mul_forms``."""
     acc = BinaryForm(0, (1,))
     for f in forms:
-        acc = acc.mul(f)
+        acc = mul_forms(acc, f)
     return acc
 
 
@@ -127,7 +173,9 @@ def pushed_forms(forms, g: Projectivity) -> tuple[BinaryForm, ...]:
 def frame_forms(h_inv: Projectivity, linear, last: ParamPoint) -> tuple[BinaryForm, ...]:
     """The forms of ``h_inv . psi``, ``psi_i = L_i(last) * prod_(j != i) L_j``,
     for the linear ``BinaryForm``s ``linear``, built as products of forms."""
-    psi = [product(linear[:i] + linear[i + 1 :]).scale(l_i.evaluate_at(last)) for i, l_i in enumerate(linear)]
+    psi = [
+        scale_form(product(linear[:i] + linear[i + 1 :]), evaluate_form_at(l_i, last)) for i, l_i in enumerate(linear)
+    ]
     return pushed_forms(psi, h_inv)
 
 
@@ -144,7 +192,7 @@ def reference_rnc_assigned(params, points) -> tuple[BinaryForm, ...]:
     """The forms ``rnc_with_assigned_preimages`` returns for t+2 pairs,
     built in Fractions."""
     t = points[0].n
-    linear = [BinaryForm.vanishing_at(p) for p in params[: t + 1]]
+    linear = [vanishing_at(p) for p in params[: t + 1]]
     return frame_forms(projectivity_from_frames(points), linear, params[t + 1])
 
 
@@ -156,7 +204,7 @@ def phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
     forms = [product(leads)]
     for i, crv in enumerate(mc.factors):
         base = product(leads[:i] + leads[i + 1 :])
-        forms += (crv.forms[k].mul(base) for k in range(1, ctx.factor_dims[i] + 1))
+        forms += (mul_forms(crv.forms[k], base) for k in range(1, ctx.factor_dims[i] + 1))
     return tuple(forms)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from conftest import ACCEPTANCE_RESULTS
-from helpers import apply_subspace, passes_through, random_form, sample_projectivity, transformed
+from helpers import apply_subspace, evaluate_form_at, passes_through, random_form, sample_projectivity, transformed
 
 from rncurves.arrangements import (
     WeightVector,
@@ -256,9 +256,9 @@ def test_criterion_9_property_suites():
         assert restricted.degree == d * n
         assert not restricted.is_zero()
         param = ParamPoint(Fraction(2), Fraction(3 + i))
-        raw = tuple(f.evaluate_at(param) for f in curve.forms)
+        raw = tuple(evaluate_form_at(f, param) for f in curve.forms)
         direct = sum(c * prod(x**e for x, e in zip(raw, mon)) for mon, c in form.items())
-        assert restricted.evaluate_at(param) == direct
+        assert evaluate_form_at(restricted, param) == direct
 
     # no vector is called both feasible and non-feasible by different rules
     for n in (3, 4):

@@ -327,33 +327,43 @@ def test_scan_sees_numpy_references():
     assert numpy_references(tree) == [(1, "import"), (2, "import"), (3, "import"), (4, "string"), (6, "name")]
 
 
-def module_functions_naming(tree, name):
-    """Sorted (line, function) of each module-level function that names
-    ``name``, as a name or an attribute, in its body or its annotations."""
-    return sorted(
-        (node.lineno, node.name)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(
-            (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)
-            for n in ast.walk(node)
-        )
-    )
+def sites_naming(tree, name):
+    """Sorted (line, site) of each site that names ``name``, as a name or an
+    attribute, outside the imports.  A site is a function, a class or an
+    annotated field, given by its dotted path (``C.f``, ``C.x``) and line,
+    or ``<module>`` for a statement at module level."""
+    found = set()
+
+    def visit(node, path, line):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path, line = path + (node.name,), node.lineno
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            path, line = path + (node.target.id,), node.lineno
+        if (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name):
+            found.add((line, ".".join(path) or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, line)
+
+    for node in tree.body:
+        visit(node, (), node.lineno)
+    return sorted(found)
 
 
-# Fraction stays inside BinaryForm, the API edge: the gcd and the exact
-# division of binforms run on integer rows.
+# Fraction stays at the API edge, BinaryForm's coefficients: the products,
+# the gcd and the exact division of binforms run on integer rows, and the
+# Fraction algebra of forms lives in tests/helpers.py.
 def test_binforms_functions_name_no_fraction():
     tree = ast.parse((SRC / "binforms.py").read_text())
-    assert module_functions_naming(tree, "Fraction") == []
+    assert [site for _, site in sites_naming(tree, "Fraction")] == ["BinaryForm.coeffs", "BinaryForm.__post_init__"]
 
 
 def test_scan_sees_a_fraction_in_a_module_function():
     tree = ast.parse(
         "from fractions import Fraction\nimport fractions\nclass C:\n    def f(self):\n        return Fraction(1)\n"
         "def g(x):\n    return x\ndef h(x) -> Fraction:\n    return x\ndef k(x):\n    return fractions.Fraction(x)\n"
+        "class D:\n    x: Fraction\n    y: int\nZERO = Fraction(0)\n"
     )
-    assert module_functions_naming(tree, "Fraction") == [(8, "h"), (10, "k")]
+    assert sites_naming(tree, "Fraction") == [(4, "C.f"), (8, "h"), (10, "k"), (13, "D.x"), (15, "<module>")]
 
 
 # Runs a command line in a fresh interpreter and reports whether numpy loaded.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -68,9 +69,16 @@ def test_integerize_preserves_rank():
     rnd = random.Random(3)
     for _ in range(20):
         m = random_matrix(rnd, 4, 5)
-        ints = [integerize(row) for row in m]
-        assert all(all(x.denominator == 1 for x in row) for row in ints)
+        ints = []
+        for row in m:
+            w, den = integerize(row)
+            # den is the lcm of the denominators, and w the row times den
+            assert den == lcm(*(x.denominator for x in row))
+            assert all(type(x) is int and x == r * den for x, r in zip(w, row))
+            ints.append(w)
         assert rank(ints, 5) == rank(m, 5)
+    # a row of ints passes through with den 1
+    assert integerize([3, -4, 0]) == ((3, -4, 0), 1)
 
 
 def test_rref_pivots_and_idempotence():
@@ -319,7 +327,7 @@ def test_int64_guard(bareiss_calls):
 @settings(max_examples=40, deadline=None)
 def test_prescreen_returns_a_block_nonsingular_mod_p(case):
     m, cols = case
-    ints = [integerize(row) for row in m]
+    ints = [integerize(row)[0] for row in m]
     r, prows, pcols = linalg._rank_mod_int(ints, P)
     assert r == len(prows) == len(pcols)
     assert r == DomainMatrix([[ZZ(x) for x in row] for row in ints], (len(ints), cols), ZZ).convert_to(GF(P)).rank()
@@ -464,6 +472,8 @@ def test_echelon_mod_p_extends_to_the_pivots_of_the_stack(rows, more, cols, inne
     assert whole[0] == extended[0] == tuple(want)
     for pivots, echelon in (whole, extended):
         assert len(echelon) == len(pivots)
+        # each row is scaled to 1 at its pivot, a key of the line it spans mod p
+        assert all(row[col] == 1 for row, col in zip(echelon, pivots))
         # each row starts at its pivot, and the rows span the stack mod p
         assert [next(j for j, x in enumerate(row) if x % P) for row in echelon] == list(pivots)
         stacked = DomainMatrix([[ZZ(x) for x in row] for row in m + echelon], (len(m) + len(echelon), cols), ZZ)
@@ -522,6 +532,13 @@ def test_the_numpy_kernel_matches_plain_python_with_a_prime_near_2_30(rows, cols
             rest.append((pivots, order, reduced))
     assert found[0] == found[1]
     assert rest[0] == rest[1]  # the same swaps, and the last rows reduced alike
+    # both kernels leave the same pivot rows mod Q, each scaled to 1 at its pivot
+    a = [[x % Q for x in row] for row in m]
+    b = np.array(a, dtype=np.int64)
+    pivots = linalg._pivots_mod_python(a, list(range(rows)), Q, rows - 4)
+    assert linalg._pivots_mod_numpy(b, list(range(rows)), Q, rows - 4) == pivots
+    assert b[: len(pivots)].tolist() == a[: len(pivots)]
+    assert all(row[col] == 1 for row, col in zip(a, pivots))
     want = DomainMatrix([[ZZ(x) for x in row] for row in m], (rows, cols), ZZ).convert_to(GF(Q)).rank()
     assert found[0][0] == want > linalg._reduction_period(Q)  # the block is reduced on the way
 
