@@ -1,26 +1,29 @@
 """Exact projective geometry over the rationals.
 
 Points, linear subspaces, projectivities, and a deterministic sampler for
-"generic" rational data.  Every value is exact: coordinates, bases and
-matrices are ``fractions.Fraction``, and the integer generators of a subspace
-are Python ints.  No floating point enters any predicate.
+"generic" rational data.  Every value is exact and no floating point enters
+any predicate.  Subspaces are integer rows inside; point coordinates and
+projectivity matrices are ``fractions.Fraction``, and so are the subspace
+values read at the edges: ``basis``, ``equations()`` and sampled points.
 
 Conventions
 -----------
 * ``P^n`` has homogeneous coordinates ``x_0 .. x_n``; points act as column
   vectors, so a projectivity with matrix ``M`` sends ``x`` to ``M x``.
-* A ``LinearSubspace`` is ``dim+1`` integer rows first (``generators``):
-  the draw's rank test, the pairwise genericity test and the Hilbert
-  condition matrices read only them and their one cached echelon mod p
-  (``modular_echelon``).  Its reduced-row-echelon basis over Q makes
-  equality, hashing and serialization canonical.  A sampled subspace keeps
-  the bounded integer rows it was drawn from and builds its basis on first
-  use; any other is given a basis and gets the primitive integer multiples
-  of its rows.  The empty subspace has dimension -1.
+* A ``LinearSubspace`` is ``dim+1`` integer rows (``generators``): the
+  draw's rank test, the pairwise genericity test and the Hilbert condition
+  matrices read only them and their one cached echelon mod p
+  (``modular_echelon``).  Its one canonical form is ``echelon``, the
+  reduced row echelon form over Z, each row primitive with a positive
+  pivot; equality and hashing read it, and ``basis``, the RREF over Q that
+  ``repr`` and serialization show, is it divided by the pivots.  A sampled
+  subspace keeps the bounded rows it was drawn from and builds its echelon
+  on first use; any other is generated by its echelon rows.  The empty
+  subspace has dimension -1.
 * A subspace has one set of linear forms, ``equations()``: for each
-  non-pivot column f of the echelon basis, the form with 1 at f and
-  ``-basis[i][f]`` at the i-th pivot column.  Meets, projection and the
-  restriction of a curve all read these forms.
+  non-pivot column f of the echelon, the form with 1 at f and
+  ``-row[f] / row[pivot]`` at the pivot column of each echelon row.  Meets,
+  projection and the restriction of a curve all read these forms.
 * ``project_from`` projects away from a center by the matrix of its
   equations.  The target coordinates are the pivot-complement coordinates,
   in increasing order, each with the center component subtracted.
@@ -30,9 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -141,50 +145,30 @@ def standard_point(n: int, i: int) -> ProjPoint:
     return ProjPoint(n, tuple(Fraction(int(j == i)) for j in range(n + 1)))
 
 
-class _BasisOnFirstUse:
-    """The ``basis`` field of :class:`LinearSubspace`, built on first read.
-
-    A data descriptor as the field's default: read on the class it gives
-    None, the default, so ``LinearSubspace(n, basis)`` stores the basis in
-    the instance dict and ``LinearSubspace(n, None, generators)`` stores
-    nothing.  The first read of a missing basis stores the RREF of the
-    generators.  The generated ``__eq__``, ``__hash__`` and ``__repr__``
-    read the field like any other, so they build it too.
-    """
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return None
-        if "basis" not in obj.__dict__:
-            obj.__dict__["basis"] = tuple(linalg.rref(obj.generators, obj.n + 1)[0])
-        return obj.__dict__["basis"]
-
-    def __set__(self, obj, value):
-        if value is not None:
-            obj.__dict__["basis"] = value
-
-
 @dataclass(frozen=True)
 class LinearSubspace:
-    """Linear subspace of P^n: ``dim+1`` integer rows and an echelonized basis.
+    """Linear subspace of P^n spanned by ``dim+1`` independent integer rows.
 
-    ``generators`` are ``dim+1`` integer rows spanning the space; they take
-    no part in equality, hashing or serialization, which read the RREF
-    ``basis``.  When not given they are the primitive integer multiples of
-    the basis rows.  When only the generators are given, the basis is built
-    from them on first read.  ``equations()`` reads the forms off the basis
-    on each call, with no elimination.
+    ``generators`` are the rows as given: the draw of a sampled subspace,
+    the ``echelon`` rows of any other.  ``echelon`` is their reduced row
+    echelon form over Z, each row primitive with a positive pivot, built on
+    first read; it is the canonical form that equality and hashing read.
+    ``basis`` is the echelon with each row divided by its pivot, the RREF
+    over Q that ``repr`` and serialization show.
     """
 
     n: int
-    basis: tuple[tuple[Fraction, ...], ...] = _BasisOnFirstUse()
-    generators: tuple[tuple[int, ...], ...] = field(default=None, compare=False)
+    generators: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.generators is None:
-            object.__setattr__(
-                self, "generators", tuple(tuple(linalg.primitive(linalg.integerize(r)[0])) for r in self.basis)
-            )
+    @cached_property
+    def echelon(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``linalg.reduced_echelon`` of the generators: rows and pivot columns."""
+        rows, pivots = linalg.reduced_echelon(self.generators, self.n + 1)
+        return tuple(rows), tuple(pivots)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(*self.echelon))
 
     @cached_property
     def modular_echelon(self) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -194,14 +178,25 @@ class LinearSubspace:
         columns is nonzero mod p, so nonzero over Z."""
         return linalg.echelon_mod_p(self.generators)
 
+    def __eq__(self, other):
+        return isinstance(other, LinearSubspace) and self.n == other.n and self.echelon[0] == other.echelon[0]
+
+    def __hash__(self):
+        return hash((self.n, self.echelon[0]))
+
+    def __repr__(self):
+        return f"LinearSubspace(n={self.n!r}, basis={self.basis!r}, generators={self.generators!r})"
+
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Sequence]) -> "LinearSubspace":
-        clean = [tuple(Fraction(x) for x in r) for r in rows]
-        for r in clean:
-            if len(r) != n + 1:
-                raise ValueError("row length must be n+1")
-        red, _ = linalg.rref(clean, n + 1)
-        return cls(n, tuple(red))
+        """The span of rows of ints and Fractions, generated by its echelon."""
+        rows = list(rows)
+        if any(len(r) != n + 1 for r in rows):
+            raise ValueError("row length must be n+1")
+        red, pivots = linalg.reduced_echelon(rows, n + 1)
+        s = cls(n, tuple(red))
+        s.__dict__["echelon"] = s.generators, tuple(pivots)
+        return s
 
     @classmethod
     def empty(cls, n: int) -> "LinearSubspace":
@@ -212,32 +207,30 @@ class LinearSubspace:
         return len(self.generators) - 1
 
     def pivot_columns(self) -> tuple[int, ...]:
-        piv = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x:
-                    piv.append(j)
-                    break
-        return tuple(piv)
+        return self.echelon[1]
 
-    def equations(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Linear forms cutting out the subspace, read off the echelon basis:
-        for each non-pivot column f, 1 at f and ``-basis[i][f]`` at the i-th
-        pivot column."""
-        rows = dict(zip(self.pivot_columns(), self.basis))  # pivot column -> its basis row
-        return tuple(
-            tuple(-rows[j][f] if j in rows else Fraction(int(j == f)) for j in range(self.n + 1))
-            for f in range(self.n + 1)
-            if f not in rows
-        )
+    def equations(self) -> tuple[tuple, ...]:
+        """Linear forms cutting out the subspace, read off the echelon: for
+        each non-pivot column f, 1 at f and ``-row[f] / row[pivot]`` at the
+        pivot column of each echelon row; zero entries are the int 0."""
+        rows, pivots = self.echelon
+        forms = []
+        for f in sorted(set(range(self.n + 1)) - set(pivots)):
+            form = [int(j == f) for j in range(self.n + 1)]
+            for r, p in zip(rows, pivots):
+                form[p] = Fraction(-r[f], r[p]) if r[f] else 0
+            forms.append(tuple(form))
+        return tuple(forms)
 
     def points(self) -> list[ProjPoint]:
         return [ProjPoint(self.n, row) for row in self.basis]
 
 
-def _apply(matrix, v) -> tuple:
-    """The column vector ``matrix . v``."""
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in matrix)
+def _apply(matrix, v) -> tuple[Fraction, ...]:
+    """The column vector ``matrix . v``, each entry summed over Z and built
+    as one ``Fraction``."""
+    w, k = linalg.integerize(v)
+    return tuple(Fraction(sum(map(mul, r, w)), h * k) for r, h in map(linalg.integerize, matrix))
 
 
 def span(parts: Sequence) -> LinearSubspace:
@@ -248,7 +241,7 @@ def span(parts: Sequence) -> LinearSubspace:
         if isinstance(part, ProjPoint):
             m, rs = part.n, [part.coords]
         elif isinstance(part, LinearSubspace):
-            m, rs = part.n, list(part.basis)
+            m, rs = part.n, part.generators
         else:
             raise TypeError(f"cannot span {type(part)!r}")
         if n is None:
@@ -284,7 +277,7 @@ class Projectivity:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        m = tuple(tuple(Fraction(x) for x in r) for r in self.matrix)
+        m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in self.matrix)
         n = len(m)
         if any(len(r) != n for r in m):
             raise ValueError("matrix must be square")
@@ -344,7 +337,7 @@ def project_from(center: LinearSubspace, obj):
         if not any(image):
             raise InCenter("point lies in the projection center")
         return ProjPoint(target, image)
-    rows = [row for row in (_apply(matrix, b) for b in obj.basis) if any(row)]
+    rows = [row for row in (_apply(matrix, g) for g in obj.generators) if any(row)]
     if not rows:
         raise InCenter("subspace lies in the projection center")
     return LinearSubspace.from_rows(target, rows)
@@ -390,7 +383,7 @@ def sample_point(n: int, rng: Rng) -> ProjPoint:
 def sample_generic_subspace(n: int, k: int, rng: Rng) -> LinearSubspace:
     """Random k-dimensional subspace of P^n; resamples on rank drop.
 
-    The draw keeps its k+1 integer rows as generators, and its basis is
+    The draw keeps its k+1 integer rows as generators, and its echelon is
     built on first read.  The rows have rank k+1 when their echelon mod p
     has k+1 rows; when it is shorter, the exact ``linalg.rank`` decides.
     """
@@ -399,7 +392,7 @@ def sample_generic_subspace(n: int, k: int, rng: Rng) -> LinearSubspace:
     if k == -1:
         return LinearSubspace.empty(n)
     for _ in range(RESAMPLE_BUDGET):
-        s = LinearSubspace(n, None, tuple(rng.vector(n + 1) for _ in range(k + 1)))
+        s = LinearSubspace(n, tuple(rng.vector(n + 1) for _ in range(k + 1)))
         if len(s.modular_echelon[0]) == k + 1 or linalg.rank(s.generators, n + 1) == k + 1:
             return s
     raise GenericityExhausted(f"could not sample a {k}-space in P^{n}")
@@ -412,9 +405,7 @@ def sample_point_on(s: LinearSubspace, rng: Rng) -> ProjPoint:
     coeffs = rng.vector(s.dim + 1)
     while not any(coeffs):
         coeffs = rng.vector(s.dim + 1)
-    # the basis rows are independent, so nonzero coefficients give a nonzero v
-    v = [Fraction(0)] * (s.n + 1)
-    for c, row in zip(coeffs, s.basis):
-        if c:
-            v = [a + c * b for a, b in zip(v, row)]
-    return ProjPoint(s.n, tuple(v))
+    # the basis rows are independent, so nonzero coefficients give a nonzero
+    # point: the transposed echelon applied to the coefficients over the pivots
+    rows, pivots = s.echelon
+    return ProjPoint(s.n, _apply(zip(*rows), [Fraction(c, r[p]) for c, r, p in zip(coeffs, rows, pivots)]))

@@ -6,8 +6,10 @@ row by its content; they are the package's one rational-to-integer scaling.
 One fraction-free loop, :func:`_echelon`, serves every kernel: it keeps each
 row primitive and clears the entry ``f`` under the pivot ``p`` with
 ``(p/g) r - (f/g) pivot``, ``g = gcd(p, f)`` (the primitive-remainder idea of
-Collins, J. ACM 14, 1967, applied to rows).  ``Fraction`` arithmetic
-appears only where :func:`rref` divides each finished row by its pivot.
+Collins, J. ACM 14, 1967, applied to rows).  :func:`reduced_echelon` adds
+the back-substitution: its rows, primitive with positive pivots, are the
+canonical form of a subspace.  ``Fraction`` appears only where :func:`rref`
+divides them by their pivots, for :func:`solve_right` and :func:`invert`.
 
 :func:`rank` is the single rank entry point, and every rank it returns is
 exact.  It takes the first of these steps that settles the rank, each of
@@ -478,12 +480,12 @@ def rank(rows, ncols):
     return gained + _rank_bareiss(core, core_cols)
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form over Fraction.
+def reduced_echelon(rows, ncols):
+    """Reduced row echelon form over Z of a matrix of ints and Fractions.
 
-    Returns ``(rref_rows, pivot_cols)`` with zero rows dropped and every
-    pivot normalized to 1.  The elimination and the back-substitution run
-    on primitive integer rows; only the last step divides by the pivots.
+    Returns ``(rows, pivot_cols)``: the nonzero rows as tuples of ints, each
+    primitive with a positive pivot and zero on the other pivot columns,
+    so the primitive integer multiples of the rows of :func:`rref`.
     """
     red, pivots = _echelon([integerize(row)[0] for row in rows], ncols)
     for i in range(len(red) - 1, 0, -1):
@@ -491,8 +493,14 @@ def rref(rows, ncols):
         for k in range(i):
             if red[k][col]:
                 red[k] = _eliminate(red[k], red[i], col)
-    out = [tuple(Fraction(x, r[col]) for x in r) for r, col in zip(red, pivots)]
-    return out, pivots
+    return [tuple(r) if r[col] > 0 else tuple(-x for x in r) for r, col in zip(red, pivots)], pivots
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Fraction: :func:`reduced_echelon` with
+    each row divided by its pivot.  Returns ``(rref_rows, pivot_cols)``."""
+    red, pivots = reduced_echelon(rows, ncols)
+    return [tuple(Fraction(x, r[col]) for x in r) for r, col in zip(red, pivots)], pivots
 
 
 def solve_right(matrix, rhs, ncols):

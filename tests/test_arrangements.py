@@ -175,7 +175,7 @@ def exact_pairwise_generic(spaces, n):
 
 def drawn(n, *rows):
     """The subspace spanned by ``rows`` as a draw makes it: generators only."""
-    return LinearSubspace(n, None, rows)
+    return LinearSubspace(n, rows)
 
 
 # Pairs whose stacked generators lose rank mod p, with the exact verdict.
@@ -407,7 +407,7 @@ def test_vanishing_conditions_keep_their_row_space_across_generators(n, k, mult,
     for seed in range(3):
         comp = sample_generic_subspace(n, k, Rng(seed))
         raw = vanishing_conditions(comp, mult, d)
-        canonical = vanishing_conditions(LinearSubspace(n, comp.basis), mult, d)
+        canonical = vanishing_conditions(LinearSubspace.from_rows(n, comp.basis), mult, d)
         assert all(type(x) is int for row in raw + canonical for x in row)
         expected = expected_conditions(n, k, mult, d)
         assert rank(raw, ncols) == rank(canonical, ncols) == rank(raw + canonical, ncols) == expected

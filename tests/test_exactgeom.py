@@ -111,10 +111,12 @@ def test_subspace_equations_cut_out_the_space():
 def test_equations_are_read_off_the_basis_and_stay_out_of_equality():
     rng = Rng(32)
     sub = sample_generic_subspace(4, 1, rng)
-    twin = LinearSubspace(sub.n, sub.basis, sub.generators)
+    twin = LinearSubspace(sub.n, sub.generators)
+    canonical = LinearSubspace.from_rows(sub.n, sub.basis)
     assert contains(sub, sub.points()[0]) and not contains(sub, sample_point(4, rng))
-    assert sub.equations() == twin.equations()
+    assert sub.equations() == twin.equations() == canonical.equations()
     assert sub == twin and hash(sub) == hash(twin) and repr(sub) == repr(twin)
+    assert sub == canonical and hash(sub) == hash(canonical) and canonical.generators == sub.echelon[0]
 
 
 def test_span_and_meet_frozen():
@@ -162,14 +164,55 @@ def test_generators_are_integer_rows_spanning_the_space(seed, n, k):
     _assert_integer_generators(meet(a, sample_generic_subspace(n, n - 1, rng)))
     _assert_integer_generators(meet(a, b))
     # generators take no part in equality or hashing
-    plain = LinearSubspace(a.n, a.basis)
+    plain = LinearSubspace.from_rows(a.n, a.basis)
     assert plain == a and hash(plain) == hash(a)
 
 
 def test_generators_of_a_basis_are_primitive_frozen():
-    s = LinearSubspace(3, ((F(1), F(0), F(2, 3), F(-1, 2)), (F(0), F(1), F(4), F(0))))
+    s = LinearSubspace.from_rows(3, ((F(1), F(0), F(2, 3), F(-1, 2)), (F(0), F(1), F(4), F(0))))
     assert s.generators == ((6, 0, 4, -3), (0, 1, 4, 0))
     assert LinearSubspace.empty(3).generators == ()
+
+
+def _check_row_operations(cls, seed):
+    """``cls(n, U G)`` against ``cls(n, G)`` for a drawn ``G``: equal, with
+    the same hash and basis, for ``U = -I`` and for a random invertible
+    integer ``U`` with some rows negated."""
+    rnd = Rng(seed)
+    n = rnd.integer(1, 5)
+    k = rnd.integer(0, n - 1)
+    g = sample_generic_subspace(n, k, rnd).generators
+    u = [[rnd.integer(-3, 3) for _ in range(k + 1)] for _ in range(k + 1)]
+    while not sympy.Matrix(u).det():
+        u = [[rnd.integer(-3, 3) for _ in range(k + 1)] for _ in range(k + 1)]
+    u = [[-x for x in row] if rnd.integer(0, 1) else row for row in u]
+    base = cls(n, g)
+    for m in ([[-int(i == j) for j in range(k + 1)] for i in range(k + 1)], u):
+        mixed = cls(n, tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*g)) for row in m))
+        assert mixed == base and hash(mixed) == hash(base) and mixed.basis == base.basis
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_equality_is_invariant_under_invertible_row_operations(seed):
+    _check_row_operations(LinearSubspace, seed)
+
+
+class _RawGenerators(LinearSubspace):
+    """Planted twin: equality and hashing on the raw generators."""
+
+    def __eq__(self, other):
+        return self.n == other.n and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.n, self.generators))
+
+
+def test_the_row_operation_check_catches_equality_on_raw_generators():
+    for seed in range(5):
+        _check_row_operations(LinearSubspace, seed)
+        with pytest.raises(AssertionError):
+            _check_row_operations(_RawGenerators, seed)
 
 
 def test_subspace_residual_through_contains_and_projection():
@@ -429,12 +472,13 @@ def test_sampling_is_deterministic_given_seed():
 
 def test_a_drawn_subspace_builds_its_basis_on_first_read():
     s = sample_generic_subspace(5, 2, Rng(1003))
-    assert "basis" not in vars(s) and s.dim == 2
+    assert "echelon" not in vars(s) and "basis" not in vars(s) and s.dim == 2
     assert len(s.modular_echelon[0]) == 3
     canonical = LinearSubspace.from_rows(5, s.generators)
-    assert s == canonical and hash(s) == hash(canonical)  # equality reads, and so builds, the basis
-    assert vars(s)["basis"] == canonical.basis
-    assert repr(s) == repr(LinearSubspace(5, canonical.basis, s.generators))
+    assert s == canonical and hash(s) == hash(canonical)  # equality reads, and so builds, the echelon
+    assert vars(s)["echelon"] == canonical.echelon and "basis" not in vars(s)
+    assert s.basis == canonical.basis and vars(s)["basis"] == canonical.basis
+    assert repr(s) == f"LinearSubspace(n=5, basis={canonical.basis!r}, generators={s.generators!r})"
     assert repr(s).startswith("LinearSubspace(n=5, basis=((Fraction(1, 1), Fraction(0, 1), ")
 
 
@@ -471,7 +515,7 @@ def test_draws_with_a_short_echelon_mod_p_are_decided_by_the_exact_rank(monkeypa
     s = sample_generic_subspace(3, 1, PlantedRng(draws))
     assert s.generators == tuple(draws[2 * accepted : 2 * accepted + 2])
     assert found == ranks
-    assert sympy.Matrix(s.generators).rank() == 2 and "basis" not in vars(s)
+    assert sympy.Matrix(s.generators).rank() == 2 and "echelon" not in vars(s) and "basis" not in vars(s)
 
 
 def test_a_draw_that_stays_dependent_exhausts_the_budget():

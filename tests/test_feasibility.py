@@ -401,11 +401,13 @@ def test_bezout_work_over_the_atlas_is_pinned(n, samples, candidates):
 
 def _sampled_bases(monkeypatch, draw=sample_generic_subspace):
     """atlas(4) at seed 0 with ``draw`` as the subspace sampler: the number
-    of linalg.rref calls, of sampled components that hold a built basis,
-    and of sampled components."""
-    rrefs, configs = [], []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda rows, ncols: rrefs.append(ncols) or rref(rows, ncols))
+    of linalg.reduced_echelon calls, of sampled components that hold a
+    built exact echelon, and of sampled components."""
+    echelons, configs = [], []
+    reduced_echelon = linalg.reduced_echelon
+    monkeypatch.setattr(
+        linalg, "reduced_echelon", lambda rows, ncols: echelons.append(ncols) or reduced_echelon(rows, ncols)
+    )
     monkeypatch.setattr(arrangements, "sample_generic_subspace", draw)
 
     def recording(weights, rng):
@@ -415,14 +417,14 @@ def _sampled_bases(monkeypatch, draw=sample_generic_subspace):
     monkeypatch.setattr(feasibility, "sample_configuration", recording)
     atlas(4, DEFAULTS)
     spaces = [s for cfg in configs for s, _ in cfg.components]
-    return len(rrefs), sum("basis" in vars(s) for s in spaces), len(spaces)
+    return len(echelons), sum("echelon" in vars(s) for s in spaces), len(spaces)
 
 
 def test_atlas_builds_no_sampled_basis(monkeypatch):
     # the draws, the pairwise test and the condition rows read only the
     # generators and their echelon mod p
-    rrefs, built, spaces = _sampled_bases(monkeypatch)
-    assert (rrefs, built) == (0, 0) and spaces > 0
+    echelons, built, spaces = _sampled_bases(monkeypatch)
+    assert (echelons, built) == (0, 0) and spaces > 0
 
 
 def test_sampled_basis_guard_catches_a_basis_read(monkeypatch):
@@ -431,8 +433,8 @@ def test_sampled_basis_guard_catches_a_basis_read(monkeypatch):
         assert len(s.basis) == k + 1
         return s
 
-    rrefs, built, spaces = _sampled_bases(monkeypatch, reading)
-    assert rrefs >= built == spaces > 0
+    echelons, built, spaces = _sampled_bases(monkeypatch, reading)
+    assert echelons >= built == spaces > 0
 
 
 # Vectors whose classify ranked sample 0's full Bézout matrix twice while the

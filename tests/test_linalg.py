@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from rncurves.linalg import (
     integerize,
     invert,
     rank,
+    reduced_echelon,
     rref,
     solve_right,
 )
@@ -195,6 +196,25 @@ def test_rref_matches_sympy(case):
     assert pivots == list(want_pivots)
     assert red == [from_sympy(want.row(i)) for i in range(len(want_pivots))]
     assert all(type(x) is F for r in red for x in r)
+
+
+@given(matrices())
+@example(([], 3))  # no rows
+@example(([[0, 0, 0], [0, 0, 0]], 3))  # zero rows only
+@example(([[-2, 4, 6], [0, -3, F(9, 2)]], 3))  # negative pivots, a row to make primitive
+@example(([[big(_rnd), big(_rnd)] for _ in range(7)], 2))  # tall
+@settings(max_examples=80, deadline=None)
+def test_reduced_echelon_matches_sympy(case):
+    m, cols = case
+    rows, pivots = reduced_echelon(m, cols)
+    want, want_pivots = to_sympy(m, cols).rref()
+    assert pivots == list(want_pivots)
+    for i, (r, p) in enumerate(zip(rows, pivots)):
+        assert type(r) is tuple and len(r) == cols and all(type(x) is int for x in r)
+        assert r[p] > 0 and gcd(*r) == 1
+        assert all(r[q] == 0 for q in pivots if q != p)
+        assert tuple(F(x, r[p]) for x in r) == from_sympy(want.row(i))
+    assert rref(m, cols) == ([tuple(F(x, r[p]) for x in r) for r, p in zip(rows, pivots)], pivots)
 
 
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32))
