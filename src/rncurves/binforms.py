@@ -224,7 +224,7 @@ def distinct_parameters(points: Sequence[ParamPoint]) -> None:
     """Raise DuplicateParameters unless all parameter points differ."""
     seen = set()
     for p in points:
-        key = p.normalized()
+        key = p.key
         if key in seen:
             raise DuplicateParameters(f"parameter {key} repeats")
         seen.add(key)

@@ -2,14 +2,17 @@
 
 Points, linear subspaces, projectivities, and a deterministic sampler for
 "generic" rational data.  Every value is exact and no floating point enters
-any predicate.  Subspaces are integer rows inside; point coordinates and
-projectivity matrices are ``fractions.Fraction``, and so are the subspace
-values read at the edges: ``basis``, ``equations()`` and sampled points.
+any predicate.  Each object holds one integer form; ``fractions.Fraction``
+is a view at the edges, a projectivity's ``matrix`` and a subspace's
+``basis`` and ``equations()``, and the type of a point's coordinates.
 
 Conventions
 -----------
 * ``P^n`` has homogeneous coordinates ``x_0 .. x_n``; points act as column
   vectors, so a projectivity with matrix ``M`` sends ``x`` to ``M x``.
+* A ``ProjPoint`` keeps the coordinates it was given, whose scale the
+  builders read; its canonical form ``key`` is its one echelon row.  A
+  ``Projectivity`` is integer ``rows`` over one ``den``.
 * A ``LinearSubspace`` is ``dim+1`` integer rows (``generators``): the
   draw's rank test, the pairwise genericity test and the Hilbert condition
   matrices read only them and their one cached echelon mod p
@@ -20,10 +23,11 @@ Conventions
   subspace keeps the bounded rows it was drawn from and builds its echelon
   on first use; any other is generated by its echelon rows.  The empty
   subspace has dimension -1.
-* A subspace has one set of linear forms, ``equations()``: for each
-  non-pivot column f of the echelon, the form with 1 at f and
-  ``-row[f] / row[pivot]`` at the pivot column of each echelon row.  Meets,
-  projection and the restriction of a curve all read these forms.
+* A subspace has one set of linear forms, ``integer_equations``: for each
+  non-pivot column f of the echelon, 1 at f and ``-row[f] / row[pivot]`` at
+  the pivot column of each echelon row, as ints on the lcm of the pivots.
+  Meets, projection and the restriction of a curve read them, and
+  ``equations()`` is their Fraction view.
 * ``project_from`` projects away from a center by the matrix of its
   equations.  The target coordinates are the pivot-complement coordinates,
   in increasing order, each with the center component subtracted.
@@ -36,6 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -89,9 +94,9 @@ class Rng:
     """Deterministic source of bounded integer scalars.
 
     A thin wrapper around :class:`random.Random` that emits Python ints of
-    absolute value at most ``DEFAULT_HEIGHT`` (so all downstream arithmetic
-    stays in small integers); callers that need ``Fraction`` convert at their
-    edge, as ``ProjPoint`` and ``Projectivity`` do.
+    absolute value at most ``DEFAULT_HEIGHT``, so all downstream arithmetic
+    stays in small integers; only a ``ProjPoint``'s coordinates convert them
+    to ``Fraction``.
     """
 
     def __init__(self, seed: int):
@@ -111,7 +116,8 @@ class Rng:
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Point of P^n; equality compares the normalized coordinate vector."""
+    """Point of P^n; equality and hashing read ``key``, the one echelon
+    row of its coordinates: primitive over Z with a positive leading entry."""
 
     n: int
     coords: tuple[Fraction, ...]
@@ -124,25 +130,22 @@ class ProjPoint:
             raise ValueError("the zero vector is not a projective point")
         object.__setattr__(self, "coords", coords)
 
-    def normalized(self) -> tuple[Fraction, ...]:
-        for c in self.coords:
-            if c:
-                inv = 1 / c
-                return tuple(x * inv for x in self.coords)
-        raise AssertionError("unreachable: zero point")
+    @cached_property
+    def key(self) -> tuple[int, ...]:
+        return linalg.reduced_echelon([self.coords], self.n + 1)[0][0]
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.n == other.n and self.normalized() == other.normalized()
+        return self.n == other.n and self.key == other.key
 
     def __hash__(self):
-        return hash((self.n, self.normalized()))
+        return hash((self.n, self.key))
 
 
 def standard_point(n: int, i: int) -> ProjPoint:
     """The coordinate point e_i of P^n."""
-    return ProjPoint(n, tuple(Fraction(int(j == i)) for j in range(n + 1)))
+    return ProjPoint(n, tuple(int(j == i) for j in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,8 @@ class LinearSubspace:
 
     @cached_property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(*self.echelon))
+        rows, den = linalg.over_pivots(*self.echelon)
+        return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
 
     @cached_property
     def modular_echelon(self) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -209,49 +213,51 @@ class LinearSubspace:
     def pivot_columns(self) -> tuple[int, ...]:
         return self.echelon[1]
 
-    def equations(self) -> tuple[tuple, ...]:
-        """Linear forms cutting out the subspace, read off the echelon: for
-        each non-pivot column f, 1 at f and ``-row[f] / row[pivot]`` at the
-        pivot column of each echelon row; zero entries are the int 0."""
-        rows, pivots = self.echelon
+    @cached_property
+    def integer_equations(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(forms, den)``: the linear forms cutting out the subspace, read
+        off the echelon divided by its pivots (``linalg.over_pivots``), as
+        ints on its ``den``: for each non-pivot column f, ``den`` at f and
+        ``-row[f]`` at the pivot column of each divided row."""
+        (rows, den), pivots = linalg.over_pivots(*self.echelon), self.echelon[1]
         forms = []
         for f in sorted(set(range(self.n + 1)) - set(pivots)):
-            form = [int(j == f) for j in range(self.n + 1)]
+            form = [den * (j == f) for j in range(self.n + 1)]
             for r, p in zip(rows, pivots):
-                form[p] = Fraction(-r[f], r[p]) if r[f] else 0
+                form[p] = -r[f]
             forms.append(tuple(form))
-        return tuple(forms)
+        return tuple(forms), den
+
+    def equations(self) -> tuple[tuple, ...]:
+        """``integer_equations`` over its denominator: for each non-pivot
+        column f, 1 at f and ``-row[f] / row[pivot]`` at the pivot column of
+        each echelon row; zero entries are the int 0."""
+        forms, den = self.integer_equations
+        return tuple(tuple(Fraction(x, den) if x else 0 for x in form) for form in forms)
 
     def points(self) -> list[ProjPoint]:
         return [ProjPoint(self.n, row) for row in self.basis]
 
 
-def _apply(matrix, v) -> tuple[Fraction, ...]:
-    """The column vector ``matrix . v``, each entry summed over Z and built
-    as one ``Fraction``."""
-    w, k = linalg.integerize(v)
-    return tuple(Fraction(sum(map(mul, r, w)), h * k) for r, h in map(linalg.integerize, matrix))
+def _apply(form, v) -> tuple[Fraction, ...]:
+    """The column vector ``rows . v / den`` for the integer form
+    ``(rows, den)``, each entry summed over Z and built as one ``Fraction``."""
+    (w, k), (rows, den) = linalg.integerize(v), form
+    return tuple(Fraction(sum(map(mul, r, w)), den * k) for r in rows)
 
 
 def span(parts: Sequence) -> LinearSubspace:
     """Projective span of points and/or subspaces (must share an ambient)."""
-    rows = []
-    n = None
+    parts = list(parts)
     for part in parts:
-        if isinstance(part, ProjPoint):
-            m, rs = part.n, [part.coords]
-        elif isinstance(part, LinearSubspace):
-            m, rs = part.n, part.generators
-        else:
+        if not isinstance(part, (ProjPoint, LinearSubspace)):
             raise TypeError(f"cannot span {type(part)!r}")
-        if n is None:
-            n = m
-        elif n != m:
-            raise ValueError("mixed ambient dimensions")
-        rows.extend(rs)
-    if n is None:
+    if not parts:
         raise ValueError("empty span request")
-    return LinearSubspace.from_rows(n, rows)
+    if any(part.n != parts[0].n for part in parts):
+        raise ValueError("mixed ambient dimensions")
+    rows = [r for part in parts for r in ([part.key] if isinstance(part, ProjPoint) else part.generators)]
+    return LinearSubspace.from_rows(parts[0].n, rows)
 
 
 def meet(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
@@ -259,43 +265,54 @@ def meet(a: LinearSubspace, b: LinearSubspace) -> LinearSubspace:
     cut out by the span of both sets of equations."""
     if a.n != b.n:
         raise ValueError("mixed ambient dimensions")
-    eqs = a.equations() + b.equations()
+    eqs = a.integer_equations[0] + b.integer_equations[0]
     if not eqs:
         return a
-    return LinearSubspace.from_rows(a.n, LinearSubspace.from_rows(a.n, eqs).equations())
+    return LinearSubspace.from_rows(a.n, LinearSubspace.from_rows(a.n, eqs).integer_equations[0])
 
 
 @dataclass(frozen=True)
 class Projectivity:
-    """Invertible (n+1)x(n+1) matrix acting on column coordinate vectors.
+    """Invertible (n+1)x(n+1) matrix ``rows / den`` acting on column vectors.
 
-    The constructor rejects a singular matrix with ``ValueError``; the test
-    is the exact ``linalg.rank``.  Every projectivity, ``inverse()`` included,
-    is built through it.
+    ``Projectivity(matrix)`` takes rows of ints and Fractions; a builder with
+    integer rows passes their positive ``den`` too.  They are kept in lowest
+    terms, ints over the least ``den``, and ``matrix`` is the Fraction view.
+    The constructor rejects an empty or singular matrix with ``ValueError``
+    by the exact ``linalg.rank``; every projectivity is built through it.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        m = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in self.matrix)
-        n = len(m)
-        if any(len(r) != n for r in m):
-            raise ValueError("matrix must be square")
-        if linalg.rank(m, n) != n:
+        n = len(self.rows)
+        if not n or any(len(r) != n for r in self.rows):
+            raise ValueError("matrix must be square and nonempty")
+        ints, k = linalg.integerize([x for r in self.rows for x in r])
+        g = gcd(self.den * k, *ints)
+        rows = tuple(tuple(x // g for x in ints[i : i + n]) for i in range(0, n * n, n))
+        if linalg.rank(rows, n) != n:
             raise ValueError("matrix is singular")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", self.den * k // g)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.rows)
 
     @property
     def n(self) -> int:
-        return len(self.matrix) - 1
+        return len(self.rows) - 1
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         if p.n != self.n:
             raise ValueError("ambient mismatch")
-        return ProjPoint(self.n, _apply(self.matrix, p.coords))
+        return ProjPoint(self.n, _apply((self.rows, self.den), p.coords))
 
     def inverse(self) -> "Projectivity":
-        return Projectivity(linalg.invert(self.matrix, self.n + 1))
+        rows, den = linalg.invert(self.rows, self.n + 1)  # (rows / den)^-1 = den rows^-1
+        return Projectivity(tuple(tuple(self.den * x for x in r) for r in rows), den)
 
 
 def projectivity_from_frames(points: Sequence[ProjPoint]) -> Projectivity:
@@ -304,40 +321,41 @@ def projectivity_from_frames(points: Sequence[ProjPoint]) -> Projectivity:
     A frame is n+2 points of P^n with every (n+1)-subset independent.  The
     matrix columns are the first n+1 points, scaled so that they sum to the
     last one; it sends e_i to the i-th point and the all-ones point to the
-    last.
+    last.  Over Z, with points ``w_i / d_i``, column i is ``x_i w_i / (h
+    d_(n+1))`` for the solution ``x / h`` of ``sum_(i<=n) x_i w_i / h = w_(n+1)``.
     """
+    if not points:
+        raise FrameDegenerate("no points given")
     n = points[0].n
     if len(points) != n + 2:
         raise FrameDegenerate(f"need {n + 2} points, got {len(points)}")
     if any(p.n != n for p in points):
         raise ValueError("ambient mismatch")
-    base = [p.coords for p in points[: n + 1]]
-    lam = linalg.solve_right(
-        [tuple(base[i][row] for i in range(n + 1)) for row in range(n + 1)],
-        points[n + 1].coords,
-        n + 1,
-    )
-    if lam is None or not all(lam):
+    ints = [linalg.integerize(p.coords) for p in points]
+    base, (last, d_last) = [w for w, _ in ints[: n + 1]], ints[n + 1]
+    solution = linalg.solve_right(list(zip(*base)), last, n + 1)
+    if solution is None or not all(solution[0]):
         raise FrameDegenerate("frame points are in special position")
-    return Projectivity(tuple(tuple(lam[i] * base[i][row] for i in range(n + 1)) for row in range(n + 1)))
+    x, h = solution
+    return Projectivity(tuple(tuple(map(mul, x, row)) for row in zip(*base)), h * d_last)
 
 
 def project_from(center: LinearSubspace, obj):
     """Project a point or subspace away from ``center`` onto ``P^(n - dim center - 1)``
-    by the matrix of ``center.equations()``; a point or subspace inside the
+    by the matrix of ``center.integer_equations``; a point or subspace inside the
     center maps to zero and raises ``InCenter``."""
     if not isinstance(obj, (ProjPoint, LinearSubspace)):
         raise TypeError(f"cannot project {type(obj)!r}")
     if obj.n != center.n:
         raise ValueError("ambient mismatch")
-    matrix = center.equations()
-    target = len(matrix) - 1
+    matrix = center.integer_equations
+    target = len(matrix[0]) - 1
     if isinstance(obj, ProjPoint):
         image = _apply(matrix, obj.coords)
         if not any(image):
             raise InCenter("point lies in the projection center")
         return ProjPoint(target, image)
-    rows = [row for row in (_apply(matrix, g) for g in obj.generators) if any(row)]
+    rows = [row for row in ([sum(map(mul, r, g)) for r in matrix[0]] for g in obj.generators) if any(row)]
     if not rows:
         raise InCenter("subspace lies in the projection center")
     return LinearSubspace.from_rows(target, rows)
@@ -358,18 +376,19 @@ def adapted_alignment(spaces: Sequence[LinearSubspace]) -> Projectivity:
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise NotComplementary("mixed ambient dimensions")
-    rows = []
+    rows, pivots = [], []
     for s in spaces:
-        rows.extend(s.basis)
+        rows.extend(s.echelon[0])
+        pivots.extend(s.echelon[1])
     if len(rows) != n:
         raise NotComplementary(f"block dimensions sum to {len(rows)}, expected {n}")
     hyperplane = span(spaces)
     if hyperplane.dim != n - 1:
         raise NotComplementary("spaces are not mutually independent")
-    i = next(j for j, x in enumerate(hyperplane.equations()[0]) if x)
-    cols = [standard_point(n, i).coords] + rows
-    b = tuple(tuple(cols[j][i] for j in range(n + 1)) for i in range(n + 1))
-    return Projectivity(b)
+    i = next(j for j, x in enumerate(hyperplane.integer_equations[0][0]) if x)
+    # the columns e_i and the basis rows, on the lcm of the pivots
+    basis, den = linalg.over_pivots(rows, pivots)
+    return Projectivity(tuple(zip([den * (j == i) for j in range(n + 1)], *basis)), den)
 
 
 def sample_point(n: int, rng: Rng) -> ProjPoint:
@@ -406,6 +425,6 @@ def sample_point_on(s: LinearSubspace, rng: Rng) -> ProjPoint:
     while not any(coeffs):
         coeffs = rng.vector(s.dim + 1)
     # the basis rows are independent, so nonzero coefficients give a nonzero
-    # point: the transposed echelon applied to the coefficients over the pivots
-    rows, pivots = s.echelon
-    return ProjPoint(s.n, _apply(zip(*rows), [Fraction(c, r[p]) for c, r, p in zip(coeffs, rows, pivots)]))
+    # point: the transposed integer basis applied to the coefficients
+    rows, den = linalg.over_pivots(*s.echelon)
+    return ProjPoint(s.n, _apply((tuple(zip(*rows)), den), coeffs))

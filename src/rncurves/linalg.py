@@ -8,8 +8,10 @@ row primitive and clears the entry ``f`` under the pivot ``p`` with
 ``(p/g) r - (f/g) pivot``, ``g = gcd(p, f)`` (the primitive-remainder idea of
 Collins, J. ACM 14, 1967, applied to rows).  :func:`reduced_echelon` adds
 the back-substitution: its rows, primitive with positive pivots, are the
-canonical form of a subspace.  ``Fraction`` appears only where :func:`rref`
-divides them by their pivots, for :func:`solve_right` and :func:`invert`.
+canonical form of a subspace; :func:`over_pivots` divides its rows by their
+pivots as integers on one denominator, the lcm of the pivots, and
+:func:`solve_right` and :func:`invert` read their answers off that, so no
+``Fraction`` is built here.
 
 :func:`rank` is the single rank entry point, and every rank it returns is
 exact.  It takes the first of these steps that settles the rank, each of
@@ -61,7 +63,6 @@ that reaches none of them never loads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 # The one prime of rank(): its prescreen and its kernel certificate.  A "bad"
@@ -484,8 +485,8 @@ def reduced_echelon(rows, ncols):
     """Reduced row echelon form over Z of a matrix of ints and Fractions.
 
     Returns ``(rows, pivot_cols)``: the nonzero rows as tuples of ints, each
-    primitive with a positive pivot and zero on the other pivot columns,
-    so the primitive integer multiples of the rows of :func:`rref`.
+    primitive with a positive pivot and zero on the other pivot columns, so
+    the reduced row echelon form over Q times the pivots.
     """
     red, pivots = _echelon([integerize(row)[0] for row in rows], ncols)
     for i in range(len(red) - 1, 0, -1):
@@ -496,30 +497,33 @@ def reduced_echelon(rows, ncols):
     return [tuple(r) if r[col] > 0 else tuple(-x for x in r) for r, col in zip(red, pivots)], pivots
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form over Fraction: :func:`reduced_echelon` with
-    each row divided by its pivot.  Returns ``(rref_rows, pivot_cols)``."""
-    red, pivots = reduced_echelon(rows, ncols)
-    return [tuple(Fraction(x, r[col]) for x in r) for r, col in zip(red, pivots)], pivots
+def over_pivots(rows, pivots):
+    """``(ints, den)``: each echelon row divided by its positive entry at
+    its pivot column, as ints on ``den``, the lcm of those entries."""
+    den = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    return [tuple(x * (den // r[p]) for x in r) for r, p in zip(rows, pivots)], den
 
 
 def solve_right(matrix, rhs, ncols):
-    """One exact solution of ``A x = b``, or None if inconsistent."""
+    """One exact solution of ``A x = b`` as ``(ints, den)``, ``x = ints / den``
+    with 0 at every free column, or None if inconsistent."""
     aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    red, pivots = rref(aug, ncols + 1)
+    red, pivots = reduced_echelon(aug, ncols + 1)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in zip(red, pivots):
+    rows, den = over_pivots(red, pivots)
+    x = [0] * ncols
+    for r, pc in zip(rows, pivots):
         x[pc] = r[ncols]
-    return tuple(x)
+    return tuple(x), den
 
 
 def invert(matrix, n):
-    """Exact inverse of an ``n x n`` matrix, or None if singular."""
+    """Exact inverse of an ``n x n`` matrix as ``(rows, den)``, the inverse
+    being ``rows / den``, or None if singular."""
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
-    red, pivots = rref(aug, 2 * n)
+    red, pivots = reduced_echelon(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return tuple(tuple(r[n:]) for r in red)
-
+    rows, den = over_pivots(red, pivots)
+    return tuple(r[n:] for r in rows), den

@@ -102,13 +102,13 @@ def standard_rnc(n: int) -> RationalCurve:
     return RationalCurve(n, tuple(BinaryForm(n, tuple(int(j == i) for j in range(n + 1))) for i in range(n + 1)))
 
 
-def _restrict(rows: Sequence[Sequence[Fraction]], columns: tuple):
-    """Yield ``(coeffs, scale)`` per row: ``sum_j row[j] * forms[j]`` is the
-    integer ``coeffs`` divided by ``scale``, the forms' integer columns given."""
-    cols, den = columns
+def _restrict(form: tuple, columns: tuple):
+    """Yield ``(coeffs, scale)`` per row of the integer form ``(rows, k)``:
+    ``sum_j row[j] / k * forms[j]`` is the integer ``coeffs`` divided by
+    ``scale``, the forms' integer columns given."""
+    (rows, k), (cols, den) = form, columns
     for row in rows:
-        w, k = linalg.integerize(row)
-        yield [sum(map(mul, w, col)) for col in cols], den * k
+        yield [sum(map(mul, row, col)) for col in cols], den * k
 
 
 def _image_forms(image) -> tuple[BinaryForm, ...]:
@@ -120,7 +120,7 @@ def _image_forms(image) -> tuple[BinaryForm, ...]:
 def push_forward(columns: tuple, g: Projectivity) -> tuple[BinaryForm, ...]:
     """The coordinate forms of the curve with integer columns ``columns``
     moved by ``g``: the matrix rows multiplied into the columns over Z."""
-    return _image_forms(_restrict(g.matrix, columns))
+    return _image_forms(_restrict((g.rows, g.den), columns))
 
 
 def apply_projectivity(curve: ParamCurve, g: Projectivity) -> ParamCurve:
@@ -141,8 +141,8 @@ def intersection_degree(curve: ParamCurve, space: LinearSubspace) -> int:
     """
     if space.n != curve.ambient:
         raise ValueError("ambient mismatch")
-    eqs = space.equations()
-    if not eqs:
+    eqs = space.integer_equations
+    if not eqs[0]:
         raise ValueError("intersection with the whole space is not finite")
     restricted = [cs for cs, _ in _restrict(eqs, curve.integer_columns)]
     if not any(map(any, restricted)):
@@ -176,8 +176,10 @@ def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list
     Normalizes the first n+2 points to the standard frame, reads off the
     image c of the last point, and interpolates with ``_frame_curve`` on the
     linear forms ``t - b_j s`` where ``b_j = 1/c_j``, with ``[0 : 1]`` as the
-    last parameter, so every scale ``a_i`` is 1.  Returns the curve together
-    with the parameter values of the input points (in order).
+    last parameter, so every scale ``a_i`` is 1: over Z, ``rows (x / g) = w``
+    for ``h_inv = rows / den`` and the last point ``w / k``, so ``b_j = g k /
+    (x_j den)``.  Returns the curve together with the parameter values of
+    the input points (in order).
     """
     if not points:
         raise ValueError("no points given")
@@ -189,18 +191,16 @@ def rnc_through_points(points: Sequence[ProjPoint]) -> tuple[RationalCurve, list
     h_inv = projectivity_from_frames(points[: n + 2])
     if points[n + 2].n != n:
         raise ValueError("ambient mismatch")
-    c = linalg.solve_right(h_inv.matrix, points[n + 2].coords, n + 1)
-    if not all(c):
+    w, k = linalg.integerize(points[n + 2].coords)
+    x, g = linalg.solve_right(h_inv.rows, w, n + 1)
+    if not all(x):
         raise CoincidentParameters("last point lies on a coordinate hyperplane of the frame")
-    b = [1 / ci for ci in c]
-    if len(set(b)) != n + 1:
+    if len(set(x)) != n + 1:
         raise CoincidentParameters("two interpolation parameters collide")
-    linear = [(-bj, Fraction(1)) for bj in b]  # t - b_j s
-    curve = _frame_curve(h_inv, linear, ParamPoint(Fraction(0), Fraction(1)))
-    params = [ParamPoint(Fraction(1), bj) for bj in b]
-    params.append(ParamPoint(Fraction(0), Fraction(1)))
-    params.append(ParamPoint(Fraction(1), Fraction(0)))
-    return curve, params
+    linear = [((-g * k, xj * h_inv.den), xj * h_inv.den) for xj in x]  # t - b_j s
+    curve = _frame_curve(h_inv, linear, ParamPoint(0, 1))
+    params = [ParamPoint(1, Fraction(g * k, xj * h_inv.den)) for xj in x]
+    return curve, params + [ParamPoint(0, 1), ParamPoint(1, 0)]
 
 
 def rnc_with_assigned_preimages(params: Sequence[ParamPoint], points: Sequence[ProjPoint]) -> RationalCurve:
@@ -226,11 +226,9 @@ def rnc_with_assigned_preimages(params: Sequence[ParamPoint], points: Sequence[P
     distinct_parameters(params)
     if m == t + 2:
         return _rnc_assigned_full(params, points)
-    pad_seed = stable_mix(
-        "assigned-preimage-padding",
-        tuple(p.normalized() for p in params),
-        tuple(q.normalized() for q in points),
-    )
+    # a point's key over its leading entry: its coordinates scaled to a leading 1
+    scaled = [tuple(Fraction(x, next(filter(None, p.key))) for x in p.key) for p in params + points]
+    pad_seed = stable_mix("assigned-preimage-padding", tuple(scaled[:m]), tuple(scaled[m:]))
     rng = Rng(pad_seed)
     extra_params = [q for q in (ParamPoint(1, i) for i in range(t + 2)) if q not in params][: t + 2 - m]
     for _ in range(RESAMPLE_BUDGET):
@@ -247,21 +245,21 @@ def _rnc_assigned_full(params: Sequence[ParamPoint], points: Sequence[ProjPoint]
     ``_frame_curve`` on the linear forms ``L_j = v s - u t`` vanishing at
     ``params[j] = [u : v]``, with ``params[t+1]`` as the last parameter."""
     t = points[0].n
-    linear = [(v, -u) for u, v in (p.coords for p in params[: t + 1])]
+    linear = [((v, -u), k) for (u, v), k in (linalg.integerize(p.coords) for p in params[: t + 1])]
     return _frame_curve(projectivity_from_frames(points), linear, params[t + 1])
 
 
-def _frame_curve(h_inv: Projectivity, linear: Sequence[Sequence[Fraction]], last: ParamPoint) -> RationalCurve:
+def _frame_curve(h_inv: Projectivity, linear: Sequence[tuple], last: ParamPoint) -> RationalCurve:
     """The curve ``h_inv . psi`` with ``psi_i = a_i * prod_(j != i) L_j``.
 
-    ``L_j``, the linear form with coefficient row ``linear[j]``, vanishes at
-    the parameter sent to the j-th frame point, and ``a_i = L_i(last)`` makes
-    ``last`` go to the all-ones point, which ``h_inv`` sends to the last frame
-    point.  Over Z, with ``L~_j = m_j L_j`` integer, ``psi_i = a_i m_i (P /
+    ``L_j`` vanishes at the parameter sent to the j-th frame point, and
+    ``a_i = L_i(last)`` makes ``last`` go to the all-ones point, which
+    ``h_inv`` sends to the last frame point.  ``linear[j]`` is ``(L~_j,
+    m_j)``: the integer row ``L~_j = m_j L_j``.  Then ``psi_i = a_i m_i (P /
     L~_i) / prod m_j`` for the one product ``P = prod L~_j``; those rows
     are pushed forward by ``h_inv`` as they are, with no curve built of psi.
     """
-    ints, dens = zip(*map(linalg.integerize, linear))
+    ints, dens = zip(*linear)
     p = product_rows(ints)
     # a_i m_i = L~_i(last) = L~_i(u~, v~) / w, with last = [u~/w : v~/w]
     (u, v), w = linalg.integerize(last.coords)
@@ -278,7 +276,7 @@ def _frame_curve(h_inv: Projectivity, linear: Sequence[Sequence[Fraction]], last
 def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = False) -> ParamCurve:
     """Compose the parametrization with projection away from ``center``.
 
-    The image forms are the center's ``equations()`` restricted to the
+    The image forms are the center's ``integer_equations`` restricted to the
     curve, as in :func:`intersection_degree`.  Their common factor (the
     parameters mapping into the center) is their ``gcd_rows`` over Z, scaled
     to first nonzero coefficient 1, and each form is divided by it exactly,
@@ -290,7 +288,7 @@ def project_curve(curve: ParamCurve, center: LinearSubspace, strict: bool = Fals
         raise ValueError("ambient mismatch")
     if center.dim < 0:
         raise ValueError("projection center must be nonempty")
-    image = list(_restrict(center.equations(), curve.integer_columns))
+    image = list(_restrict(center.integer_equations, curve.integer_columns))
     if not any(any(cs) for cs, _ in image):
         raise CurveInSubspaceSpan("curve lies inside the projection center")
     common = gcd_rows([cs for cs, _ in image])

@@ -17,7 +17,7 @@ curve forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from math import prod
 from typing import Sequence
 
@@ -51,22 +51,12 @@ class SegreContext:
 
     def offsets(self) -> list[int]:
         """Starting coordinate index of each block (coordinate 0 is shared)."""
-        out = []
-        pos = 1
-        for d in self.factor_dims:
-            out.append(pos)
-            pos += d
-        return out
+        return list(accumulate(self.factor_dims[:-1], initial=1))
 
     def point_bound(self) -> int:
         """Maximum number of extra general points a product curve can hit."""
-        n1 = self.factor_dims[0]
-        n2 = self.factor_dims[1] if self.r > 1 else None
-        if n2 is None:
-            return n1 + 3
-        if n1 == 1 or n1 == n2:
-            return n2 + 2
-        return n1 + 3
+        dims = self.factor_dims
+        return dims[1] + 2 if self.r > 1 and dims[0] in (1, dims[1]) else dims[0] + 3
 
 
 MultiPoint = tuple[ProjPoint, ...]
@@ -102,18 +92,9 @@ def phi(ctx: SegreContext, q: MultiPoint) -> ProjPoint:
     if zeroes >= 2:
         raise BaseLocus("two or more factor points lie on the contracted hyperplanes")
     lead = [p.coords[0] for p in q]
-    coords = [Fraction(0)] * (ctx.n + 1)
-    full = Fraction(1)
-    for x in lead:
-        full *= x
-    coords[0] = full
-    for i, (p, off) in enumerate(zip(q, ctx.offsets())):
-        others = Fraction(1)
-        for j, x in enumerate(lead):
-            if j != i:
-                others *= x
-        for k in range(1, ctx.factor_dims[i] + 1):
-            coords[off + k - 1] = p.coords[k] * others
+    coords = [prod(lead)]
+    for i, p in enumerate(q):  # the blocks are consecutive, in factor order
+        coords += (x * prod(lead[:i] + lead[i + 1 :]) for x in p.coords[1:])
     return ProjPoint(ctx.n, tuple(coords))
 
 
@@ -124,10 +105,7 @@ def phi_inverse(ctx: SegreContext, y: ProjPoint) -> MultiPoint:
     y0 = y.coords[0]
     if not y0:
         raise OnContractedLocus("inverse undefined where the 0-th coordinate vanishes")
-    out = []
-    for d, off in zip(ctx.factor_dims, ctx.offsets()):
-        out.append(ProjPoint(d, (y0,) + tuple(y.coords[off : off + d])))
-    return tuple(out)
+    return tuple(ProjPoint(d, (y0, *y.coords[off : off + d])) for d, off in zip(ctx.factor_dims, ctx.offsets()))
 
 
 def canonical_contracted_spaces(ctx: SegreContext) -> list[LinearSubspace]:

@@ -4,13 +4,14 @@ expected condition counts, the point case of the intersection degree, gcd
 rows normalized for comparison, the Fraction algebra of ``BinaryForm``s
 (the zero form, the linear form vanishing at a parameter, evaluation,
 scaling and products), and the Fraction constructions of curves built on it
-(products of forms pushed forward by Fraction sums) that the integer
-builders of ``rnc`` and ``segre`` must reproduce."""
+(products of forms pushed forward by Fraction sums, frame maps solved by
+sympy) that the integer builders of ``rnc`` and ``segre`` must reproduce."""
 
 from fractions import Fraction
 from math import comb
 
-from rncurves import linalg
+import sympy
+
 from rncurves.arrangements import Configuration, monomials
 from rncurves.binforms import BinaryForm, ParamPoint
 from rncurves.errors import CurveInSubspaceSpan, GenericityExhausted
@@ -22,7 +23,6 @@ from rncurves.exactgeom import (
     Rng,
     _apply,
     adapted_alignment,
-    projectivity_from_frames,
     span,
     standard_point,
 )
@@ -64,14 +64,14 @@ def contains(space: LinearSubspace, p: ProjPoint) -> bool:
     """Whether ``p`` lies on ``space``: every equation of the space vanishes at it."""
     if p.n != space.n:
         raise ValueError("ambient mismatch")
-    return not any(_apply(space.equations(), p.coords))
+    return not any(_apply(space.integer_equations, p.coords))
 
 
 def apply_subspace(g: Projectivity, s: LinearSubspace) -> LinearSubspace:
     """The image of ``s`` under ``g``."""
     if s.n != g.n:
         raise ValueError("ambient mismatch")
-    return LinearSubspace.from_rows(g.n, [_apply(g.matrix, b) for b in s.basis])
+    return LinearSubspace.from_rows(g.n, [_apply((g.rows, g.den), b) for b in s.basis])
 
 
 def without(config: Configuration, index: int) -> Configuration:
@@ -160,30 +160,51 @@ def product(forms) -> BinaryForm:
     return acc
 
 
-def pushed_forms(forms, g: Projectivity) -> tuple[BinaryForm, ...]:
-    """The coordinate forms ``forms`` transformed by the matrix of ``g``, as
-    sums of Fraction products."""
+def pushed_forms(forms, matrix) -> tuple[BinaryForm, ...]:
+    """The coordinate forms ``forms`` transformed by ``matrix``, as sums of
+    Fraction products."""
     d = forms[0].degree
     return tuple(
         BinaryForm(d, tuple(sum((w * f.coeffs[k] for w, f in zip(row, forms)), Fraction(0)) for k in range(d + 1)))
-        for row in g.matrix
+        for row in matrix
     )
 
 
-def frame_forms(h_inv: Projectivity, linear, last: ParamPoint) -> tuple[BinaryForm, ...]:
+def frame_forms(h_inv, linear, last: ParamPoint) -> tuple[BinaryForm, ...]:
     """The forms of ``h_inv . psi``, ``psi_i = L_i(last) * prod_(j != i) L_j``,
-    for the linear ``BinaryForm``s ``linear``, built as products of forms."""
+    for the matrix ``h_inv`` and the linear ``BinaryForm``s ``linear``, built
+    as products of forms."""
     psi = [
         scale_form(product(linear[:i] + linear[i + 1 :]), evaluate_form_at(l_i, last)) for i, l_i in enumerate(linear)
     ]
     return pushed_forms(psi, h_inv)
 
 
+def sympy_solve(matrix, rhs) -> tuple[Fraction, ...]:
+    """The solution of the nonsingular square system ``matrix x = rhs``,
+    solved by sympy and returned as Fractions."""
+    def rational(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    x = sympy.Matrix([[rational(v) for v in row] for row in matrix]).LUsolve(sympy.Matrix([rational(v) for v in rhs]))
+    return tuple(Fraction(int(v.p), int(v.q)) for v in x)
+
+
+def frame_matrix(points) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix sending the standard frame to the n+2 ``points``: the first
+    n+1 points as columns, scaled by the sympy solution of ``sum lam_i p_i =
+    p_(n+1)``, in Fractions."""
+    n = points[0].n
+    base = [p.coords for p in points[: n + 1]]
+    lam = sympy_solve(list(zip(*base)), points[n + 1].coords)
+    return tuple(tuple(lam[i] * base[i][row] for i in range(n + 1)) for row in range(n + 1))
+
+
 def reference_rnc_through_points(points) -> tuple[BinaryForm, ...]:
     """The forms ``rnc_through_points`` returns, built in Fractions."""
     n = points[0].n
-    h_inv = projectivity_from_frames(points[: n + 2])
-    c = linalg.solve_right(h_inv.matrix, points[n + 2].coords, n + 1)
+    h_inv = frame_matrix(points[: n + 2])
+    c = sympy_solve(h_inv, points[n + 2].coords)
     linear = [BinaryForm(1, (-1 / ci, 1)) for ci in c]
     return frame_forms(h_inv, linear, ParamPoint(0, 1))
 
@@ -193,7 +214,7 @@ def reference_rnc_assigned(params, points) -> tuple[BinaryForm, ...]:
     built in Fractions."""
     t = points[0].n
     linear = [vanishing_at(p) for p in params[: t + 1]]
-    return frame_forms(projectivity_from_frames(points), linear, params[t + 1])
+    return frame_forms(frame_matrix(points), linear, params[t + 1])
 
 
 def phi_forms(mc: MultiCurve) -> tuple[BinaryForm, ...]:
@@ -216,5 +237,5 @@ def reference_witness_curve(spaces, points) -> tuple[BinaryForm, ...]:
     frame = adapted_alignment(spaces)
     pull = frame.inverse()
     mc, _ = product_curve(ctx, [phi_inverse(ctx, pull.apply(p)) for p in points])
-    return pushed_forms(phi_forms(mc), frame)
+    return pushed_forms(phi_forms(mc), frame.matrix)
 

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_subspace, contains, random_form, sample_projectivity, standard_frame, unit_point
+from helpers import apply_subspace, contains, frame_matrix, random_form, sample_projectivity, standard_frame, unit_point
 from rncurves import linalg
 from rncurves.errors import FrameDegenerate, GenericityExhausted, InCenter, NotComplementary
 from rncurves.exactgeom import (
@@ -79,6 +79,19 @@ def test_projpoint_scaling_equality_and_hash():
     assert p != ProjPoint(2, (F(1), F(2), F(4)))
     with pytest.raises(ValueError):
         ProjPoint(2, (F(0), F(0), F(0)))
+
+
+def test_projpoint_key_is_its_one_echelon_row():
+    # primitive over Z with a positive leading entry; the coordinates keep their scale
+    p = ProjPoint(3, (F(0), F(-3, 2), F(9, 4), F(3)))
+    assert p.key == (0, 2, -3, -4) and p.coords == (F(0), F(-3, 2), F(9, 4), F(3))
+    assert p.key == span([p]).echelon[0][0] == linalg.reduced_echelon([p.coords], 4)[0][0]
+    rng = Rng(41)
+    for _ in range(20):
+        q = sample_point(4, rng)
+        scaled = ProjPoint(4, tuple(F(-7, 3) * x for x in q.coords))
+        assert scaled.key == q.key and scaled == q and hash(scaled) == hash(q)
+        assert all(type(x) is int for x in q.key) and next(x for x in q.key if x) > 0
 
 
 def test_standard_and_unit_points():
@@ -227,6 +240,11 @@ def test_subspace_residual_through_contains_and_projection():
     # a line off the coordinate axes: the one equation is -2 x0 + x1 + x2
     line = LinearSubspace.from_rows(2, [(1, 0, 2), (0, 1, -1)])
     assert line.equations() == ((F(-2), F(1), F(1)),)
+    assert line.integer_equations == (((-2, 1, 1),), 1)
+    # the forms of a plane with pivots 2 and 3 share the denominator 6
+    plane = LinearSubspace.from_rows(3, [(2, 0, 1, 0), (0, 3, 0, 1)])
+    assert plane.integer_equations == (((-3, 0, 6, 0), (0, -2, 0, 6)), 6)
+    assert plane.equations() == ((F(-1, 2), 0, 1, 0), (0, F(-1, 3), 0, 1))
     assert contains(line, ProjPoint(2, (F(1), F(1), F(1))))
     assert project_from(line, ProjPoint(2, (F(1), F(2), F(1)))).coords == (F(1),)
 
@@ -356,6 +374,41 @@ def test_projectivity_from_frames_rejects_a_point_of_another_ambient(n):
         pts[k] = sample_point(n + 1, rng)
         with pytest.raises(ValueError, match="ambient mismatch"):
             projectivity_from_frames(pts)
+
+
+def test_projectivity_from_an_empty_frame_raises():
+    with pytest.raises(FrameDegenerate):
+        projectivity_from_frames([])
+
+
+def test_projectivity_rejects_an_empty_or_non_square_matrix():
+    for matrix in ((), ((1, 2),), ((1, 0), (0,))):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            Projectivity(matrix)
+
+
+def test_projectivity_keeps_one_integer_form_in_lowest_terms():
+    g = Projectivity(((F(1, 2), 1), (0, F(3, 4))))
+    assert (g.rows, g.den) == (((2, 4), (0, 3)), 4)
+    assert g.matrix == ((F(1, 2), F(1)), (F(0), F(3, 4))) and all(type(x) is F for r in g.matrix for x in r)
+    # the same matrix given as integer rows over a denominator
+    assert Projectivity(((4, 8), (0, 6)), 8) == g and hash(Projectivity(((4, 8), (0, 6)), 8)) == hash(g)
+    assert Projectivity(((1, 0), (0, 1)), 3) != Projectivity(((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_frame_map_and_inverse_match_sympy(n):
+    # the oracle solves the frame in Fractions with sympy, sharing no solver with linalg
+    rng = Rng(400 + n)
+    for _ in range(5):
+        target = [
+            ProjPoint(n, tuple(F(x, 1 + abs(y) % 7) for x, y in zip(rng.vector(n + 1), rng.vector(n + 1))))
+            for _ in range(n + 2)
+        ]
+        g = projectivity_from_frames(target)
+        assert g.matrix == frame_matrix(target)
+        inverse = sympy.Matrix(g.matrix).inv()
+        assert g.inverse().matrix == tuple(tuple(F(int(x.p), int(x.q)) for x in inverse.row(i)) for i in range(n + 1))
 
 
 def test_projectivity_rejects_a_singular_matrix():

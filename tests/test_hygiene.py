@@ -357,6 +357,48 @@ def test_binforms_functions_name_no_fraction():
     assert [site for _, site in sites_naming(tree, "Fraction")] == ["BinaryForm.coeffs", "BinaryForm.__post_init__"]
 
 
+# Points, projectivities and subspaces hold integer forms: linalg builds no
+# Fraction, and exactgeom names it only at the edge views, the hashing of
+# seeds and the conversion of a point's coordinates.
+EXACTGEOM_FRACTION_SITES = [
+    "_feed",
+    "ProjPoint.coords",
+    "ProjPoint.__post_init__",
+    "LinearSubspace.basis",
+    "LinearSubspace.equations",
+    "_apply",
+    "Projectivity.matrix",
+]
+
+
+def fraction_sites(source):
+    """The sites of a module source that name ``Fraction``, in line order."""
+    return [site for _, site in sites_naming(ast.parse(source), "Fraction")]
+
+
+def test_linalg_and_exactgeom_name_fraction_only_at_the_edges():
+    assert fraction_sites((SRC / "linalg.py").read_text()) == []
+    assert fraction_sites((SRC / "exactgeom.py").read_text()) == EXACTGEOM_FRACTION_SITES
+
+
+def test_scan_sees_a_fraction_solver():
+    # planted: an rref over Fraction behind solve_right, as linalg had before
+    # its solves returned integers on one denominator
+    planted = (
+        "from fractions import Fraction\n"
+        "def rref(rows, ncols):\n"
+        "    return [tuple(Fraction(x, r[0]) for x in r) for r in rows], []\n"
+        "def solve_right(matrix, rhs, ncols):\n"
+        "    x = [Fraction(0)] * ncols\n"
+        "    return tuple(x)\n"
+        "def invert(matrix, n):\n"
+        "    return rref(matrix, n)\n"
+    )
+    assert fraction_sites(planted) == ["rref", "solve_right"]
+    edge = (SRC / "exactgeom.py").read_text() + "def _spare(x):\n    return Fraction(x)\n"
+    assert fraction_sites(edge) == EXACTGEOM_FRACTION_SITES + ["_spare"]
+
+
 def test_scan_sees_a_fraction_in_a_module_function():
     tree = ast.parse(
         "from fractions import Fraction\nimport fractions\nclass C:\n    def f(self):\n        return Fraction(1)\n"

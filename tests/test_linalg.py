@@ -17,9 +17,9 @@ from rncurves.exactgeom import LinearSubspace
 from rncurves.linalg import (
     integerize,
     invert,
+    over_pivots,
     rank,
     reduced_echelon,
-    rref,
     solve_right,
 )
 
@@ -82,17 +82,20 @@ def test_integerize_preserves_rank():
     assert integerize([3, -4, 0]) == ((3, -4, 0), 1)
 
 
-def test_rref_pivots_and_idempotence():
+def test_reduced_echelon_pivots_and_idempotence():
     rnd = random.Random(11)
     for _ in range(20):
         m = random_matrix(rnd, 4, 6, force_deficient=True)
-        reduced, pivots = rref(m, 6)
+        reduced, pivots = reduced_echelon(m, 6)
         assert len(reduced) == len(pivots) == rank(m, 6)
         for i, p in enumerate(pivots):
-            assert reduced[i][p] == 1
+            assert reduced[i][p] > 0 and gcd(*reduced[i]) == 1
             assert all(reduced[j][p] == 0 for j in range(len(reduced)) if j != i)
-        again, again_pivots = rref(reduced, 6)
+        again, again_pivots = reduced_echelon(reduced, 6)
         assert again == reduced and again_pivots == list(pivots)
+        # over the pivots, each row has a 1 at its pivot
+        rows, den = over_pivots(reduced, pivots)
+        assert all(rows[i][p] == den for i, p in enumerate(pivots))
 
 
 def test_nullspace_vectors_annihilate_rows():
@@ -117,15 +120,15 @@ def test_solve_right_and_invert_round_trip():
             m = random_matrix(rnd, n, n)
             if rank(m, n) == n:
                 break
-        inv = invert(m, n)
+        inv, den = invert(m, n)
         for i in range(n):
             for j in range(n):
-                s = sum(m[i][k] * inv[k][j] for k in range(n))
+                s = sum(m[i][k] * F(inv[k][j], den) for k in range(n))
                 assert s == (1 if i == j else 0)
         b = [F(rnd.randrange(-5, 6)) for _ in range(n)]
-        x = solve_right(m, b, n)
+        x, den = solve_right(m, b, n)
         for i in range(n):
-            assert sum(m[i][k] * x[k] for k in range(n)) == b[i]
+            assert sum(m[i][k] * F(x[k], den) for k in range(n)) == b[i]
 
 
 def test_prescreen_prime_is_prime():
@@ -189,13 +192,15 @@ _rnd = random.Random(29)
 @example(([[big(_rnd), big(_rnd)] for _ in range(7)], 2))  # tall
 @example(([[big(_rnd) for _ in range(7)] for _ in range(2)], 7))  # wide
 @settings(max_examples=80, deadline=None)
-def test_rref_matches_sympy(case):
+def test_echelon_over_pivots_matches_sympy_rref(case):
     m, cols = case
-    red, pivots = rref(m, cols)
+    red, pivots = reduced_echelon(m, cols)
+    rows, den = over_pivots(red, pivots)
     want, want_pivots = to_sympy(m, cols).rref()
     assert pivots == list(want_pivots)
-    assert red == [from_sympy(want.row(i)) for i in range(len(want_pivots))]
-    assert all(type(x) is F for r in red for x in r)
+    assert [tuple(F(x, den) for x in r) for r in rows] == [from_sympy(want.row(i)) for i in range(len(want_pivots))]
+    assert type(den) is int and all(type(x) is int for r in rows for x in r)
+    assert den == lcm(*(r[p] for r, p in zip(red, pivots)))
 
 
 @given(matrices())
@@ -214,7 +219,8 @@ def test_reduced_echelon_matches_sympy(case):
         assert r[p] > 0 and gcd(*r) == 1
         assert all(r[q] == 0 for q in pivots if q != p)
         assert tuple(F(x, r[p]) for x in r) == from_sympy(want.row(i))
-    assert rref(m, cols) == ([tuple(F(x, r[p]) for x in r) for r, p in zip(rows, pivots)], pivots)
+    den = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    assert over_pivots(rows, pivots) == ([tuple(x * den // r[p] for x in r) for r, p in zip(rows, pivots)], den)
 
 
 @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6), st.integers(0, 2**32))
@@ -244,8 +250,16 @@ def test_invert_and_solve_right_match_sympy(system):
     a = to_sympy(m, n)
     x = solve_right(m, b, n)
     inv = invert(m, n)
+    for found in (x, inv):
+        if found is not None:
+            ints, den = found
+            assert type(den) is int and den > 0 and all(type(v) is int for v in sympy.flatten(ints))
+    if x is not None:
+        x = tuple(F(v, x[1]) for v in x[0])
     if a.rank() == n:
-        assert inv == tuple(from_sympy(a.inv().row(i)) for i in range(n))
+        assert tuple(tuple(F(v, inv[1]) for v in r) for r in inv[0]) == tuple(
+            from_sympy(a.inv().row(i)) for i in range(n)
+        )
         assert x == from_sympy(a.LUsolve(to_sympy([[y] for y in b], 1)))
         return
     assert inv is None
